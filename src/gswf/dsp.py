@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 import scipy.signal
+from numpy.polynomial import chebyshev
 
 from .errors import ValidationError
 from .signal_io import Waveform
@@ -278,88 +279,43 @@ def _cheb_series(g: np.ndarray) -> np.ndarray:
     return c
 
 
-def _eval_series(c: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.cos(np.outer(w, np.arange(len(c)))) @ c
+def _roots_on_circle(g: np.ndarray) -> np.ndarray:
+    """Roots in (0, pi) of a symmetric even-degree polynomial.
 
-
-def _bisect_batch(c: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  flo: np.ndarray) -> np.ndarray:
-    lo, hi, flo = lo.copy(), hi.copy(), flo.copy()
-    for _ in range(60):
-        if np.all(hi - lo < 1e-13):
-            break
-        mid = 0.5 * (lo + hi)
-        fm = _eval_series(c, mid)
-        zero = fm == 0.0
-        same = ((fm > 0.0) == (flo > 0.0)) & ~zero
-        lo = np.where(same | zero, mid, lo)
-        hi = np.where(same, hi, mid)
-        flo = np.where(same, fm, flo)
-    return 0.5 * (lo + hi)
-
-
-def _polish_roots(c: np.ndarray, roots: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray) -> np.ndarray:
-    """Clamped Newton steps on the extended-precision series.  Double
-    precision sign decisions land about ||c|| * eps / |g'| away from the true
-    root, which for big-coefficient models with a flat low-frequency response
-    is several orders worse than the bisection interval suggests."""
-    k = np.arange(len(c), dtype=np.longdouble)
-    x = np.asarray(roots, dtype=np.longdouble)
-    lo = np.asarray(lo, dtype=np.longdouble)
-    hi = np.asarray(hi, dtype=np.longdouble)
-    for _ in range(12):
-        kx = np.outer(x, k)
-        g = np.cos(kx) @ c
-        gp = -(np.sin(kx) * k) @ c
-        step = np.where(gp != 0.0, g / np.where(gp == 0.0, 1.0, gp), 0.0)
-        x = np.clip(x - step, lo, hi)
-        # the result is rounded to double anyway; sub-ulp steps are noise
-        if np.max(np.abs(step)) < 3e-16:
-            break
-    return np.asarray(x, dtype=np.float64)
-
-
-def _roots_on_circle(g: np.ndarray, expected: int) -> np.ndarray:
-    """Roots in (0, pi) of a symmetric even-degree polynomial, via Chebyshev
-    reduction, grid scan, bisection and a Newton polish.  The grid doubles
-    until the known root count is found."""
-    if expected == 0:
+    In x = cos w the polynomial is a Chebyshev series (Kabal & Ramachandran,
+    "The computation of line spectral frequencies using Chebyshev
+    polynomials", IEEE TASSP 1986), so its roots are the eigenvalues of the
+    series' colleague matrix (Good, "The colleague matrix, a Chebyshev
+    analogue of the companion matrix", Q. J. Math. 1961).  One Newton step,
+    evaluated in extended precision, polishes them."""
+    if len(g) < 3:
         return np.empty(0)
-    c = _cheb_series(np.asarray(g, dtype=np.longdouble))
-    c64 = c.astype(np.float64)
-    n_grid = 2048
-    while True:
-        w = np.linspace(0.0, np.pi, n_grid + 1)
-        v = _eval_series(c64, w)
-        cell = np.pi / n_grid
-        cross = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-        hits = np.nonzero(v == 0.0)[0]
-        hits = hits[(hits > 0) & (hits < n_grid)]
-        if len(cross) + len(hits) >= expected or n_grid >= 1 << 17:
-            break
-        n_grid *= 2
-    if len(cross) + len(hits) != expected:
+    c = _cheb_series(g)
+    x = np.linalg.eigvals(chebyshev.chebcompanion(c))
+    # a minimum-phase model puts every root in [-1, 1]; near-double roots
+    # split into complex pairs with small imaginary parts
+    off = np.abs(x.imag) > 1e-6
+    x = x.real.astype(np.longdouble)
+    slope = chebyshev.chebval(x, chebyshev.chebder(c))
+    x = x - chebyshev.chebval(x, c) / np.where(slope == 0.0, np.inf, slope)
+    # an eigenvalue of a root near 0 or pi can land ~1e-7 past +/-1, so the
+    # range is checked on the polished root; one exactly at +/-1 is valid
+    off |= np.abs(x) > 1.0 + 1e-9
+    if np.any(off):
         raise ValidationError(
-            f"found {len(cross) + len(hits)} line spectral roots, expected "
-            f"{expected}; model is not minimum phase"
+            f"{int(np.count_nonzero(off))} of {len(x)} line spectral roots lie "
+            f"off the unit circle; model is not minimum phase"
         )
-    roots = _bisect_batch(c64, w[cross], w[cross + 1], v[cross])
-    roots = np.concatenate([roots, w[hits]])
-    lo = np.concatenate([w[cross], w[hits]]) - cell
-    hi = np.concatenate([w[cross + 1], w[hits]]) + cell
-    eps = 1e-12
-    roots = _polish_roots(c, roots, np.maximum(lo, eps),
-                          np.minimum(hi, np.pi - eps))
-    return np.sort(roots)
+    w = np.arccos(np.clip(x.astype(np.float64), -1.0, 1.0))
+    return np.sort(np.clip(w, 1e-12, np.pi - 1e-12))
 
 
 def _refine_circle_roots(g: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Fit the roots to the deflated coefficients themselves.
 
-    Bisection and the Newton polish answer 'where does the evaluated series
-    cross zero', and that evaluation cancels catastrophically for models
-    whose coefficients dwarf the series values (crowded low-frequency poles).
+    The series Newton step answers 'where does the evaluated series vanish',
+    and that evaluation cancels catastrophically for models whose
+    coefficients dwarf the series values (crowded low-frequency poles).
     Rebuilding from candidate roots has no such cancellation, so a short
     Gauss-Newton pass on the rebuilt-minus-target coefficients recovers the
     digits the series evaluation cannot see."""
@@ -368,37 +324,24 @@ def _refine_circle_roots(g: np.ndarray, roots: np.ndarray) -> np.ndarray:
         return np.asarray(roots, dtype=np.float64)
     target = np.asarray(g, dtype=np.longdouble)
     # stop two orders under the documented round-trip contract; pipeline
-    # models land near 1e-10 from the polish alone and skip the fit outright
+    # models land near 1e-10 from the series roots alone and skip the fit
     floor = max(1e-8, 1e-13 * float(np.max(np.abs(target))))
 
     def rebuild(w):
-        quads = [np.array([1.0, -2.0 * np.cos(np.longdouble(wi)), 1.0],
-                          dtype=np.longdouble) for wi in w]
-        poly = np.array([1.0], dtype=np.longdouble)
-        for quad in quads:
-            poly = np.convolve(poly, quad)
-        resid = poly - target
-        return quads, resid, float(np.max(np.abs(resid)))
+        resid = _poly_from_circle_roots(w) - target
+        return resid, float(np.max(np.abs(resid)))
 
     w = np.array(roots, dtype=np.float64)
-    quads, resid, err = rebuild(w)
+    resid, err = rebuild(w)
     best_err, best_w = err, w.copy()
     for _ in range(6):
         if err < floor:
             break
-        prefix = [np.array([1.0], dtype=np.longdouble)]
-        for quad in quads:
-            prefix.append(np.convolve(prefix[-1], quad))
-        suffix = [np.array([1.0], dtype=np.longdouble)]
-        for quad in reversed(quads):
-            suffix.append(np.convolve(suffix[-1], quad))
-        suffix.reverse()
-        cols = []
-        for i in range(n):
-            others = np.convolve(prefix[i], suffix[i + 1])
-            col = 2.0 * np.sin(w[i]) * np.convolve(others, [0.0, 1.0, 0.0])
-            cols.append(np.asarray(col, dtype=np.float64))
-        jac = np.stack(cols, axis=1)
+        # d/dw_i of the product: the other quadratics times 2 sin(w_i) z^-1
+        cols = [2.0 * np.sin(w[i]) * np.convolve(
+                    _poly_from_circle_roots(np.delete(w, i)), [0.0, 1.0, 0.0])
+                for i in range(n)]
+        jac = np.stack(cols, axis=1).astype(np.float64)
         # the jacobian condition reaches 1e12 for crowded roots; truncating
         # weak directions keeps the noise they carry out of the step, and the
         # residual those directions could fix is below the floor anyway
@@ -409,9 +352,9 @@ def _refine_circle_roots(g: np.ndarray, roots: np.ndarray) -> np.ndarray:
         improved = False
         for scale in (1.0, 0.5, 0.25, 0.125):
             trial = np.clip(w - scale * step, 1e-12, np.pi - 1e-12)
-            quads_t, resid_t, err_t = rebuild(trial)
+            resid_t, err_t = rebuild(trial)
             if err_t < err:
-                w, quads, resid, err = trial, quads_t, resid_t, err_t
+                w, resid, err = trial, resid_t, err_t
                 improved = True
                 break
         if not improved:
@@ -442,6 +385,9 @@ def _nudge_increasing(freqs: np.ndarray, tol: float) -> np.ndarray:
 def lpc_to_lsp(m: LpcModel) -> LspVector:
     """Line spectral frequencies of a minimum-phase LPC model.
 
+    The sum and difference polynomials are written as Chebyshev series in
+    cos w (Kabal & Ramachandran, IEEE TASSP 1986) and their roots taken from
+    the colleague matrix (Good, Q. J. Math. 1961); see _roots_on_circle.
     Frequencies of the sum polynomial occupy the even vector slots and those
     of the difference polynomial the odd slots; strict interlacing is
     validated (pairs glued by rounding are split by one ulp)."""
@@ -454,14 +400,12 @@ def lpc_to_lsp(m: LpcModel) -> LspVector:
     if p % 2 == 0:
         psum = _deconv_unit_root(psum, -1.0)   # drop root at w = pi
         qdif = _deconv_unit_root(qdif, 1.0)    # drop root at w = 0
-        n_p, n_q = p // 2, p // 2
     else:
         qdif = _deconv_unit_root(_deconv_unit_root(qdif, 1.0), -1.0)
-        n_p, n_q = (p + 1) // 2, (p - 1) // 2
     psum = 0.5 * (psum + psum[::-1])  # kill rounding asymmetry
     qdif = 0.5 * (qdif + qdif[::-1])
-    wp = _refine_circle_roots(psum, _roots_on_circle(psum, n_p))
-    wq = _refine_circle_roots(qdif, _roots_on_circle(qdif, n_q))
+    wp = _refine_circle_roots(psum, _roots_on_circle(psum))
+    wq = _refine_circle_roots(qdif, _roots_on_circle(qdif))
     freqs = np.empty(p)
     freqs[0::2] = wp
     freqs[1::2] = wq
@@ -539,16 +483,17 @@ def mel_filterbank(n_bins: int, fs: float, n_mels: int) -> np.ndarray:
 
 def mel_cepstrum(log_mag: np.ndarray, fs: float, n_mels: int = 40,
                  order: int = 24) -> np.ndarray:
-    """Mel cepstrum of a natural-log magnitude spectrum: filterbank on the
-    linear power spectrum, log band energies, orthonormal DCT-II, first
-    order+1 coefficients (c[0] included)."""
+    """Mel cepstrum of natural-log magnitude spectra along the last axis:
+    filterbank on the linear power spectrum, log band energies, orthonormal
+    DCT-II, first order+1 coefficients (c[0] included).  A (frames, bins)
+    array gives one cepstrum per row from a single filterbank."""
     log_mag = np.asarray(log_mag, dtype=np.float64)
     if order + 1 > n_mels:
         raise ValidationError(f"cepstral order {order} needs more than {n_mels} bands")
     power = np.exp(2.0 * log_mag)
-    bank = mel_filterbank(len(log_mag), fs, n_mels)
-    band = np.log(np.maximum(bank @ power, EPS_MAG))
-    return scipy.fft.dct(band, type=2, norm="ortho")[:order + 1]
+    bank = mel_filterbank(log_mag.shape[-1], fs, n_mels)
+    band = np.log(np.maximum(power @ bank.T, EPS_MAG))
+    return scipy.fft.dct(band, type=2, norm="ortho", axis=-1)[..., :order + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .dsp import mel_cepstrum, wrap_phase
 from .errors import ValidationError
 from .gci import GciTrack
 from .signal_io import Waveform
+from .synthesis import segment_log_mag, segment_spans
 
 DB = 10.0 / np.log(10.0)  # natural log to decibels
 
@@ -161,19 +162,17 @@ def align_gci(pred_instants: np.ndarray, ref_instants: np.ndarray) -> list:
 
 def _aligned_frames(pred: FeatureStream, ref: FeatureStream, cfg: PipelineConfig,
                     span=None):
-    from .synthesis import _segment_log_mag, _segment_spans
-
     pairs = align_gci(pred.positions, ref.positions)
     if span is not None:
         pairs = [(i, j) for i, j in pairs
                  if span[0] <= ref.positions[j] < span[1]]
-    pred_spans = _segment_spans(pred.positions) if len(pred) > 1 else [(1, 1)] * len(pred)
-    ref_spans = _segment_spans(ref.positions) if len(ref) > 1 else [(1, 1)] * len(ref)
+    pred_spans = segment_spans(pred.positions) if len(pred) > 1 else [(1, 1)] * len(pred)
+    ref_spans = segment_spans(ref.positions) if len(ref) > 1 else [(1, 1)] * len(ref)
 
     def log_mag_of(stream, spans, i):
         seg = stream.segments[i]
         left, right = spans[i]
-        return _segment_log_mag(seg, left + right + 1, cfg)
+        return segment_log_mag(seg, left + right + 1, cfg)
 
     voiced_pairs = [(i, j) for i, j in pairs if ref.segments[j].voiced]
     lm_p = [log_mag_of(pred, pred_spans, i) for i, _ in voiced_pairs]
@@ -219,10 +218,8 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
         pred_stream, ref_stream, cfg, span=None if span is None else (lo, hi))
     lsd_val = lsd(np.array(lm_p), np.array(lm_r)) if voiced_pairs else 0.0
     if voiced_pairs:
-        cep_p = np.array([mel_cepstrum(lm, pred_stream.fs, cfg.mel_bands, cfg.mel_order)
-                          for lm in lm_p])
-        cep_r = np.array([mel_cepstrum(lm, ref_stream.fs, cfg.mel_bands, cfg.mel_order)
-                          for lm in lm_r])
+        cep_p = mel_cepstrum(np.array(lm_p), pred_stream.fs, cfg.mel_bands, cfg.mel_order)
+        cep_r = mel_cepstrum(np.array(lm_r), ref_stream.fs, cfg.mel_bands, cfg.mel_order)
         mcd_val = mcd(cep_p, cep_r)
         dpd_val = dpd(np.array(ph_p), np.array(ph_r), wrap=cfg.dpd_wrap)
     else:

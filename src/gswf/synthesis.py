@@ -43,7 +43,9 @@ def _parametric_log_mag(f: SegmentFeatures, n_samples: int, cfg: PipelineConfig)
     return env + 0.5 * (np.log(target) - np.log(max(env_energy, 1e-300)))
 
 
-def _segment_log_mag(f: SegmentFeatures, n_samples: int, cfg: PipelineConfig) -> np.ndarray:
+def segment_log_mag(f: SegmentFeatures, n_samples: int, cfg: PipelineConfig) -> np.ndarray:
+    """Log magnitude of an n_samples segment: the stored spectrum in full
+    mode, the gain-scaled LSP envelope in parametric mode."""
     if f.log_mag is not None:
         return np.asarray(f.log_mag, dtype=np.float64)
     return _parametric_log_mag(f, n_samples, cfg)
@@ -57,7 +59,7 @@ def features_to_segment(f: SegmentFeatures, left_len: int, right_len: int,
         raise ValidationError(
             f"segment at {f.position} needs {n} samples, more than fft_size {cfg.fft_size}"
         )
-    frame = SpectrumFrame(_segment_log_mag(f, n, cfg), decode_phase(f.phase_feature),
+    frame = SpectrumFrame(segment_log_mag(f, n, cfg), decode_phase(f.phase_feature),
                           cfg.fft_size)
     buf = inverse_spectrum(frame)
     # the analysis put the instant at fft_size//2, so extraction around that
@@ -98,7 +100,7 @@ def min_phase_segment(f: SegmentFeatures, left_len: int, right_len: int,
             "minimum-phase synthesis from a parametric stream requires "
             "min_phase_from_envelope"
         )
-    buf = _min_phase_time(_segment_log_mag(f, n, cfg), cfg.fft_size)
+    buf = _min_phase_time(segment_log_mag(f, n, cfg), cfg.fft_size)
     start = _buffer_start(n, cfg.fft_size, left_len)
     # transmitted phase reproduces the analysis-windowed segment, but the
     # minimum-phase response is unwindowed and rings past the segment span;
@@ -125,7 +127,8 @@ def _add_span(acc: np.ndarray, values: np.ndarray, start: int) -> None:
 
 def overlap_add(segments, positions, total_len: int, eps_ola: float = EPS_OLA) -> np.ndarray:
     """Place segments at their positions and normalize by the summed
-    analysis-window envelope, clamped below at eps_ola."""
+    analysis-window envelope.  Samples where the envelope is below eps_ola
+    are set to zero."""
     if len(segments) != len(positions):
         raise ValidationError("one position per segment required")
     acc = np.zeros(total_len)
@@ -133,10 +136,15 @@ def overlap_add(segments, positions, total_len: int, eps_ola: float = EPS_OLA) -
         _add_span(acc, seg.samples, int(pos) - seg.left_len)
     env = window_envelope([(s.left_len, s.right_len) for s in segments],
                           positions, total_len)
-    return acc / np.maximum(env, eps_ola)
+    out = acc / np.maximum(env, eps_ola)
+    # the few outermost samples have no meaningful window support; there the
+    # clamped quotient is content/eps rather than a reconstruction, which can
+    # spike for unwindowed (minimum-phase) content
+    out[env < eps_ola] = 0.0
+    return out
 
 
-def _segment_spans(positions: np.ndarray) -> list:
+def segment_spans(positions: np.ndarray) -> list:
     """(left, right) spans from neighbor gaps; edges mirror their known side."""
     if len(positions) == 1:
         raise ValidationError("cannot infer spans from a single position")
@@ -176,16 +184,11 @@ def _synthesize(stream: FeatureStream, cfg: PipelineConfig, positions: str,
         raise ConfigError(f"positions must be 'stream' or 'f0', got {positions!r}")
     if len(pos) < 2:
         raise ValidationError("need at least 2 segments to synthesize")
-    spans = _segment_spans(pos)
+    spans = segment_spans(pos)
     segments = [builder(f, left, right, cfg)
                 for f, (left, right) in zip(stream.segments, spans)]
     total_len = int(pos[-1] + spans[-1][1] + 1)
     out = overlap_add(segments, pos, total_len, cfg.eps_ola)
-    # the few outermost samples have no meaningful window support; there the
-    # clamped quotient is content/eps rather than a reconstruction, which can
-    # spike for unwindowed (minimum-phase) content
-    env = window_envelope(spans, pos, total_len)
-    out[env < cfg.eps_ola] = 0.0
     peak = float(np.max(np.abs(out))) if len(out) else 0.0
     if peak > 1.0:
         # saturate like the PCM writer would; rescaling the whole utterance

@@ -227,6 +227,34 @@ def test_lsp_roundtrip_and_interlacing():
         assert back.order == order
 
 
+def _lpc_from_reflection(k):
+    a = np.array([1.0])
+    for km in k:
+        ext = np.append(a, 0.0)
+        a = ext + km * ext[::-1]
+    return a
+
+
+def test_lsp_accepts_frequencies_at_interval_edges():
+    # reflection coefficients at Levinson's +/-0.999 clamp push line spectral
+    # frequencies to within ~1e-7 of 0 and pi, where the roots in x = cos w
+    # can round onto or just past +/-1; those models are still minimum phase
+    rng = np.random.default_rng(2)
+    edge = np.pi
+    for order in (10, 24, 40):
+        for _ in range(40):
+            k = rng.uniform(-0.9, 0.9, order)
+            k[rng.choice(order, 3, replace=False)] = rng.choice([-0.999, 0.999], 3)
+            a = _lpc_from_reflection(k)
+            lsp = lpc_to_lsp(LpcModel(order=order, a=a, gain=1.0))
+            f = lsp.frequencies
+            assert np.all(f > 0) and np.all(f < np.pi)
+            assert np.all(np.diff(f) > 0)
+            assert np.max(np.abs(lsp_to_lpc(lsp).a - a)) < 1e-6
+            edge = min(edge, f[0], np.pi - f[-1])
+    assert edge < 1e-6
+
+
 def test_lsp_alternates_p_and_q_roots():
     # P roots (even slots) and Q roots (odd slots) interleave by construction;
     # verify against the polynomial factorizations directly
@@ -288,6 +316,10 @@ def test_mel_cepstrum_level_shift_moves_only_c0():
     b = mel_cepstrum(log_mag + 1.0, 16000, 40, 24)
     assert b[0] != pytest.approx(a[0])
     assert np.allclose(a[1:], b[1:], atol=1e-9)
+    # a (frames, bins) array gives the 1-d result row by row
+    both = mel_cepstrum(np.stack([log_mag, log_mag + 1.0]), 16000, 40, 24)
+    assert both.shape == (2, 25)
+    assert np.max(np.abs(both - np.stack([a, b]))) <= 1e-12
 
 
 def test_mel_cepstrum_matches_independent_oracle():

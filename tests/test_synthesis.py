@@ -8,7 +8,7 @@ from gswf import (ConfigError, FeatureStream, PipelineConfig, SegmentFeatures,
                   features_to_segment, min_phase_segment, overlap_add,
                   synthesize, synthesize_min_phase, window_envelope, wrap_phase)
 from gswf.analysis import Segment
-from gswf.synthesis import _generation_positions, _segment_spans
+from gswf.synthesis import _generation_positions, segment_spans
 from signals import harmonic_tone, speech_like
 
 
@@ -49,7 +49,7 @@ def test_window_envelope_is_unity_even_for_varying_period():
     # matched wings partition unity between any two neighbors
     rng = np.random.default_rng(42)
     positions = np.cumsum(rng.integers(110, 190, 25)) + 200
-    spans = _segment_spans(positions)
+    spans = segment_spans(positions)
     env = window_envelope(spans, positions, int(positions[-1] + 400))
     lo, hi = int(positions[0]), int(positions[-1])
     assert np.max(np.abs(env[lo:hi + 1] - 1.0)) <= 1e-12
