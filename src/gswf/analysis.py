@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import (analyze_spectrum, asymmetric_hann, lpc_from_autocorr,
-                  lpc_to_lsp, wrap_phase)
+from .dsp import (LpcModel, analyze_spectrum, asymmetric_hann,
+                  lpc_from_autocorr, lpc_to_lsp, wrap_phase)
 from .errors import ValidationError
 from .gci import GciTrack, detect_gci
 from .signal_io import F0Contour, Waveform
@@ -77,12 +77,18 @@ class FeatureStream:
         pos = self.positions
         if len(pos) and np.any(np.diff(pos) <= 0):
             raise ValidationError("segment positions must be strictly increasing")
-        if self.mode == "full":
-            for seg in self.segments:
-                if seg.log_mag is None:
-                    raise ValidationError(
-                        f"full-mode stream is missing log_mag at position {seg.position}"
-                    )
+        n_bins = self.fft_size // 2 + 1
+        for seg in self.segments:
+            if len(seg.phase_feature) != n_bins:
+                raise ValidationError(
+                    f"segment at {seg.position}: expected {n_bins} phase values for "
+                    f"fft_size {self.fft_size}, got {len(seg.phase_feature)}"
+                )
+            if (seg.log_mag is None) == (self.mode == "full"):
+                raise ValidationError(
+                    f"{self.mode}-mode stream has {'no' if seg.log_mag is None else 'a'} "
+                    f"log_mag at position {seg.position}"
+                )
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -128,7 +134,6 @@ def _segment_lsp(samples: np.ndarray, order: int):
         # silent segment: flat predictor, uniformly spaced frequencies
         a = np.zeros(order + 1)
         a[0] = 1.0
-        from .dsp import LpcModel
         return lpc_to_lsp(LpcModel(order=order, a=a, gain=1.0))
     return lpc_to_lsp(lpc_from_autocorr(r, order))
 

@@ -4,6 +4,7 @@ Subcommands: gci, analyze, synthesize, roundtrip, metrics.  Exit codes:
 0 success, 2 I/O or file-format problem, 3 input validation failure,
 4 configuration problem.  A config file can be passed with --config or the
 GSWF_CONFIG environment variable; individual flags override file values.
+synthesize and metrics take the FFT size and mode from the feature files.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .analysis import analyze
 from .config import COST_NORMS, MODES, PipelineConfig, load_config
-from .errors import GswfError, ValidationError
-from .featfile import read_features, write_features
+from .errors import ConfigError, GswfError, ValidationError
+from .featfile import LSP_DIMS, read_features, write_features
 from .gci import detect_gci, write_gci_track
 from .metrics import evaluate
 from .signal_io import Waveform, read_f0_ref, read_wav, write_wav
@@ -59,6 +60,25 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**overrides)
 
 
+def _writer_config(args: argparse.Namespace) -> PipelineConfig:
+    """Config for commands that write a feature file, checked up front."""
+    cfg = _config_from_args(args)
+    if cfg.lsp_order != LSP_DIMS:
+        raise ConfigError(
+            f"lsp_order {cfg.lsp_order}: feature files store exactly {LSP_DIMS} LSP values"
+        )
+    return cfg
+
+
+def _check_geometry(args: argparse.Namespace, path: str, stream) -> None:
+    """A feature file fixes its FFT size and mode; flags may only repeat them."""
+    for name in ("fft_size", "mode"):
+        flag, stored = getattr(args, name), getattr(stream, name)
+        if flag is not None and flag != stored:
+            raise ConfigError(f"--{name.replace('_', '-')} {flag} conflicts with "
+                              f"{path}, which has {name} {stored}")
+
+
 def _read_inputs(wav_path: str, f0_path: str, cfg: PipelineConfig):
     w = read_wav(wav_path)
     f0 = read_f0_ref(f0_path, cfg.frame_shift_s)
@@ -83,7 +103,7 @@ def cmd_gci(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    cfg = _writer_config(args)
     w, f0 = _read_inputs(args.in_wav, args.f0_ref, cfg)
     stream = analyze(w, f0, cfg)
     write_features(args.out_features, stream)
@@ -93,6 +113,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     stream = read_features(args.in_features)
+    _check_geometry(args, args.in_features, stream)
     if args.min_phase:
         out = synthesize_min_phase(stream, cfg)
     else:
@@ -123,7 +144,6 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
                    cfg: PipelineConfig) -> None:
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(wav_path))[0]
-    cfg = cfg.replace(mode="full")
     w, f0 = _read_inputs(wav_path, f0_path, cfg)
     stream = analyze(w, f0, cfg)
     write_features(os.path.join(out_dir, stem + ".gswf"), stream)
@@ -142,7 +162,10 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    cfg = _writer_config(args)
+    if cfg.mode == "parametric" and not cfg.min_phase_from_envelope:
+        raise ConfigError("a parametric roundtrip needs --min-phase-from-envelope "
+                          "for its minimum-phase resynthesis")
     if args.list:
         jobs = []
         with open(args.list, encoding="utf-8") as fh:
@@ -184,6 +207,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     ref_wav = read_wav(args.ref_wav)
     pred_stream = read_features(args.pred_features)
     ref_stream = read_features(args.ref_features)
+    _check_geometry(args, args.pred_features, pred_stream)
+    _check_geometry(args, args.ref_features, ref_stream)
     report = evaluate(pred_wav, ref_wav, pred_stream, ref_stream, cfg)
     text = report.to_json() if args.json else report.to_text()
     with open(args.out_report, "w", encoding="utf-8") as fh:

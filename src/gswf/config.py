@@ -27,7 +27,6 @@ class PipelineConfig:
     f0_max: float = 500.0
     frame_shift_s: float = 0.005
     unvoiced_shift_s: float = 0.005
-    voicing_threshold: float = 0.3
     # GCI detection
     candidates_per_interval: int = 5
     candidate_min_sep_s: float = 0.0005

@@ -31,7 +31,6 @@ _MODE_NAMES = {v: k for k, v in _MODES.items()}
 
 
 def write_features(path: str, stream: FeatureStream) -> None:
-    n_bins = stream.fft_size // 2 + 1
     chunks = [_HEADER.pack(MAGIC, VERSION, stream.fs, stream.fft_size,
                            _MODES[stream.mode], len(stream.segments))]
     for seg in stream.segments:
@@ -39,11 +38,6 @@ def write_features(path: str, stream: FeatureStream) -> None:
             raise FormatError(
                 f"feature file stores exactly {LSP_DIMS} LSP values, "
                 f"stream has {len(seg.lsp)}"
-            )
-        if len(seg.phase_feature) != n_bins:
-            raise FormatError(
-                f"segment at {seg.position}: expected {n_bins} phase values, "
-                f"got {len(seg.phase_feature)}"
             )
         chunks.append(_SEG_FIXED.pack(int(seg.position), int(seg.voiced),
                                       float(seg.log_f0), float(seg.gain)))

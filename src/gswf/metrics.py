@@ -160,8 +160,7 @@ def align_gci(pred_instants: np.ndarray, ref_instants: np.ndarray) -> list:
     return pairs
 
 
-def _aligned_frames(pred: FeatureStream, ref: FeatureStream, cfg: PipelineConfig,
-                    span=None):
+def _aligned_frames(pred: FeatureStream, ref: FeatureStream, span=None):
     pairs = align_gci(pred.positions, ref.positions)
     if span is not None:
         pairs = [(i, j) for i, j in pairs
@@ -172,7 +171,7 @@ def _aligned_frames(pred: FeatureStream, ref: FeatureStream, cfg: PipelineConfig
     def log_mag_of(stream, spans, i):
         seg = stream.segments[i]
         left, right = spans[i]
-        return segment_log_mag(seg, left + right + 1, cfg)
+        return segment_log_mag(seg, left + right + 1)
 
     voiced_pairs = [(i, j) for i, j in pairs if ref.segments[j].voiced]
     lm_p = [log_mag_of(pred, pred_spans, i) for i, _ in voiced_pairs]
@@ -196,6 +195,10 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
     if pred_wav.fs != ref_wav.fs or pred_stream.fs != ref_stream.fs \
             or pred_wav.fs != pred_stream.fs:
         raise ValidationError("sample rates of waveforms and streams must match")
+    if pred_stream.fft_size != ref_stream.fft_size:
+        raise ValidationError(
+            f"stream FFT sizes differ: {pred_stream.fft_size} vs {ref_stream.fft_size}"
+        )
     if len(pred_wav.samples) != len(ref_wav.samples):
         raise ValidationError(
             f"waveform lengths differ: {len(pred_wav.samples)} vs {len(ref_wav.samples)}"
@@ -215,7 +218,7 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
                                          ref_wav.samples[lo:hi], mask[lo:hi])
 
     pairs, voiced_pairs, lm_p, lm_r, ph_p, ph_r = _aligned_frames(
-        pred_stream, ref_stream, cfg, span=None if span is None else (lo, hi))
+        pred_stream, ref_stream, span=None if span is None else (lo, hi))
     lsd_val = lsd(np.array(lm_p), np.array(lm_r)) if voiced_pairs else 0.0
     if voiced_pairs:
         cep_p = mel_cepstrum(np.array(lm_p), pred_stream.fs, cfg.mel_bands, cfg.mel_order)

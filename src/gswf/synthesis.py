@@ -30,41 +30,48 @@ def decode_phase(phase_feature: np.ndarray) -> np.ndarray:
     return wrap_phase(np.cumsum(np.asarray(phase_feature, dtype=np.float64)))
 
 
-def _parametric_log_mag(f: SegmentFeatures, n_samples: int, cfg: PipelineConfig) -> np.ndarray:
+def _fft_size(f: SegmentFeatures, n_samples: int = 0) -> int:
+    """FFT size of the stored half spectrum; an n_samples segment must fit."""
+    fft_size = 2 * (len(f.phase_feature) - 1)
+    if n_samples > fft_size:
+        raise ValidationError(
+            f"segment at {f.position} needs {n_samples} samples, more than fft_size {fft_size}"
+        )
+    return fft_size
+
+
+def _parametric_log_mag(f: SegmentFeatures, n_samples: int) -> np.ndarray:
     """LSP envelope shifted so the reconstructed segment carries exp(gain) RMS."""
-    n_bins = cfg.fft_size // 2 + 1
+    fft_size = _fft_size(f)
     # float32 serialization can glue tight frequency pairs back together
     lsp = LspVector(_nudge_increasing(f.lsp, 1e-4))
-    env = lpc_envelope(lsp_to_lpc(lsp), n_bins, cfg.fft_size)
+    env = lpc_envelope(lsp_to_lpc(lsp), len(f.phase_feature), fft_size)
     mag2 = np.exp(2.0 * env)
     # Parseval: time-domain energy of a spectrum frame
-    env_energy = (mag2[0] + 2.0 * np.sum(mag2[1:-1]) + mag2[-1]) / cfg.fft_size
+    env_energy = (mag2[0] + 2.0 * np.sum(mag2[1:-1]) + mag2[-1]) / fft_size
     target = np.exp(2.0 * f.gain) * n_samples
     return env + 0.5 * (np.log(target) - np.log(max(env_energy, 1e-300)))
 
 
-def segment_log_mag(f: SegmentFeatures, n_samples: int, cfg: PipelineConfig) -> np.ndarray:
+def segment_log_mag(f: SegmentFeatures, n_samples: int) -> np.ndarray:
     """Log magnitude of an n_samples segment: the stored spectrum in full
     mode, the gain-scaled LSP envelope in parametric mode."""
     if f.log_mag is not None:
         return np.asarray(f.log_mag, dtype=np.float64)
-    return _parametric_log_mag(f, n_samples, cfg)
+    return _parametric_log_mag(f, n_samples)
 
 
 def features_to_segment(f: SegmentFeatures, left_len: int, right_len: int,
                         cfg: PipelineConfig) -> Segment:
-    """Reconstruct the time-domain segment for one feature entry."""
+    """Reconstruct the time-domain segment for one feature entry.  cfg is
+    unused; both segment builders take the same arguments."""
     n = left_len + right_len + 1
-    if n > cfg.fft_size:
-        raise ValidationError(
-            f"segment at {f.position} needs {n} samples, more than fft_size {cfg.fft_size}"
-        )
-    frame = SpectrumFrame(segment_log_mag(f, n, cfg), decode_phase(f.phase_feature),
-                          cfg.fft_size)
+    fft_size = _fft_size(f, n)
+    frame = SpectrumFrame(segment_log_mag(f, n), decode_phase(f.phase_feature), fft_size)
     buf = inverse_spectrum(frame)
     # the analysis put the instant at fft_size//2, so extraction around that
     # index stays aligned even when the synthesis wings differ from analysis
-    start = _buffer_start(n, cfg.fft_size, left_len)
+    start = _buffer_start(n, fft_size, left_len)
     samples = buf[start:start + n]
     if f.log_mag is None:
         # envelope magnitude discards the window shaping that full-mode
@@ -91,17 +98,14 @@ def min_phase_segment(f: SegmentFeatures, left_len: int, right_len: int,
     """Same magnitude as features_to_segment, minimum phase instead of the
     transmitted phase."""
     n = left_len + right_len + 1
-    if n > cfg.fft_size:
-        raise ValidationError(
-            f"segment at {f.position} needs {n} samples, more than fft_size {cfg.fft_size}"
-        )
+    fft_size = _fft_size(f, n)
     if f.log_mag is None and not cfg.min_phase_from_envelope:
         raise ConfigError(
             "minimum-phase synthesis from a parametric stream requires "
             "min_phase_from_envelope"
         )
-    buf = _min_phase_time(segment_log_mag(f, n, cfg), cfg.fft_size)
-    start = _buffer_start(n, cfg.fft_size, left_len)
+    buf = _min_phase_time(segment_log_mag(f, n), fft_size)
+    start = _buffer_start(n, fft_size, left_len)
     # transmitted phase reproduces the analysis-windowed segment, but the
     # minimum-phase response is unwindowed and rings past the segment span;
     # re-window so the overlap-add envelope normalization stays meaningful

@@ -172,7 +172,17 @@ def test_analyze_produces_consistent_stream():
 
 def test_full_mode_stream_requires_log_mag():
     from gswf import FeatureStream, SegmentFeatures
-    f = SegmentFeatures(position=100, voiced=True, log_f0=np.log(120.0), gain=-2.0,
-                        lsp=np.linspace(0.1, 3.0, 40), phase_feature=np.zeros(257))
-    with pytest.raises(ValidationError):
-        FeatureStream(fs=16000, fft_size=512, mode="full", segments=[f])
+
+    def seg(k=257, log_mag=None):
+        return SegmentFeatures(position=100, voiced=True, log_f0=np.log(120.0), gain=-2.0,
+                               lsp=np.linspace(0.1, 3.0, 40), phase_feature=np.zeros(k),
+                               log_mag=log_mag)
+
+    # full mode without log_mag, parametric mode with it, and phase vectors
+    # whose length disagrees with the header's fft_size
+    for mode, f in (("full", seg()),
+                    ("parametric", seg(log_mag=np.zeros(257))),
+                    ("parametric", seg(k=513)),
+                    ("full", seg(k=129, log_mag=np.zeros(129)))):
+        with pytest.raises(ValidationError):
+            FeatureStream(fs=16000, fft_size=512, mode=mode, segments=[f])

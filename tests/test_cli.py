@@ -150,6 +150,48 @@ def test_synthesize_truncated_file_reports_offset(inputs, tmp_path, capsys):
     assert "offset" in err or "header" in err
 
 
+@pytest.fixture(scope="module")
+def wide(inputs, tmp_path_factory):
+    """The tone analyzed at fft_size 1024, full and parametric."""
+    wav, f0 = inputs
+    root = tmp_path_factory.mktemp("wide")
+    full, par = str(root / "full.gswf"), str(root / "par.gswf")
+    assert run(["analyze", wav, f0, full, "--fft-size", "1024"]) == 0
+    assert run(["analyze", wav, f0, par, "--fft-size", "1024", "--mode", "parametric"]) == 0
+    return full, par
+
+
+def test_synthesize_takes_fft_size_from_file(inputs, wide, tmp_path):
+    full, _ = wide
+    # config-file geometry does not apply to synthesize
+    cfg_path = str(tmp_path / "gswf.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write("fft_size = 512\nmode = parametric\n")
+    for flags in ([], ["--min-phase"]):
+        plain = str(tmp_path / "plain.wav")
+        assert run(["synthesize", full, plain, *flags]) == 0
+        for extra in (["--fft-size", "1024"], ["--config", cfg_path]):
+            other = str(tmp_path / "other.wav")
+            assert run(["synthesize", full, other, *flags, *extra]) == 0
+            assert _read(plain) == _read(other)
+    # full-mode resynthesis at the stored geometry reconstructs the input
+    assert run(["synthesize", full, plain]) == 0
+    x, y = read_wav(inputs[0]).samples, read_wav(plain).samples
+    pos = read_features(full).positions
+    assert np.max(np.abs(y[pos[0]:pos[-2]] - x[pos[0]:pos[-2]])) < 1e-3
+
+
+def test_synthesize_conflicting_geometry_flag_exits_4(wide, tmp_path, capsys):
+    full, par = wide
+    out = str(tmp_path / "out.wav")
+    assert run(["synthesize", full, out, "--fft-size", "512"]) == 4
+    assert "fft_size 1024" in capsys.readouterr().err
+    assert run(["synthesize", full, out, "--mode", "parametric"]) == 4
+    assert run(["synthesize", par, out, "--min-phase", "--min-phase-from-envelope",
+                "--mode", "full"]) == 4
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------- roundtrip
 
 def test_roundtrip_outputs_and_report(inputs, tmp_path):
@@ -228,6 +270,37 @@ def test_roundtrip_list_collects_failures(inputs, tmp_path, capsys):
     assert os.path.exists(str(tmp_path / "y" / "tone.report.txt"))
 
 
+def test_roundtrip_honours_parametric_mode(inputs, tmp_path, capsys):
+    wav, f0 = inputs
+    out_dir = str(tmp_path / "rt")
+    # the minimum-phase half needs the envelope flag; refused before any work
+    assert run(["roundtrip", wav, f0, out_dir, "--mode", "parametric"]) == 4
+    assert "--min-phase-from-envelope" in capsys.readouterr().err
+    assert not os.path.exists(out_dir)
+    assert run(["roundtrip", wav, f0, out_dir, "--mode", "parametric",
+                "--min-phase-from-envelope"]) == 0
+    assert read_features(os.path.join(out_dir, "tone.gswf")).mode == "parametric"
+    with open(os.path.join(out_dir, "tone.report.txt"), encoding="utf-8") as fh:
+        rows = [line.split() for line in fh.read().strip().splitlines()]
+    assert len(rows) == 16
+    assert all(len(row) == 3 and np.isfinite(float(row[1])) for row in rows)
+
+
+def test_unstorable_lsp_order_exits_4_before_work(inputs, tmp_path, capsys):
+    wav, f0 = inputs
+    out = str(tmp_path / "x.gswf")
+    assert run(["analyze", wav, f0, out, "--lsp-order", "20"]) == 4
+    assert not os.path.exists(out)
+    assert run(["roundtrip", wav, f0, str(tmp_path / "rt"), "--lsp-order", "20"]) == 4
+    capsys.readouterr()
+    manifest = str(tmp_path / "jobs.txt")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(f"{wav} {f0} {tmp_path / 'a'}\n{wav} {f0} {tmp_path / 'b'}\n")
+    assert run(["roundtrip", "--list", manifest, "--lsp-order", "20"]) == 4
+    assert capsys.readouterr().err.count("lsp_order") == 1
+    assert not any(os.path.exists(str(tmp_path / d)) for d in ("rt", "a", "b"))
+
+
 # ------------------------------------------------------------------ metrics
 
 def test_metrics_identical_pair_is_zero(inputs, tmp_path):
@@ -263,6 +336,26 @@ def test_metrics_mismatched_fs(inputs, tmp_path, capsys):
     write_wav(other, Waveform(read_wav(wav).samples, 8000))
     assert run(["metrics", wav, other, feat, feat,
                 str(tmp_path / "r.txt")]) == 3
+
+
+def test_parametric_metrics_take_fft_size_from_files(inputs, wide, tmp_path):
+    wav, f0 = inputs
+    _, ref = wide
+    # a quieter, slightly noisy copy gives a prediction that differs
+    from gswf import Waveform, write_wav
+    x = read_wav(wav).samples
+    noisy = 0.8 * x + np.random.default_rng(5).normal(0.0, 1e-3, len(x))
+    pred_wav, pred = str(tmp_path / "pred.wav"), str(tmp_path / "pred.gswf")
+    write_wav(pred_wav, Waveform(noisy, FS))
+    assert run(["analyze", pred_wav, f0, pred, "--fft-size", "1024",
+                "--mode", "parametric"]) == 0
+    for flags in ([], ["--json"]):
+        plain, flagged = str(tmp_path / "plain.txt"), str(tmp_path / "flagged.txt")
+        assert run(["metrics", pred_wav, wav, pred, ref, plain, *flags]) == 0
+        assert run(["metrics", pred_wav, wav, pred, ref, flagged, *flags,
+                    "--fft-size", "1024", "--mode", "parametric"]) == 0
+        assert _read(plain) == _read(flagged)
+    assert run(["metrics", pred_wav, wav, pred, ref, plain, "--fft-size", "512"]) == 4
 
 
 # ------------------------------------------------------------------- config

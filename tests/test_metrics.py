@@ -201,6 +201,9 @@ def test_evaluate_checks_rates_and_lengths():
         evaluate(Waveform(w.samples[:-10], w.fs), w, stream, stream, cfg)
     with pytest.raises(ValidationError):
         evaluate(Waveform(w.samples, 8000), w, stream, stream, cfg)
+    wide = analyze(w, contour, cfg.replace(fft_size=1024))
+    with pytest.raises(ValidationError, match="FFT sizes"):
+        evaluate(w, w, wide, stream, cfg)
 
 
 def test_roundtrip_report_is_small_everywhere():

@@ -151,6 +151,18 @@ def test_features_to_segment_rejects_oversize():
         features_to_segment(f, 400, 400, PipelineConfig())
 
 
+def test_segment_geometry_comes_from_the_features():
+    # 801 samples overflow the default fft_size 512 but fit the 1024-point
+    # spectrum the features carry; the config's fft_size plays no part
+    cfg = PipelineConfig(fft_size=512, min_phase_from_envelope=True)
+    for log_mag in (np.zeros(513), None):
+        f = _features(k=513, log_mag=log_mag)
+        for build in (features_to_segment, min_phase_segment):
+            assert len(build(f, 400, 400, cfg).samples) == 801
+            with pytest.raises(ValidationError):
+                build(f, 600, 600, cfg)
+
+
 def test_parametric_segment_energy_tracks_gain():
     cfg = PipelineConfig(mode="parametric")
     for gain in (-3.0, -1.0, 0.5):
