@@ -18,10 +18,11 @@ from .config import PipelineConfig
 from .dsp import (LpcModel, analyze_spectrum, asymmetric_hann,
                   lpc_from_autocorr, lpc_to_lsp, wrap_phase)
 from .errors import ValidationError
-from .gci import GciTrack, detect_gci
+from .gci import UNVOICED_SHIFT_S, GciTrack, detect_gci
 from .signal_io import F0Contour, Waveform
 
 GAIN_FLOOR = 1e-10  # RMS floor so silent segments keep a finite log gain
+LSP_ORDER = 40      # LSP values per segment; the feature file stores exactly this many
 
 
 @dataclass
@@ -164,13 +165,13 @@ def segment_to_features(seg: Segment, fs: int, cfg: PipelineConfig) -> SegmentFe
     if seg.voiced:
         log_f0 = float(np.log(fs / seg.right_len))
     else:
-        log_f0 = float(np.log(1.0 / cfg.unvoiced_shift_s))
+        log_f0 = float(np.log(1.0 / UNVOICED_SHIFT_S))
     return SegmentFeatures(
         position=seg.center,
         voiced=seg.voiced,
         log_f0=log_f0,
         gain=float(np.log(max(rms, GAIN_FLOOR))),
-        lsp=_segment_lsp(samples, cfg.lsp_order).frequencies,
+        lsp=_segment_lsp(samples, LSP_ORDER).frequencies,
         phase_feature=encode_phase(frame.phase),
         log_mag=frame.log_mag if cfg.mode == "full" else None,
     )

@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import analyze
 from .config import COST_NORMS, MODES, PipelineConfig, load_config
 from .errors import ConfigError, GswfError, ValidationError
-from .featfile import LSP_DIMS, read_features, write_features
+from .featfile import read_features, write_features
 from .gci import detect_gci, write_gci_track
 from .metrics import evaluate
 from .signal_io import Waveform, read_f0_ref, read_wav, write_wav
@@ -28,14 +28,12 @@ from .synthesis import synthesize, synthesize_min_phase
 
 DURATION_TOLERANCE = 0.10
 
-_OVERRIDE_FIELDS = ("fft_size", "lsp_order", "mode", "f0_min", "f0_max",
-                    "frame_shift_s", "cost_norm")
+_OVERRIDE_FIELDS = ("fft_size", "mode", "f0_min", "f0_max", "frame_shift_s", "cost_norm")
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (key = value lines)")
     parser.add_argument("--fft-size", type=int, dest="fft_size")
-    parser.add_argument("--lsp-order", type=int, dest="lsp_order")
     parser.add_argument("--mode", choices=MODES, dest="mode")
     parser.add_argument("--f0-min", type=float, dest="f0_min")
     parser.add_argument("--f0-max", type=float, dest="f0_max")
@@ -58,16 +56,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     if path:
         return load_config(path, overrides)
     return PipelineConfig(**overrides)
-
-
-def _writer_config(args: argparse.Namespace) -> PipelineConfig:
-    """Config for commands that write a feature file, checked up front."""
-    cfg = _config_from_args(args)
-    if cfg.lsp_order != LSP_DIMS:
-        raise ConfigError(
-            f"lsp_order {cfg.lsp_order}: feature files store exactly {LSP_DIMS} LSP values"
-        )
-    return cfg
 
 
 def _check_geometry(args: argparse.Namespace, path: str, stream) -> None:
@@ -103,7 +91,7 @@ def cmd_gci(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _writer_config(args)
+    cfg = _config_from_args(args)
     w, f0 = _read_inputs(args.in_wav, args.f0_ref, cfg)
     stream = analyze(w, f0, cfg)
     write_features(args.out_features, stream)
@@ -153,7 +141,7 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
         out = _fit_length(synth(stream, cfg), len(w.samples))
         write_wav(os.path.join(out_dir, f"{stem}.{label}.wav"), out)
         resynth_stream = analyze(out, f0, cfg)
-        report = evaluate(out, w, resynth_stream, stream, cfg, span=span)
+        report = evaluate(out, w, resynth_stream, stream, span=span)
         reports.append((label, report))
     with open(os.path.join(out_dir, stem + ".report.txt"), "w", encoding="utf-8") as fh:
         for label, report in reports:
@@ -162,7 +150,7 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    cfg = _writer_config(args)
+    cfg = _config_from_args(args)
     if cfg.mode == "parametric" and not cfg.min_phase_from_envelope:
         raise ConfigError("a parametric roundtrip needs --min-phase-from-envelope "
                           "for its minimum-phase resynthesis")
@@ -179,16 +167,18 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
                         f"{args.list}:{lineno}: expected 'wav f0 outdir', got {line!r}"
                     )
                 jobs.append(tuple(parts))
-        failures = []
 
         def run_one(job):
             try:
                 _roundtrip_one(*job, cfg)
             except (GswfError, OSError) as exc:
-                failures.append((job[0], exc))
+                return exc
+            return None
 
         with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            list(pool.map(run_one, jobs))
+            results = list(pool.map(run_one, jobs))
+        # manifest order, whatever order the workers finished in
+        failures = [(job[0], exc) for job, exc in zip(jobs, results) if exc is not None]
         for path, exc in failures:
             print(f"gswf: {path}: {exc}", file=sys.stderr)
         if failures:
@@ -202,14 +192,14 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+    _config_from_args(args)  # no setting applies, but a bad config file still exits 4
     pred_wav = read_wav(args.pred_wav)
     ref_wav = read_wav(args.ref_wav)
     pred_stream = read_features(args.pred_features)
     ref_stream = read_features(args.ref_features)
     _check_geometry(args, args.pred_features, pred_stream)
     _check_geometry(args, args.ref_features, ref_stream)
-    report = evaluate(pred_wav, ref_wav, pred_stream, ref_stream, cfg)
+    report = evaluate(pred_wav, ref_wav, pred_stream, ref_stream)
     text = report.to_json() if args.json else report.to_text()
     with open(args.out_report, "w", encoding="utf-8") as fh:
         fh.write(text)

@@ -5,11 +5,11 @@ Little-endian layout, version 1:
     header:  magic 'GSWF' | version u32 | fs u32 | fft_size u32
              | mode u8 (0 parametric, 1 full) | segment count u32
     segment: position u64 | voiced u8 | log_f0 f32 | gain f32
-             | lsp 40 x f32 | phase_feature K x f32
+             | lsp L x f32 | phase_feature K x f32
              | log_mag K x f32          (full mode only)
 
-with K = fft_size/2 + 1.  The LSP block is fixed at 40 values; streams with
-any other order do not serialize.
+with K = fft_size/2 + 1 and L = LSP_DIMS, the fixed analysis.LSP_ORDER;
+streams with any other LSP order do not serialize.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import struct
 
 import numpy as np
 
-from .analysis import FeatureStream, SegmentFeatures
+from .analysis import LSP_ORDER, FeatureStream, SegmentFeatures
 from .errors import FormatError
 
 MAGIC = b"GSWF"
 VERSION = 1
-LSP_DIMS = 40
+LSP_DIMS = LSP_ORDER
 _HEADER = struct.Struct("<4sIIIBI")
 _SEG_FIXED = struct.Struct("<QBff")
 _MODES = {"parametric": 0, "full": 1}

@@ -20,7 +20,10 @@ from .dsp import lpc_residual
 from .errors import DetectionError, FormatError, ValidationError
 from .signal_io import F0Contour, Waveform
 
-MEAN_WINDOW_PERIODS = 0.875  # half-window as a fraction of the mean period
+MEAN_WINDOW_PERIODS = 0.875   # half-window as a fraction of the mean period
+CANDIDATES_PER_INTERVAL = 5   # residual peaks kept per cycle for the Viterbi pass
+CANDIDATE_MIN_SEP_S = 0.0005  # minimum spacing between candidates of one cycle
+UNVOICED_SHIFT_S = 0.005      # spacing of constant-rate marks outside voicing
 
 
 @dataclass
@@ -230,7 +233,7 @@ def detect_gci(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None
     cfg = cfg or PipelineConfig()
     fs = w.fs
     n = len(w.samples)
-    step = max(1, int(round(cfg.unvoiced_shift_s * fs)))
+    step = max(1, int(round(UNVOICED_SHIFT_S * fs)))
     voiced_regions, unvoiced_regions = _frame_regions_to_samples(
         f0_ref.voiced, f0_ref.frame_shift_s, fs, n)
 
@@ -239,13 +242,13 @@ def detect_gci(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None
         mean_period = fs / float(np.mean(f0_ref.values[f0_ref.voiced]))
         smooth = mean_based_signal(w, mean_period)
         order = int(fs / 1000) + 2
-        residual = lpc_residual(w, order, cfg.residual_frame_s, cfg.residual_shift_s)
+        residual = lpc_residual(w, order)
         mask = np.zeros(n, dtype=bool)
         for lo, hi in voiced_regions:
             mask[lo:hi] = True
         if skew(residual[mask]) < 0:
             residual = -residual
-        min_sep = max(1, int(round(cfg.candidate_min_sep_s * fs)))
+        min_sep = max(1, int(round(CANDIDATE_MIN_SEP_S * fs)))
         for lo, hi in voiced_regions:
             intervals = find_intervals(smooth, [(lo, hi)])
             if not intervals:
@@ -254,7 +257,7 @@ def detect_gci(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None
                 marks.extend((p, False) for p in range(lo, hi, step))
                 continue
             cset = GciCandidateSet(
-                select_candidates(residual, intervals, cfg.candidates_per_interval,
+                select_candidates(residual, intervals, CANDIDATES_PER_INTERVAL,
                                   min_sep), fs)
             path = viterbi_select(cset, f0_ref, cfg.cost_norm)
             marks.extend((int(iv.positions[k]), True)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import FeatureStream
-from .config import PipelineConfig
 from .dsp import mel_cepstrum, wrap_phase
 from .errors import ValidationError
 from .gci import GciTrack
@@ -182,8 +181,7 @@ def _aligned_frames(pred: FeatureStream, ref: FeatureStream, span=None):
 
 
 def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
-             ref_stream: FeatureStream, cfg: PipelineConfig | None = None,
-             span: tuple | None = None) -> MetricsReport:
+             ref_stream: FeatureStream, *, span: tuple | None = None) -> MetricsReport:
     """Full report for a predicted utterance against its reference.
 
     span restricts scoring to a half-open (lo, hi) sample interval: waveform
@@ -191,7 +189,6 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
     instant falls outside are dropped.  Round trips use it to leave out the
     mirrored edge windows, which never reconstruct exactly.
     """
-    cfg = cfg or PipelineConfig()
     if pred_wav.fs != ref_wav.fs or pred_stream.fs != ref_stream.fs \
             or pred_wav.fs != pred_stream.fs:
         raise ValidationError("sample rates of waveforms and streams must match")
@@ -221,10 +218,10 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
         pred_stream, ref_stream, span=None if span is None else (lo, hi))
     lsd_val = lsd(np.array(lm_p), np.array(lm_r)) if voiced_pairs else 0.0
     if voiced_pairs:
-        cep_p = mel_cepstrum(np.array(lm_p), pred_stream.fs, cfg.mel_bands, cfg.mel_order)
-        cep_r = mel_cepstrum(np.array(lm_r), ref_stream.fs, cfg.mel_bands, cfg.mel_order)
+        cep_p = mel_cepstrum(np.array(lm_p), pred_stream.fs)
+        cep_r = mel_cepstrum(np.array(lm_r), ref_stream.fs)
         mcd_val = mcd(cep_p, cep_r)
-        dpd_val = dpd(np.array(ph_p), np.array(ph_r), wrap=cfg.dpd_wrap)
+        dpd_val = dpd(np.array(ph_p), np.array(ph_r))
     else:
         mcd_val, dpd_val = 0.0, 0.0
 

@@ -129,9 +129,9 @@ def _add_span(acc: np.ndarray, values: np.ndarray, start: int) -> None:
         acc[lo:hi] += values[lo - start:hi - start]
 
 
-def overlap_add(segments, positions, total_len: int, eps_ola: float = EPS_OLA) -> np.ndarray:
+def overlap_add(segments, positions, total_len: int) -> np.ndarray:
     """Place segments at their positions and normalize by the summed
-    analysis-window envelope.  Samples where the envelope is below eps_ola
+    analysis-window envelope.  Samples where the envelope is below EPS_OLA
     are set to zero."""
     if len(segments) != len(positions):
         raise ValidationError("one position per segment required")
@@ -140,11 +140,11 @@ def overlap_add(segments, positions, total_len: int, eps_ola: float = EPS_OLA) -
         _add_span(acc, seg.samples, int(pos) - seg.left_len)
     env = window_envelope([(s.left_len, s.right_len) for s in segments],
                           positions, total_len)
-    out = acc / np.maximum(env, eps_ola)
+    out = acc / np.maximum(env, EPS_OLA)
     # the few outermost samples have no meaningful window support; there the
     # clamped quotient is content/eps rather than a reconstruction, which can
     # spike for unwindowed (minimum-phase) content
-    out[env < eps_ola] = 0.0
+    out[env < EPS_OLA] = 0.0
     return out
 
 
@@ -192,7 +192,7 @@ def _synthesize(stream: FeatureStream, cfg: PipelineConfig, positions: str,
     segments = [builder(f, left, right, cfg)
                 for f, (left, right) in zip(stream.segments, spans)]
     total_len = int(pos[-1] + spans[-1][1] + 1)
-    out = overlap_add(segments, pos, total_len, cfg.eps_ola)
+    out = overlap_add(segments, pos, total_len)
     peak = float(np.max(np.abs(out))) if len(out) else 0.0
     if peak > 1.0:
         # saturate like the PCM writer would; rescaling the whole utterance

@@ -4,7 +4,8 @@ import pytest
 from gswf import (GciTrack, PipelineConfig, ValidationError, Waveform, analyze,
                   decode_phase, encode_phase, extract_segments,
                   segment_to_features, wrap_phase)
-from gswf.analysis import GAIN_FLOOR, Segment
+from gswf.analysis import GAIN_FLOOR, LSP_ORDER, Segment
+from gswf.gci import UNVOICED_SHIFT_S
 from signals import harmonic_tone
 
 
@@ -99,7 +100,7 @@ def test_segment_features_shapes_and_values():
     seg = _segment_from_signal(w.samples, 800, 133, 133)
     f = segment_to_features(seg, 16000, cfg)
     assert f.position == 800 and f.voiced
-    assert len(f.lsp) == cfg.lsp_order
+    assert len(f.lsp) == LSP_ORDER
     assert len(f.phase_feature) == cfg.fft_size // 2 + 1
     assert f.log_mag is not None and len(f.log_mag) == 257
     assert f.log_f0 == pytest.approx(np.log(16000 / 133))
@@ -118,7 +119,7 @@ def test_segment_features_unvoiced_log_f0_is_mark_rate():
     cfg = PipelineConfig()
     seg = Segment(500, 80, 80, np.zeros(161), False)
     f = segment_to_features(seg, 16000, cfg)
-    assert f.log_f0 == pytest.approx(np.log(1.0 / cfg.unvoiced_shift_s))
+    assert f.log_f0 == pytest.approx(np.log(1.0 / UNVOICED_SHIFT_S))
     assert f.gain == pytest.approx(np.log(GAIN_FLOOR))
 
 
@@ -126,7 +127,7 @@ def test_silent_segment_gets_uniform_lsp_grid():
     cfg = PipelineConfig()
     seg = Segment(500, 80, 80, np.zeros(161), False)
     f = segment_to_features(seg, 16000, cfg)
-    expect = np.arange(1, cfg.lsp_order + 1) * np.pi / (cfg.lsp_order + 1)
+    expect = np.arange(1, LSP_ORDER + 1) * np.pi / (LSP_ORDER + 1)
     assert np.allclose(f.lsp, expect, atol=1e-9)
 
 

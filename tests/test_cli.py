@@ -270,6 +270,23 @@ def test_roundtrip_list_collects_failures(inputs, tmp_path, capsys):
     assert os.path.exists(str(tmp_path / "y" / "tone.report.txt"))
 
 
+def test_roundtrip_list_reports_failures_in_manifest_order(inputs, tmp_path, capsys):
+    wav, f0 = inputs
+    # job 1 fails late, writing its feature file over a directory; job 2 fails
+    # at once on a missing wav, so with two workers it finishes first
+    (tmp_path / "a" / "tone.gswf").mkdir(parents=True)
+    manifest = str(tmp_path / "jobs.txt")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(f"{wav} {f0} {tmp_path / 'a'}\n")
+        fh.write(f"{tmp_path / 'missing.wav'} {f0} {tmp_path / 'b'}\n")
+    for jobs in ("1", "2"):
+        assert run(["roundtrip", "--list", manifest, "--jobs", jobs]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"gswf: {wav}: ")
+        assert lines[1].startswith(f"gswf: {tmp_path / 'missing.wav'}: ")
+
+
 def test_roundtrip_honours_parametric_mode(inputs, tmp_path, capsys):
     wav, f0 = inputs
     out_dir = str(tmp_path / "rt")
@@ -288,16 +305,20 @@ def test_roundtrip_honours_parametric_mode(inputs, tmp_path, capsys):
 
 def test_unstorable_lsp_order_exits_4_before_work(inputs, tmp_path, capsys):
     wav, f0 = inputs
+    cfg_path = str(tmp_path / "order.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write("lsp_order = 20\n")
     out = str(tmp_path / "x.gswf")
-    assert run(["analyze", wav, f0, out, "--lsp-order", "20"]) == 4
+    assert run(["analyze", wav, f0, out, "--config", cfg_path]) == 4
     assert not os.path.exists(out)
-    assert run(["roundtrip", wav, f0, str(tmp_path / "rt"), "--lsp-order", "20"]) == 4
+    assert run(["roundtrip", wav, f0, str(tmp_path / "rt"), "--config", cfg_path]) == 4
     capsys.readouterr()
     manifest = str(tmp_path / "jobs.txt")
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.write(f"{wav} {f0} {tmp_path / 'a'}\n{wav} {f0} {tmp_path / 'b'}\n")
-    assert run(["roundtrip", "--list", manifest, "--lsp-order", "20"]) == 4
-    assert capsys.readouterr().err.count("lsp_order") == 1
+    assert run(["roundtrip", "--list", manifest, "--config", cfg_path]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "unknown config key 'lsp_order'" in lines[0]
     assert not any(os.path.exists(str(tmp_path / d)) for d in ("rt", "a", "b"))
 
 
@@ -364,7 +385,7 @@ def test_config_file_env_and_flag_precedence(inputs, tmp_path, monkeypatch):
     wav, f0 = inputs
     cfg_path = str(tmp_path / "gswf.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write("# comment\nfft_size = 1024\nlsp_order = 40\n")
+        fh.write("# comment\nfft_size = 1024\ncost_norm = abs\n")
     by_flag = str(tmp_path / "flag.gswf")
     assert run(["analyze", wav, f0, by_flag, "--config", cfg_path]) == 0
     assert read_features(by_flag).fft_size == 1024

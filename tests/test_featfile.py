@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,13 +52,13 @@ def test_file_is_bitwise_deterministic(tmp_path):
     p1, p2 = str(tmp_path / "a.gswf"), str(tmp_path / "b.gswf")
     write_features(p1, stream)
     write_features(p2, stream)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_header_magic_and_version_checked(tmp_path):
     path = str(tmp_path / "s.gswf")
     write_features(path, _stream("parametric"))
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     bad = bytes(data).replace(MAGIC, b"NOPE", 1)
     (tmp_path / "bad.gswf").write_bytes(bad)
     with pytest.raises(FormatError):
@@ -70,7 +72,7 @@ def test_header_magic_and_version_checked(tmp_path):
 def test_truncated_file_reports_offset(tmp_path):
     path = str(tmp_path / "s.gswf")
     write_features(path, _stream("full"))
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     for cut in (3, 20, len(blob) // 2, len(blob) - 5):
         (tmp_path / "cut.gswf").write_bytes(blob[:cut])
         with pytest.raises(FormatError) as err:
@@ -81,7 +83,7 @@ def test_truncated_file_reports_offset(tmp_path):
 def test_trailing_bytes_rejected(tmp_path):
     path = str(tmp_path / "s.gswf")
     write_features(path, _stream("parametric"))
-    blob = open(path, "rb").read() + b"\x00\x00"
+    blob = Path(path).read_bytes() + b"\x00\x00"
     (tmp_path / "pad.gswf").write_bytes(blob)
     with pytest.raises(FormatError):
         read_features(str(tmp_path / "pad.gswf"))

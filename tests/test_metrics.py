@@ -148,7 +148,7 @@ def test_evaluate_identity_is_all_zeros():
     w, contour = harmonic_tone(dur=0.4)
     cfg = PipelineConfig(mode="full")
     stream = analyze(w, contour, cfg)
-    report = evaluate(w, w, stream, stream, cfg)
+    report = evaluate(w, w, stream, stream)
     for key in REPORT_KEYS:
         assert getattr(report, key) == 0.0, key
     assert report.counts["vuv_error_rate"] == len(stream)
@@ -160,8 +160,7 @@ def test_evaluate_f0_and_vuv_on_constructed_streams():
     pred = _toy_stream([p + 2 for p in positions], [1, 1, 0, 0],
                        [110.0, 110.0, 100.0, 200.0])
     x = np.zeros(2000)
-    report = evaluate(Waveform(x, 16000), Waveform(x, 16000), pred, ref,
-                      PipelineConfig(mode="parametric"))
+    report = evaluate(Waveform(x, 16000), Waveform(x, 16000), pred, ref)
     assert report.f0_rmse == pytest.approx(10.0)
     assert report.counts["f0_rmse"] == 2
     assert report.vuv_error_rate == pytest.approx(0.25)
@@ -176,21 +175,19 @@ def test_evaluate_span_restricts_samples_and_pairs():
     x = np.zeros(2000)
     noisy = x.copy()
     noisy[:50] = 0.5  # junk ahead of the span must not count
-    cfg = PipelineConfig(mode="parametric")
     report = evaluate(Waveform(noisy, 16000), Waveform(x, 16000), pred, ref,
-                      cfg, span=(1100, 1400))
+                      span=(1100, 1400))
     assert report.rmse == 0.0
     assert report.counts["rmse"] == 300
     assert report.counts["vuv_error_rate"] == 2
     assert report.vuv_error_rate == pytest.approx(0.5)
     assert report.counts["f0_rmse"] == 1
     assert report.f0_rmse == pytest.approx(10.0)
-    full = evaluate(Waveform(noisy, 16000), Waveform(x, 16000), pred, ref, cfg)
+    full = evaluate(Waveform(noisy, 16000), Waveform(x, 16000), pred, ref)
     assert full.rmse > 0.0
     for bad in ((-1, 100), (100, 100), (0, 2001)):
         with pytest.raises(ValidationError):
-            evaluate(Waveform(x, 16000), Waveform(x, 16000), pred, ref, cfg,
-                     span=bad)
+            evaluate(Waveform(x, 16000), Waveform(x, 16000), pred, ref, span=bad)
 
 
 def test_evaluate_checks_rates_and_lengths():
@@ -198,12 +195,12 @@ def test_evaluate_checks_rates_and_lengths():
     cfg = PipelineConfig(mode="full")
     stream = analyze(w, contour, cfg)
     with pytest.raises(ValidationError):
-        evaluate(Waveform(w.samples[:-10], w.fs), w, stream, stream, cfg)
+        evaluate(Waveform(w.samples[:-10], w.fs), w, stream, stream)
     with pytest.raises(ValidationError):
-        evaluate(Waveform(w.samples, 8000), w, stream, stream, cfg)
+        evaluate(Waveform(w.samples, 8000), w, stream, stream)
     wide = analyze(w, contour, cfg.replace(fft_size=1024))
     with pytest.raises(ValidationError, match="FFT sizes"):
-        evaluate(w, w, wide, stream, cfg)
+        evaluate(w, w, wide, stream)
 
 
 def test_roundtrip_report_is_small_everywhere():
@@ -217,7 +214,7 @@ def test_roundtrip_report_is_small_everywhere():
     padded = np.zeros(n)
     padded[:min(n, len(y.samples))] = y.samples[:min(n, len(y.samples))]
     pred_stream = analyze(Waveform(padded, w.fs), contour, cfg)
-    report = evaluate(Waveform(padded, w.fs), w, pred_stream, ref_stream, cfg)
+    report = evaluate(Waveform(padded, w.fs), w, pred_stream, ref_stream)
     assert report.rmse_voiced < 0.01
     assert report.lsd < 2.0
     assert report.mcd < 0.5
@@ -231,7 +228,7 @@ def test_report_text_and_json_formats():
     w, contour = harmonic_tone(dur=0.3)
     cfg = PipelineConfig(mode="full")
     stream = analyze(w, contour, cfg)
-    report = evaluate(w, w, stream, stream, cfg)
+    report = evaluate(w, w, stream, stream)
     text = report.to_text()
     lines = text.strip().split("\n")
     assert len(lines) == len(REPORT_KEYS)
