@@ -1,7 +1,7 @@
 """Glottal-synchronous waveform analysis, resynthesis and evaluation."""
 
 from .analysis import (FeatureStream, Segment, SegmentFeatures, analyze,
-                       encode_phase, extract_segments, segment_to_features)
+                       encode_phase, extract_segments, segments_to_features)
 from .config import PipelineConfig, load_config
 from .dsp import (LpcModel, LspVector, SpectrumFrame, analyze_spectrum,
                   asymmetric_hann, estimate_f0_autocorr, inverse_spectrum,

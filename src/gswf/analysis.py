@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import (LpcModel, analyze_spectrum, asymmetric_hann,
-                  lpc_from_autocorr, lpc_to_lsp, wrap_phase)
-from .errors import ValidationError
+from .dsp import (analyze_spectrum_batch, asymmetric_hann, lpc_predictors,
+                  lpc_to_lsp_batch, wrap_phase)
+from .errors import RowError, ValidationError
 from .gci import UNVOICED_SHIFT_S, GciTrack, detect_gci
 from .signal_io import F0Contour, Waveform
 
@@ -118,63 +118,72 @@ def extract_segments(w: Waveform, track: GciTrack) -> list:
 
 
 def encode_phase(phase: np.ndarray) -> np.ndarray:
-    """[theta_1, wrapped first differences]; same length as the input."""
+    """[theta_1, wrapped first differences] along the last axis; same shape
+    as the input."""
     phase = np.asarray(phase, dtype=np.float64)
     out = np.empty_like(phase)
-    out[0] = phase[0]
-    out[1:] = wrap_phase(np.diff(phase))
+    out[..., 0] = phase[..., 0]
+    out[..., 1:] = wrap_phase(np.diff(phase, axis=-1))
     return out
 
 
-def _segment_lsp(samples: np.ndarray, order: int):
+def _autocorr(samples: np.ndarray, order: int) -> np.ndarray:
     corr = np.correlate(samples, samples, "full")[len(samples) - 1:]
     r = np.zeros(order + 1)
     take = min(order + 1, len(corr))
     r[:take] = corr[:take]
-    if r[0] <= 1e-20:
-        # silent segment: flat predictor, uniformly spaced frequencies
-        a = np.zeros(order + 1)
-        a[0] = 1.0
-        return lpc_to_lsp(LpcModel(order=order, a=a, gain=1.0))
-    return lpc_to_lsp(lpc_from_autocorr(r, order))
+    return r
 
 
-def segment_to_features(seg: Segment, fs: int, cfg: PipelineConfig) -> SegmentFeatures:
-    samples = seg.samples
-    left, right = seg.left_len, seg.right_len
+def segments_to_features(segments: list, fs: int, cfg: PipelineConfig) -> list:
+    """Features of every segment, computed in one array pass: per-segment
+    autocorrelations and gains, then one Levinson recursion, one LSP
+    conversion and one rfft over the whole stack."""
     half = cfg.fft_size // 2
-    # the instant sits at buffer index fft_size//2, so each wing is bounded
-    # separately rather than just the total length
-    lcut = max(left - half, 0)
-    rcut = max(right - (half - 1), 0)
-    if lcut or rcut:
-        if cfg.oversize_segment != "truncate":
-            raise ValidationError(
-                f"segment at {seg.center} spans ({left}, {right}) samples around "
-                f"the instant, more than fft_size {cfg.fft_size} can hold; "
-                f"lower the pitch range or raise fft_size"
-            )
-        warnings.warn(
-            f"truncating segment at {seg.center} from ({left}, {right}) to "
-            f"({left - lcut}, {right - rcut})",
-            stacklevel=2)
-        samples = samples[lcut:len(samples) - rcut]
-        left, right = left - lcut, right - rcut
-    frame = analyze_spectrum(samples, cfg.fft_size, pivot=left)
-    rms = float(np.sqrt(np.mean(samples ** 2)))
-    if seg.voiced:
-        log_f0 = float(np.log(fs / seg.right_len))
-    else:
-        log_f0 = float(np.log(1.0 / UNVOICED_SHIFT_S))
-    return SegmentFeatures(
+    cut, pivots = [], []
+    for seg in segments:
+        samples = seg.samples
+        left, right = seg.left_len, seg.right_len
+        # the instant sits at buffer index fft_size//2, so each wing is
+        # bounded separately rather than just the total length
+        lcut = max(left - half, 0)
+        rcut = max(right - (half - 1), 0)
+        if lcut or rcut:
+            if cfg.oversize_segment != "truncate":
+                raise ValidationError(
+                    f"segment at {seg.center} spans ({left}, {right}) samples around "
+                    f"the instant, more than fft_size {cfg.fft_size} can hold; "
+                    f"lower the pitch range or raise fft_size"
+                )
+            warnings.warn(
+                f"truncating segment at {seg.center} from ({left}, {right}) to "
+                f"({left - lcut}, {right - rcut})",
+                stacklevel=2)
+            samples = samples[lcut:len(samples) - rcut]
+            left = left - lcut
+        cut.append(samples)
+        pivots.append(left)
+    if not segments:
+        return []
+    log_mag, phase = analyze_spectrum_batch(cut, cfg.fft_size, pivots)
+    r = np.array([_autocorr(samples, LSP_ORDER) for samples in cut])
+    try:
+        lsp = lpc_to_lsp_batch(lpc_predictors(r, LSP_ORDER))
+    except RowError as e:
+        raise ValidationError(
+            f"{e.reason} (segment at sample {segments[e.rows[0]].center}; "
+            f"{len(e.rows)} of {e.n_rows} segments fail)") from e
+    phase = encode_phase(phase)
+    unvoiced_log_f0 = float(np.log(1.0 / UNVOICED_SHIFT_S))
+    return [SegmentFeatures(
         position=seg.center,
         voiced=seg.voiced,
-        log_f0=log_f0,
-        gain=float(np.log(max(rms, GAIN_FLOOR))),
-        lsp=_segment_lsp(samples, LSP_ORDER).frequencies,
-        phase_feature=encode_phase(frame.phase),
-        log_mag=frame.log_mag if cfg.mode == "full" else None,
-    )
+        log_f0=float(np.log(fs / seg.right_len)) if seg.voiced else unvoiced_log_f0,
+        gain=float(np.log(max(float(np.sqrt(np.mean(samples ** 2))), GAIN_FLOOR))),
+        lsp=lsp[i],
+        phase_feature=phase[i],
+        log_mag=log_mag[i] if cfg.mode == "full" else None,
+    ) for i, (seg, samples) in enumerate(zip(segments, cut))]
 
 
 def analyze(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None) -> FeatureStream:
@@ -182,5 +191,5 @@ def analyze(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None) -
     cfg = cfg or PipelineConfig()
     track = detect_gci(w, f0_ref, cfg)
     segments = extract_segments(w, track)
-    features = [segment_to_features(seg, w.fs, cfg) for seg in segments]
-    return FeatureStream(fs=w.fs, fft_size=cfg.fft_size, mode=cfg.mode, segments=features)
+    return FeatureStream(fs=w.fs, fft_size=cfg.fft_size, mode=cfg.mode,
+                         segments=segments_to_features(segments, w.fs, cfg))

@@ -13,12 +13,13 @@ import scipy.fft
 import scipy.signal
 from numpy.polynomial import chebyshev
 
-from .errors import ValidationError
+from .errors import RowError, ValidationError
 from .signal_io import Waveform
 
 EPS_MAG = 1e-10    # magnitude floor before taking logs
 ENV_GUARD = 1e-12  # |A(e^jw)| guard in the LPC envelope
 TWO_PI = 2.0 * np.pi
+SILENT_R0 = 1e-20  # autocorrelation energy below which a frame is silence
 
 # ---------------------------------------------------------------------------
 # phases and windows
@@ -30,8 +31,8 @@ def wrap_phase(x):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("wrap_phase: non-finite input")
-    m = np.mod(arr, TWO_PI)
-    out = np.where(m > np.pi, m - TWO_PI, m)
+    out = np.mod(arr, TWO_PI, out=np.empty_like(arr))
+    np.subtract(out, TWO_PI, out=out, where=out > np.pi)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -97,23 +98,41 @@ def analyze_spectrum(segment: np.ndarray, fft_size: int,
     """FFT of a segment in a zero-padded buffer, with segment sample `pivot`
     (default: the middle sample) placed at buffer index fft_size//2."""
     seg = np.asarray(segment, dtype=np.float64)
-    if seg.ndim != 1 or len(seg) == 0:
-        raise ValidationError("analyze_spectrum: segment must be a non-empty 1-d array")
-    if len(seg) > fft_size:
-        raise ValidationError(
-            f"segment length {len(seg)} exceeds fft_size {fft_size}"
-        )
     if pivot is None:
         pivot = (len(seg) - 1) // 2
-    if not 0 <= pivot < len(seg):
-        raise ValidationError(f"pivot {pivot} outside segment of {len(seg)} samples")
-    buf = np.zeros(fft_size)
-    start = _buffer_start(len(seg), fft_size, pivot)
-    buf[start:start + len(seg)] = seg
-    spec = np.fft.rfft(buf)
-    log_mag = np.log(np.abs(spec) + EPS_MAG)
-    phase = wrap_phase(np.angle(spec))
-    return SpectrumFrame(log_mag, phase, fft_size)
+    log_mag, phase = analyze_spectrum_batch([seg], fft_size, [pivot])
+    return SpectrumFrame(log_mag[0], phase[0], fft_size)
+
+
+def analyze_spectrum_batch(segments: list, fft_size: int, pivots) -> tuple:
+    """analyze_spectrum of every segment through one rfft over the stacked
+    buffers.  Returns (log_mag, phase), each (len(segments), fft_size//2 + 1)."""
+    spec = np.fft.rfft(_stacked_buffers(segments, fft_size, pivots))
+    # the stacks of spectra are the largest arrays of an analysis: the log
+    # magnitude is computed in place and the spectra freed once used
+    log_mag = np.abs(spec)
+    log_mag += EPS_MAG
+    np.log(log_mag, out=log_mag)
+    phase = np.angle(spec)
+    del spec
+    return log_mag, wrap_phase(phase)
+
+
+def _stacked_buffers(segments: list, fft_size: int, pivots) -> np.ndarray:
+    buf = np.zeros((len(segments), fft_size))
+    for row, seg, pivot in zip(buf, segments, pivots):
+        seg = np.asarray(seg, dtype=np.float64)
+        if seg.ndim != 1 or len(seg) == 0:
+            raise ValidationError("analyze_spectrum: segment must be a non-empty 1-d array")
+        if len(seg) > fft_size:
+            raise ValidationError(
+                f"segment length {len(seg)} exceeds fft_size {fft_size}"
+            )
+        if not 0 <= pivot < len(seg):
+            raise ValidationError(f"pivot {pivot} outside segment of {len(seg)} samples")
+        start = _buffer_start(len(seg), fft_size, pivot)
+        row[start:start + len(seg)] = seg
+    return buf
 
 
 def inverse_spectrum(frame: SpectrumFrame) -> np.ndarray:
@@ -166,26 +185,61 @@ def lpc_from_autocorr(r: np.ndarray, order: int | None = None) -> LpcModel:
     r = np.asarray(r, dtype=np.float64)
     if order is None:
         order = len(r) - 1
-    if order < 1 or len(r) < order + 1:
-        raise ValidationError(f"need r[0..{order}] autocorrelation values, got {len(r)}")
-    if r[0] <= 0:
-        raise ValidationError(f"r[0] must be positive, got {r[0]}")
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = float(r[0])
-    clamped = False
-    for m in range(1, order + 1):
-        acc = r[m] + np.dot(a[1:m], r[m - 1:0:-1])
-        k = -acc / err
-        if abs(k) >= 1.0:
-            k = 0.999 if k > 0 else -0.999
-            clamped = True
-        a[1:m] = a[1:m] + k * a[m - 1:0:-1]
-        a[m] = k
-        err *= 1.0 - k * k
-        if err <= 0.0:
-            raise ValidationError("Levinson recursion collapsed: r is not positive definite")
-    return LpcModel(order=order, a=a, gain=float(np.sqrt(err)), clamped=clamped)
+    a, gain, clamped = lpc_from_autocorr_batch(r[None, :], order)
+    return LpcModel(order=order, a=a[0], gain=float(gain[0]), clamped=bool(clamped[0]))
+
+
+def _check_rows(bad: np.ndarray, reason: str) -> None:
+    if np.any(bad):
+        raise RowError(reason, np.flatnonzero(bad), len(bad))
+
+
+def lpc_from_autocorr_batch(r: np.ndarray, order: int) -> tuple:
+    """lpc_from_autocorr of every row of r (rows, >= order + 1), as one
+    recursion over the stack.  Returns (a, gain, clamped) with shapes
+    (rows, order + 1), (rows,) and (rows,); a RowError names failing rows."""
+    r = np.asarray(r, dtype=np.float64)
+    if r.ndim != 2 or order < 1 or r.shape[1] < order + 1:
+        raise ValidationError(f"need r[0..{order}] autocorrelation values, got "
+                              f"shape {r.shape}")
+    _check_rows(r[:, 0] <= 0, "r[0] must be positive")
+    n = len(r)
+    # lags r[order..1] stored contiguously, so each row's inner product is
+    # the same ddot call np.dot makes on a reversed slice (which it copies)
+    rev = np.ascontiguousarray(r[:, order:0:-1])
+    a = np.zeros((n, order + 1))
+    a[:, 0] = 1.0
+    err = r[:, 0].copy()
+    clamped = np.zeros(n, dtype=bool)
+    collapsed = np.zeros(n, dtype=bool)
+    # a collapsed row turns to inf/nan on later steps; it is reported below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(1, order + 1):
+            dot = a[:, None, 1:m] @ rev[:, order - m + 1:order, None]
+            k = -(r[:, m] + dot[:, 0, 0]) / err
+            big = np.abs(k) >= 1.0
+            k = np.where(big, np.where(k > 0, 0.999, -0.999), k)
+            clamped |= big
+            a[:, 1:m] = a[:, 1:m] + k[:, None] * a[:, m - 1:0:-1]
+            a[:, m] = k
+            err *= 1.0 - k * k
+            collapsed |= err <= 0.0
+    _check_rows(collapsed, "Levinson recursion collapsed: r is not positive definite")
+    return a, np.sqrt(err), clamped
+
+
+def lpc_predictors(r: np.ndarray, order: int) -> np.ndarray:
+    """Prediction error polynomials (rows, order + 1) of autocorrelation rows;
+    a row with r[0] <= SILENT_R0 (silence) gets the flat predictor 1."""
+    silent = r[:, 0] <= SILENT_R0
+    flat = np.zeros(order + 1)
+    flat[0] = 1.0
+    # a unit impulse's autocorrelation stands in for silent rows in the
+    # recursion; their result is then replaced by the exact flat predictor
+    a = lpc_from_autocorr_batch(np.where(silent[:, None], flat, r[:, :order + 1]),
+                                order)[0]
+    a[silent] = flat
+    return a
 
 
 def _inverse_filter_span(x: np.ndarray, a: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -212,16 +266,11 @@ def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
         raise ValidationError(f"signal shorter than one {frame_len}-sample frame")
     win = np.hanning(frame_len)
     starts = np.arange(0, len(x) - frame_len + 1, shift)
-    coefs = []
-    for s in starts:
+    r = np.empty((len(starts), order + 1))
+    for row, s in zip(r, starts):
         fr = x[s:s + frame_len] * win
-        r = np.correlate(fr, fr, "full")[frame_len - 1:frame_len + order]
-        if r[0] <= 1e-20:
-            a = np.zeros(order + 1)
-            a[0] = 1.0
-        else:
-            a = lpc_from_autocorr(r, order).a
-        coefs.append(a)
+        row[:] = np.correlate(fr, fr, "full")[frame_len - 1:frame_len + order]
+    coefs = lpc_predictors(r, order)
     centers = starts + frame_len // 2
     res = np.empty_like(x)
     res[:centers[0]] = _inverse_filter_span(x, coefs[0], 0, centers[0])
@@ -260,54 +309,65 @@ class LspVector:
 
 
 def _deconv_unit_root(poly: np.ndarray, root: float) -> np.ndarray:
-    # synthetic division by (1 - root * z^-1) for root = +/-1
-    out = np.empty(len(poly) - 1, dtype=poly.dtype)
-    acc = poly.dtype.type(0.0)
-    for i in range(len(out)):
-        acc = poly[i] + root * acc
-        out[i] = acc
+    # synthetic division of each row by (1 - root * z^-1) for root = +/-1
+    out = np.empty((len(poly), poly.shape[1] - 1), dtype=poly.dtype)
+    acc = np.zeros(len(poly), dtype=poly.dtype)
+    for i in range(out.shape[1]):
+        acc = poly[:, i] + root * acc
+        out[:, i] = acc
     return out
 
 
-def _cheb_series(g: np.ndarray) -> np.ndarray:
-    # symmetric poly of even degree 2n evaluated on the unit circle:
-    # e^{jnw} G(e^{-jw}) = c[0] + sum_d 2 c[d] cos(dw) with c[d] = g[n-d]
-    n = (len(g) - 1) // 2
-    c = np.empty(n + 1)
-    c[0] = g[n]
-    c[1:] = 2.0 * g[n - 1::-1]
-    return c
+def _colleague(c: np.ndarray) -> np.ndarray:
+    # chebyshev.chebcompanion of each row of c (rows, n + 1), stacked
+    rows, n = c.shape[0], c.shape[1] - 1
+    if n == 1:
+        return (-c[:, :1] / c[:, 1:])[:, :, None]
+    mat = np.zeros((rows, n, n))
+    scl = np.array([1.] + [np.sqrt(.5)] * (n - 1))
+    flat = mat.reshape(rows, -1)
+    flat[:, 1::n + 1] = flat[:, n::n + 1] = np.r_[np.sqrt(.5), [1 / 2] * (n - 2)]
+    mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * .5
+    return mat
 
 
 def _roots_on_circle(g: np.ndarray) -> np.ndarray:
-    """Roots in (0, pi) of a symmetric even-degree polynomial.
+    """Roots in (0, pi) of each row of a stack of symmetric polynomials of
+    even degree 2n, sorted per row: (rows, 2n + 1) -> (rows, n).
 
-    In x = cos w the polynomial is a Chebyshev series (Kabal & Ramachandran,
-    "The computation of line spectral frequencies using Chebyshev
-    polynomials", IEEE TASSP 1986), so its roots are the eigenvalues of the
-    series' colleague matrix (Good, "The colleague matrix, a Chebyshev
-    analogue of the companion matrix", Q. J. Math. 1961).  One Newton step,
+    In x = cos w each polynomial is a Chebyshev series (Kabal &
+    Ramachandran, "The computation of line spectral frequencies using
+    Chebyshev polynomials", IEEE TASSP 1986), so its roots are the
+    eigenvalues of the series' colleague matrix (Good, "The colleague
+    matrix, a Chebyshev analogue of the companion matrix", Q. J. Math.
+    1961); one eigvals call takes the whole stack.  One Newton step,
     evaluated in extended precision, polishes them."""
-    if len(g) < 3:
-        return np.empty(0)
-    c = _cheb_series(g)
-    x = np.linalg.eigvals(chebyshev.chebcompanion(c))
+    n = (g.shape[1] - 1) // 2
+    if n == 0:
+        return np.empty((len(g), 0))
+    # e^{jnw} G(e^{-jw}) = c[0] + sum_d 2 c[d] cos(dw) with c[d] = g[n-d]
+    c = np.empty((len(g), n + 1))
+    c[:, 0] = g[:, n]
+    c[:, 1:] = 2.0 * g[:, n - 1::-1]
+    x = np.linalg.eigvals(_colleague(c))
     # a minimum-phase model puts every root in [-1, 1]; near-double roots
     # split into complex pairs with small imaginary parts
     off = np.abs(x.imag) > 1e-6
     x = x.real.astype(np.longdouble)
-    slope = chebyshev.chebval(x, chebyshev.chebder(c))
-    x = x - chebyshev.chebval(x, c) / np.where(slope == 0.0, np.inf, slope)
+    series = c.T[:, :, None]  # coefficients first; each row's x on its own
+    slope = chebyshev.chebval(x, chebyshev.chebder(series), tensor=False)
+    x = x - (chebyshev.chebval(x, series, tensor=False)
+             / np.where(slope == 0.0, np.inf, slope))
     # an eigenvalue of a root near 0 or pi can land ~1e-7 past +/-1, so the
     # range is checked on the polished root; one exactly at +/-1 is valid
     off |= np.abs(x) > 1.0 + 1e-9
-    if np.any(off):
-        raise ValidationError(
-            f"{int(np.count_nonzero(off))} of {len(x)} line spectral roots lie "
-            f"off the unit circle; model is not minimum phase"
-        )
+    bad = np.count_nonzero(off, axis=1)
+    if np.any(bad):
+        raise RowError(f"{bad[bad > 0][0]} of {n} line spectral roots lie off the "
+                       f"unit circle; model is not minimum phase",
+                       np.flatnonzero(bad), len(bad))
     w = np.arccos(np.clip(x.astype(np.float64), -1.0, 1.0))
-    return np.sort(np.clip(w, 1e-12, np.pi - 1e-12))
+    return np.sort(np.clip(w, 1e-12, np.pi - 1e-12), axis=1)
 
 
 def _refine_circle_roots(g: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -338,10 +398,10 @@ def _refine_circle_roots(g: np.ndarray, roots: np.ndarray) -> np.ndarray:
         if err < floor:
             break
         # d/dw_i of the product: the other quadratics times 2 sin(w_i) z^-1
-        cols = [2.0 * np.sin(w[i]) * np.convolve(
-                    _poly_from_circle_roots(np.delete(w, i)), [0.0, 1.0, 0.0])
-                for i in range(n)]
-        jac = np.stack(cols, axis=1).astype(np.float64)
+        leave_one_out = np.broadcast_to(w, (n, n))[~np.eye(n, dtype=bool)]
+        others = _poly_from_circle_roots(leave_one_out.reshape(n, n - 1))
+        jac = np.zeros((2 * n + 1, n))
+        jac[1:-1] = 2.0 * np.sin(w) * others.T
         # the jacobian condition reaches 1e12 for crowded roots; truncating
         # weak directions keeps the noise they carry out of the step, and the
         # residual those directions could fix is below the floor anyway
@@ -391,48 +451,90 @@ def lpc_to_lsp(m: LpcModel) -> LspVector:
     Frequencies of the sum polynomial occupy the even vector slots and those
     of the difference polynomial the odd slots; strict interlacing is
     validated (pairs glued by rounding are split by one ulp)."""
-    p = m.order
+    return LspVector(lpc_to_lsp_batch(m.a[None, :])[0])
+
+
+def _fit_circle_roots(g: np.ndarray) -> np.ndarray:
+    # colleague-matrix roots of each row; a row whose rebuilt polynomial
+    # misses the residual floor of _refine_circle_roots is refitted alone
+    w = _roots_on_circle(g)
+    resid = np.abs(_poly_from_circle_roots(w) - g).max(axis=1).astype(np.float64)
+    scale = np.abs(g).max(axis=1).astype(np.float64)
+    for i in np.flatnonzero(~(resid < np.maximum(1e-8, 1e-13 * scale))):
+        w[i] = _refine_circle_roots(g[i], w[i])
+    return w
+
+
+def lpc_to_lsp_batch(a: np.ndarray) -> np.ndarray:
+    """lpc_to_lsp of every row of a (rows, p + 1) in one pass: two eigvals
+    calls (sum and difference family) for the whole stack.  Returns the
+    frequencies (rows, p); a RowError names the rows that fail."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValidationError("lpc_to_lsp_batch: need a (rows, p + 1) array")
+    rows, p = a.shape[0], a.shape[1] - 1
     # the symmetric extension and its deflation run in extended precision;
     # the series coefficients are the accuracy ceiling for every root
-    ext = np.append(m.a.astype(np.longdouble), np.longdouble(0.0))
-    psum = ext + ext[::-1]
-    qdif = ext - ext[::-1]
+    ext = np.zeros((rows, p + 2), dtype=np.longdouble)
+    ext[:, :-1] = a
+    psum = ext + ext[:, ::-1]
+    qdif = ext - ext[:, ::-1]
     if p % 2 == 0:
         psum = _deconv_unit_root(psum, -1.0)   # drop root at w = pi
         qdif = _deconv_unit_root(qdif, 1.0)    # drop root at w = 0
     else:
         qdif = _deconv_unit_root(_deconv_unit_root(qdif, 1.0), -1.0)
-    psum = 0.5 * (psum + psum[::-1])  # kill rounding asymmetry
-    qdif = 0.5 * (qdif + qdif[::-1])
-    wp = _refine_circle_roots(psum, _roots_on_circle(psum))
-    wq = _refine_circle_roots(qdif, _roots_on_circle(qdif))
-    freqs = np.empty(p)
-    freqs[0::2] = wp
-    freqs[1::2] = wq
-    return LspVector(_nudge_increasing(freqs, 1e-9))
+    psum = 0.5 * (psum + psum[:, ::-1])  # kill rounding asymmetry
+    qdif = 0.5 * (qdif + qdif[:, ::-1])
+    freqs = np.empty((rows, p))
+    freqs[:, 0::2] = _fit_circle_roots(psum)
+    freqs[:, 1::2] = _fit_circle_roots(qdif)
+    bad, reason = [], ""
+    for i in np.flatnonzero(~np.all(np.diff(freqs, axis=1) > 0, axis=1)):
+        try:
+            freqs[i] = _nudge_increasing(freqs[i], 1e-9)
+        except ValidationError as e:
+            bad.append(i)
+            reason = reason or str(e)
+    if bad:
+        raise RowError(reason, bad, rows)
+    return freqs
 
 
 def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:
-    # extended precision keeps the repeated products from eroding high-order
-    # coefficients (clustered roots make float64 lose ~9 digits at order 40)
-    poly = np.array([1.0], dtype=np.longdouble)
-    for wi in w:
-        quad = np.array([1.0, -2.0 * np.cos(np.longdouble(wi)), 1.0], dtype=np.longdouble)
-        poly = np.convolve(poly, quad)
-    return poly
+    """Product of the quadratics 1 - 2 cos(w_i) z^-1 + z^-2 over the last
+    axis: (..., k) -> (..., 2k + 1).
+
+    Extended precision keeps the repeated products from eroding high-order
+    coefficients (clustered roots make float64 lose ~9 digits at order 40).
+    Each coefficient adds p[j-2], then -2 cos(w_i) p[j-1], then p[j], the
+    order np.convolve sums in, so one row equals the convolution chain."""
+    w = np.asarray(w)
+    rows, k = int(np.prod(w.shape[:-1])), w.shape[-1]
+    q = -2.0 * np.cos(w.astype(np.longdouble)).reshape(rows, k, 1)
+    # the coefficients sit after two zeros, with zeros after them too
+    buf = np.zeros((rows, 2 * k + 5), dtype=np.longdouble)
+    buf[:, 2] = 1.0
+    for i in range(k):
+        n = 2 * i + 3
+        nxt = buf[:, :n] + q[:, i] * buf[:, 1:n + 1]
+        nxt += buf[:, 2:n + 2]
+        buf[:, 2:n + 2] = nxt
+    return buf[:, 2:2 * k + 3].reshape(w.shape[:-1] + (2 * k + 1,))
 
 
 def lsp_to_lpc(v: LspVector) -> LpcModel:
     """Rebuild the unit-gain LPC model from line spectral frequencies."""
-    p = v.order
-    psum = _poly_from_circle_roots(v.frequencies[0::2])
-    qdif = _poly_from_circle_roots(v.frequencies[1::2])
+    p, f = v.order, v.frequencies
     one = np.longdouble(1.0)
     if p % 2 == 0:
+        # equal halves: both products in one call
+        psum, qdif = _poly_from_circle_roots(np.stack([f[0::2], f[1::2]]))
         psum = np.convolve(psum, [one, one])
         qdif = np.convolve(qdif, [one, -one])
     else:
-        qdif = np.convolve(qdif, [one, 0.0 * one, -one])
+        psum = _poly_from_circle_roots(f[0::2])
+        qdif = np.convolve(_poly_from_circle_roots(f[1::2]), [one, 0.0 * one, -one])
     a = (0.5 * (psum + qdif)[:p + 1]).astype(np.float64)
     return LpcModel(order=p, a=a, gain=1.0)
 

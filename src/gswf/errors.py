@@ -31,3 +31,17 @@ class ConfigError(GswfError):
 
 class DetectionError(ValidationError):
     """GCI detection could not produce a consistent track."""
+
+
+class RowError(ValidationError):
+    """A contract violation in some rows of a batched computation.
+
+    `rows` holds the indices of the failing rows in order, so a caller that
+    knows what each row stands for can name the first one."""
+
+    def __init__(self, reason: str, rows, n_rows: int):
+        self.reason = reason
+        self.rows = [int(i) for i in rows]
+        self.n_rows = n_rows
+        super().__init__(f"{reason} (row {self.rows[0]}; "
+                         f"{len(self.rows)} of {n_rows} rows fail)")

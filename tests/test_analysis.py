@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import gswf.analysis
 from gswf import (GciTrack, PipelineConfig, ValidationError, Waveform, analyze,
-                  decode_phase, encode_phase, extract_segments,
-                  segment_to_features, wrap_phase)
+                  decode_phase, detect_gci, encode_phase, extract_segments,
+                  segments_to_features, wrap_phase)
 from gswf.analysis import GAIN_FLOOR, LSP_ORDER, Segment
+from gswf.dsp import lpc_predictors
 from gswf.gci import UNVOICED_SHIFT_S
-from signals import harmonic_tone
+from signals import harmonic_tone, speech_like
 
 
 def _track(instants, fs=16000, voiced=None):
@@ -98,7 +100,7 @@ def test_segment_features_shapes_and_values():
     w, _ = harmonic_tone(dur=0.2)
     cfg = PipelineConfig(mode="full")
     seg = _segment_from_signal(w.samples, 800, 133, 133)
-    f = segment_to_features(seg, 16000, cfg)
+    f = segments_to_features([seg], 16000, cfg)[0]
     assert f.position == 800 and f.voiced
     assert len(f.lsp) == LSP_ORDER
     assert len(f.phase_feature) == cfg.fft_size // 2 + 1
@@ -112,13 +114,13 @@ def test_segment_features_parametric_mode_drops_log_mag():
     w, _ = harmonic_tone(dur=0.2)
     cfg = PipelineConfig(mode="parametric")
     seg = _segment_from_signal(w.samples, 800, 133, 133)
-    assert segment_to_features(seg, 16000, cfg).log_mag is None
+    assert segments_to_features([seg], 16000, cfg)[0].log_mag is None
 
 
 def test_segment_features_unvoiced_log_f0_is_mark_rate():
     cfg = PipelineConfig()
     seg = Segment(500, 80, 80, np.zeros(161), False)
-    f = segment_to_features(seg, 16000, cfg)
+    f = segments_to_features([seg], 16000, cfg)[0]
     assert f.log_f0 == pytest.approx(np.log(1.0 / UNVOICED_SHIFT_S))
     assert f.gain == pytest.approx(np.log(GAIN_FLOOR))
 
@@ -126,7 +128,7 @@ def test_segment_features_unvoiced_log_f0_is_mark_rate():
 def test_silent_segment_gets_uniform_lsp_grid():
     cfg = PipelineConfig()
     seg = Segment(500, 80, 80, np.zeros(161), False)
-    f = segment_to_features(seg, 16000, cfg)
+    f = segments_to_features([seg], 16000, cfg)[0]
     expect = np.arange(1, LSP_ORDER + 1) * np.pi / (LSP_ORDER + 1)
     assert np.allclose(f.lsp, expect, atol=1e-9)
 
@@ -136,10 +138,10 @@ def test_oversize_segment_error_and_truncate_modes():
     x = rng.normal(0.0, 0.1, 2000)
     seg = _segment_from_signal(x, 1000, 300, 300)
     with pytest.raises(ValidationError):
-        segment_to_features(seg, 16000, PipelineConfig(fft_size=512))
+        segments_to_features([seg], 16000, PipelineConfig(fft_size=512))[0]
     cfg = PipelineConfig(fft_size=512, oversize_segment="truncate")
     with pytest.warns(UserWarning):
-        f = segment_to_features(seg, 16000, cfg)
+        f = segments_to_features([seg], 16000, cfg)[0]
     assert len(f.phase_feature) == 257
 
 
@@ -149,7 +151,7 @@ def test_wing_longer_than_half_fft_is_oversize():
     # total fits in 512 but the left wing exceeds fft_size/2
     seg = _segment_from_signal(x, 1000, 300, 100)
     with pytest.raises(ValidationError):
-        segment_to_features(seg, 16000, PipelineConfig(fft_size=512))
+        segments_to_features([seg], 16000, PipelineConfig(fft_size=512))[0]
 
 
 # ------------------------------------------------------------------ analyze
@@ -169,6 +171,43 @@ def test_analyze_produces_consistent_stream():
         assert seg.voiced
         assert len(seg.lsp) == 40
         assert np.all(np.diff(seg.lsp) > 0)
+
+
+def test_analyze_finds_all_roots_in_two_eigvals_calls(monkeypatch):
+    # one batched call per LSP polynomial family, not one per segment
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    w, contour = speech_like()
+    stream = analyze(w, contour, PipelineConfig())
+    assert len(stream) > 100
+    assert 1 <= len(calls) <= 2
+
+
+def test_analyze_error_names_the_failing_segment(monkeypatch):
+    w, contour = speech_like()
+    cfg = PipelineConfig()
+    segments = extract_segments(w, detect_gci(w, contour, cfg))
+    bad = 37
+
+    def spoiled(r, order):
+        a = lpc_predictors(r, order)
+        a[bad] = np.eye(1, order + 1)[0]
+        a[bad, 1] = -1.5  # zero at z = 1.5: not minimum phase
+        return a
+
+    monkeypatch.setattr(gswf.analysis, "lpc_predictors", spoiled)
+    with pytest.raises(ValidationError) as err:
+        analyze(w, contour, cfg)
+    msg = str(err.value)
+    assert f"segment at sample {segments[bad].center};" in msg
+    assert f"1 of {len(segments)} segments fail" in msg
+    assert "off the unit circle" in msg and err.value.exit_code == 3
 
 
 def test_full_mode_stream_requires_log_mag():

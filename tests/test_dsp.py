@@ -3,12 +3,17 @@ import pytest
 from scipy.fft import dct
 from scipy.linalg import solve_toeplitz
 
-from gswf import (LpcModel, SpectrumFrame, ValidationError, Waveform,
-                  analyze_spectrum, asymmetric_hann, estimate_f0_autocorr,
+from gswf import (LpcModel, PipelineConfig, SpectrumFrame, ValidationError,
+                  Waveform, analyze_spectrum, asymmetric_hann, estimate_f0_autocorr,
                   inverse_spectrum, lpc_envelope, lpc_from_autocorr,
                   lpc_residual, lpc_to_lsp, lsp_to_lpc, mel_cepstrum,
                   mel_filterbank, wrap_phase)
-from signals import harmonic_tone, random_stable_lpc
+from gswf.analysis import LSP_ORDER, _autocorr, extract_segments
+from gswf.dsp import (analyze_spectrum_batch, lpc_from_autocorr_batch,
+                      lpc_predictors, lpc_to_lsp_batch)
+from gswf.errors import RowError
+from gswf.gci import detect_gci
+from signals import harmonic_tone, random_stable_lpc, speech_like
 
 
 # ---------------------------------------------------------------- wrapping
@@ -269,6 +274,117 @@ def test_lsp_alternates_p_and_q_roots():
         poly = P if i % 2 == 0 else Q
         val = np.polyval(poly[::-1], np.exp(-1j * w))
         assert abs(val) < 1e-8
+
+
+# ------------------------------------------------------------ batched rows
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _ar_autocorr(a, order):
+    from scipy.signal import lfilter
+    h = np.zeros(2048)
+    h[0] = 1.0
+    h = lfilter([1.0], a, h)
+    return np.correlate(h, h, "full")[len(h) - 1:len(h) + order]
+
+
+def _speech_autocorrs():
+    # the segments of speech_like() and a unit impulse, whose recursion gives
+    # the flat predictor
+    w, f0 = speech_like()
+    segments = extract_segments(w, detect_gci(w, f0, PipelineConfig()))
+    rows = [_autocorr(seg.samples, LSP_ORDER) for seg in segments]
+    return np.array(rows + [np.eye(1, LSP_ORDER + 1)[0]])
+
+
+def _check_composition(batch, one_row, stack):
+    """Each row of batch(stack) equals one_row(row) bit for bit, and any
+    sub-batch or permutation gives the same rows."""
+    full = batch(stack)
+    for i, row in enumerate(stack):
+        for got, want in zip(one_row(row), full):
+            assert _same_bits(got, want[i]), i
+    perm = np.random.default_rng(31).permutation(len(stack))
+    for pick in (perm, perm[:7], np.arange(0, len(stack), 3), [len(stack) - 1]):
+        for got, want in zip(batch(stack[pick]), full):
+            assert _same_bits(got, want[pick])
+
+
+def test_levinson_rows_do_not_depend_on_the_batch():
+    # autocorrelations of criterion-7-style random stable order-40 models
+    rng = np.random.default_rng(30)
+    ar = [_ar_autocorr(random_stable_lpc(LSP_ORDER, rng), LSP_ORDER) for _ in range(12)]
+    stack = np.concatenate([ar, _speech_autocorrs()])
+    assert np.all(stack[:, 0] > 0) and len(stack) > 100
+
+    def one_row(r):
+        m = lpc_from_autocorr(r, LSP_ORDER)
+        return m.a, m.gain, m.clamped
+
+    _check_composition(lambda r: lpc_from_autocorr_batch(r, LSP_ORDER), one_row, stack)
+
+
+def test_lsp_rows_do_not_depend_on_the_batch():
+    # criterion-7-style random stable order-40 models, then the predictors
+    # of speech_like() segments and the flat predictor
+    rng = np.random.default_rng(30)
+    models = [random_stable_lpc(LSP_ORDER, rng) for _ in range(12)]
+    stack = np.concatenate([models, lpc_predictors(_speech_autocorrs(), LSP_ORDER)])
+    assert np.array_equal(stack[-1], np.eye(1, LSP_ORDER + 1)[0])
+    _check_composition(lambda a: (lpc_to_lsp_batch(a),),
+                       lambda row: (lpc_to_lsp(LpcModel(LSP_ORDER, row, 1.0)).frequencies,),
+                       stack)
+
+
+def test_spectrum_rows_match_single_segment_calls():
+    rng = np.random.default_rng(32)
+    segs = [rng.normal(0.0, 0.1, int(n)) for n in rng.integers(100, 400, 20)]
+    pivots = [len(s) // 2 for s in segs]
+    log_mag, phase = analyze_spectrum_batch(segs, 512, pivots)
+    for i, (seg, pivot) in enumerate(zip(segs, pivots)):
+        frame = analyze_spectrum(seg, 512, pivot=pivot)
+        assert _same_bits(frame.log_mag, log_mag[i]) and _same_bits(frame.phase, phase[i])
+
+
+def _clamped_model(order, rng):
+    k = rng.uniform(-0.9, 0.9, order)
+    k[rng.choice(order, 6, replace=False)] = rng.choice([-0.999, 0.999], 6)
+    return _lpc_from_reflection(k)
+
+
+def test_batch_errors_name_the_first_failing_row():
+    good = np.tile(np.eye(1, 3)[0], (5, 1))
+    # collapsed recursion: the clamped step underflows the residual energy
+    r = good.copy()
+    r[3] = 1e-323
+    with pytest.raises(RowError, match=r"collapsed.*row 3; 1 of 5 rows") as err:
+        lpc_from_autocorr_batch(r, 2)
+    assert err.value.rows == [3] and err.value.exit_code == 3
+    # a zero outside the unit circle puts line spectral roots off it
+    a = lpc_predictors(_speech_autocorrs()[:6], LSP_ORDER)
+    a[4] = np.eye(1, LSP_ORDER + 1)[0]
+    a[4, 1] = -1.5
+    with pytest.raises(RowError, match=r"off the unit circle.*row 4; 1 of 6 rows"):
+        lpc_to_lsp_batch(a)
+    # crowded roots of clamped models that cannot be put in order
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        bad = _clamped_model(24, rng)
+        try:
+            lpc_to_lsp(LpcModel(24, bad, 1.0))
+        except ValidationError as e:
+            if "out of order" in str(e):
+                break
+    else:
+        pytest.fail("no clamped model with out-of-order frequencies")
+    stack = np.array([random_stable_lpc(24, rng) for _ in range(4)])
+    stack = np.insert(stack, 2, bad, axis=0)
+    with pytest.raises(RowError, match=r"out of order.*row 2; 1 of 5 rows") as err:
+        lpc_to_lsp_batch(stack)
+    assert err.value.rows == [2]
 
 
 # ---------------------------------------------------------------- envelope

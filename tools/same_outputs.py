@@ -1,0 +1,128 @@
+"""Check that two gswf source trees write byte-identical output files.
+
+    python3 tools/same_outputs.py BASE_SRC [--keep DIR]
+
+BASE_SRC is the ``src`` directory of another checkout, for example of a
+``git worktree`` of the parent commit.  The script writes ``speech_like()``
+and ``harmonic_tone()`` from ``tests/signals.py`` as PCM16 wavs with their
+F0 contours, then runs the same ``gswf`` commands once with this tree's
+``src`` and once with BASE_SRC on PYTHONPATH: ``gci``; ``analyze`` full and
+parametric; ``synthesize`` full, ``--min-phase``, parametric and parametric
+``--min-phase --min-phase-from-envelope``; ``roundtrip`` full and
+parametric ``--min-phase-from-envelope``; ``metrics`` as text and
+``--json``, on the input against itself and on the roundtrip's min-phase
+resynthesis (analyzed again) against the input.
+It prints each output file that differs (or exists on one side only) and
+each command that fails on either side, and exits 1 if there is any, else 0.
+Only the standard library is used here; the commands need numpy and scipy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+WRITE_INPUTS = """
+import sys
+from gswf import write_f0_ref, write_wav
+from signals import harmonic_tone, speech_like
+for name, (w, f0) in (("speech", speech_like()), ("tone", harmonic_tone())):
+    write_wav(f"{sys.argv[1]}/{name}.wav", w)
+    write_f0_ref(f"{sys.argv[1]}/{name}.f0", f0)
+"""
+
+
+def commands(inputs: Path, name: str) -> list:
+    """gswf argument lists for one input; outputs are relative to the run
+    directory."""
+    wav, f0 = str(inputs / f"{name}.wav"), str(inputs / f"{name}.f0")
+    out = name + "."
+    return [
+        ["gci", wav, f0, out + "gci.txt"],
+        ["analyze", wav, f0, out + "full.gswf", "--mode", "full"],
+        ["analyze", wav, f0, out + "par.gswf", "--mode", "parametric"],
+        ["synthesize", out + "full.gswf", out + "full.wav"],
+        ["synthesize", out + "full.gswf", out + "full_mp.wav", "--min-phase"],
+        ["synthesize", out + "par.gswf", out + "par.wav"],
+        ["synthesize", out + "par.gswf", out + "par_mp.wav", "--min-phase",
+         "--min-phase-from-envelope"],
+        ["roundtrip", wav, f0, out + "rt_full"],
+        ["roundtrip", wav, f0, out + "rt_par", "--mode", "parametric",
+         "--min-phase-from-envelope"],
+        # metrics of the input against itself, and of the roundtrip's
+        # length-fitted min-phase resynthesis against the input
+        ["metrics", wav, wav, out + "full.gswf", out + "full.gswf", out + "same.txt"],
+        ["analyze", f"{out}rt_full/{name}.minphase.wav", f0, out + "mp.gswf",
+         "--mode", "full"],
+        ["metrics", f"{out}rt_full/{name}.minphase.wav", wav, out + "mp.gswf",
+         out + "full.gswf", out + "mp.txt"],
+        ["metrics", f"{out}rt_full/{name}.minphase.wav", wav, out + "mp.gswf",
+         out + "full.gswf", out + "mp.json", "--json"],
+    ]
+
+
+def run_tree(src: Path, inputs: Path, out_dir: Path) -> list:
+    """Run every command with `src` first on PYTHONPATH; returns the exit
+    codes in command order."""
+    out_dir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    codes = []
+    for name in ("speech", "tone"):
+        for argv in commands(inputs, name):
+            proc = subprocess.run([sys.executable, "-m", "gswf.cli", *argv],
+                                  cwd=out_dir, env=env, capture_output=True, text=True)
+            label = " ".join(Path(a).name if a.startswith(str(inputs)) else a
+                             for a in argv)
+            codes.append((label, proc.returncode))
+    return codes
+
+
+def differing(a: Path, b: Path) -> list:
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    out = [f"{rel}: only in {'this tree' if rel in files_a else 'BASE_SRC'}"
+           for rel in sorted(files_a ^ files_b)]
+    out += [f"{rel}: bytes differ" for rel in sorted(files_a & files_b)
+            if not filecmp.cmp(a / rel, b / rel, shallow=False)]
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base_src", type=Path, help="src directory of the other tree")
+    parser.add_argument("--keep", type=Path, help="write the outputs here and keep them")
+    args = parser.parse_args(argv)
+    base = args.base_src.resolve()
+    if not (base / "gswf" / "cli.py").is_file():
+        parser.error(f"{base} holds no gswf package")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.keep.resolve() if args.keep else Path(tmp)
+        inputs = work / "inputs"
+        inputs.mkdir(parents=True)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                            str(ROOT / "tests")]))
+        subprocess.run([sys.executable, "-c", WRITE_INPUTS, str(inputs)],
+                       env=env, check=True)
+        codes_here = run_tree(ROOT / "src", inputs, work / "here")
+        codes_base = run_tree(base, inputs, work / "base")
+        # a command that fails on both sides leaves nothing to compare
+        problems = [f"{cmd}: exit {x} here, {y} in BASE_SRC"
+                    for (cmd, x), (_, y) in zip(codes_here, codes_base) if x or y]
+        problems += differing(work / "here", work / "base")
+        n_files = sum(1 for p in (work / "here").rglob("*") if p.is_file())
+    for line in problems:
+        print(line)
+    print(f"{n_files} output files from {len(codes_here)} commands: "
+          f"{'identical' if not problems else f'{len(problems)} differences'}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
