@@ -3,10 +3,9 @@
 from .analysis import (FeatureStream, Segment, SegmentFeatures, analyze,
                        encode_phase, extract_segments, segments_to_features)
 from .config import PipelineConfig, load_config
-from .dsp import (LpcModel, LspVector, SpectrumFrame, analyze_spectrum,
-                  asymmetric_hann, estimate_f0_autocorr, inverse_spectrum,
-                  lpc_envelope, lpc_from_autocorr, lpc_residual, lpc_to_lsp,
-                  lsp_to_lpc, mel_cepstrum, mel_filterbank, wrap_phase)
+from .dsp import (LpcModel, LspVector, asymmetric_hann, inverse_spectrum,
+                  lpc_envelope, lpc_residual, lpc_to_lsp, lsp_to_lpc,
+                  mel_cepstrum, mel_filterbank, wrap_phase)
 from .errors import (ConfigError, DetectionError, FormatError, GswfError,
                      ValidationError)
 from .featfile import read_features, write_features

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import (analyze_spectrum_batch, asymmetric_hann, lpc_predictors,
-                  lpc_to_lsp_batch, wrap_phase)
+from .dsp import (analyze_spectrum_batch, asymmetric_hann, autocorr,
+                  lpc_predictors, lpc_to_lsp_batch, wrap_phase)
 from .errors import RowError, ValidationError
 from .gci import UNVOICED_SHIFT_S, GciTrack, detect_gci
 from .signal_io import F0Contour, Waveform
@@ -127,14 +127,6 @@ def encode_phase(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def _autocorr(samples: np.ndarray, order: int) -> np.ndarray:
-    corr = np.correlate(samples, samples, "full")[len(samples) - 1:]
-    r = np.zeros(order + 1)
-    take = min(order + 1, len(corr))
-    r[:take] = corr[:take]
-    return r
-
-
 def segments_to_features(segments: list, fs: int, cfg: PipelineConfig) -> list:
     """Features of every segment, computed in one array pass: per-segment
     autocorrelations and gains, then one Levinson recursion, one LSP
@@ -166,7 +158,7 @@ def segments_to_features(segments: list, fs: int, cfg: PipelineConfig) -> list:
     if not segments:
         return []
     log_mag, phase = analyze_spectrum_batch(cut, cfg.fft_size, pivots)
-    r = np.array([_autocorr(samples, LSP_ORDER) for samples in cut])
+    r = np.array([autocorr(samples, LSP_ORDER) for samples in cut])
     try:
         lsp = lpc_to_lsp_batch(lpc_predictors(r, LSP_ORDER))
     except RowError as e:

@@ -10,6 +10,7 @@ synthesize and metrics take the FFT size and mode from the feature files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -103,9 +104,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     stream = read_features(args.in_features)
     _check_geometry(args, args.in_features, stream)
     if args.min_phase:
-        out = synthesize_min_phase(stream, cfg)
+        out = synthesize_min_phase(stream, from_envelope=cfg.min_phase_from_envelope)
     else:
-        out = synthesize(stream, cfg)
+        out = synthesize(stream)
     write_wav(args.out_wav, out)
     return 0
 
@@ -137,8 +138,10 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
     write_features(os.path.join(out_dir, stem + ".gswf"), stream)
     span = _edge_trim_span(stream, len(w.samples))
     reports = []
-    for label, synth in (("full", synthesize), ("minphase", synthesize_min_phase)):
-        out = _fit_length(synth(stream, cfg), len(w.samples))
+    min_phase = functools.partial(synthesize_min_phase,
+                                  from_envelope=cfg.min_phase_from_envelope)
+    for label, synth in (("full", synthesize), ("minphase", min_phase)):
+        out = _fit_length(synth(stream), len(w.samples))
         write_wav(os.path.join(out_dir, f"{stem}.{label}.wav"), out)
         resynth_stream = analyze(out, f0, cfg)
         report = evaluate(out, w, resynth_stream, stream, span=span)

@@ -1,4 +1,4 @@
-"""Signal-processing primitives: windows, spectra, LPC/LSP, mel cepstra, F0.
+"""Signal-processing primitives: windows, spectra, LPC/LSP, mel cepstra.
 
 Everything operates on float64 arrays.  Magnitudes live in the natural-log
 domain with a fixed floor so silence stays finite; phases live in (-pi, pi].
@@ -56,29 +56,6 @@ def asymmetric_hann(left: int, right: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SpectrumFrame:
-    log_mag: np.ndarray
-    phase: np.ndarray
-    fft_size: int
-
-    def __post_init__(self) -> None:
-        self.log_mag = np.asarray(self.log_mag, dtype=np.float64)
-        self.phase = np.asarray(self.phase, dtype=np.float64)
-        if self.fft_size < 2 or self.fft_size % 2:
-            raise ValidationError(f"fft_size must be even and >= 2, got {self.fft_size}")
-        k = self.fft_size // 2 + 1
-        if self.log_mag.shape != (k,) or self.phase.shape != (k,):
-            raise ValidationError(
-                f"expected {k} spectral bins for fft_size {self.fft_size}, "
-                f"got {self.log_mag.shape} / {self.phase.shape}"
-            )
-
-    @property
-    def n_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
-
 def _buffer_start(n: int, fft_size: int, pivot: int) -> int:
     """Start index that puts segment sample `pivot` at buffer index
     fft_size//2.  A one-sample shift is tolerated so a full-size segment
@@ -93,19 +70,9 @@ def _buffer_start(n: int, fft_size: int, pivot: int) -> int:
     return clamped
 
 
-def analyze_spectrum(segment: np.ndarray, fft_size: int,
-                     pivot: int | None = None) -> SpectrumFrame:
-    """FFT of a segment in a zero-padded buffer, with segment sample `pivot`
-    (default: the middle sample) placed at buffer index fft_size//2."""
-    seg = np.asarray(segment, dtype=np.float64)
-    if pivot is None:
-        pivot = (len(seg) - 1) // 2
-    log_mag, phase = analyze_spectrum_batch([seg], fft_size, [pivot])
-    return SpectrumFrame(log_mag[0], phase[0], fft_size)
-
-
 def analyze_spectrum_batch(segments: list, fft_size: int, pivots) -> tuple:
-    """analyze_spectrum of every segment through one rfft over the stacked
+    """FFT of each segment in a zero-padded buffer, with its sample pivots[i]
+    placed at buffer index fft_size//2, through one rfft over the stacked
     buffers.  Returns (log_mag, phase), each (len(segments), fft_size//2 + 1)."""
     spec = np.fft.rfft(_stacked_buffers(segments, fft_size, pivots))
     # the stacks of spectra are the largest arrays of an analysis: the log
@@ -123,7 +90,7 @@ def _stacked_buffers(segments: list, fft_size: int, pivots) -> np.ndarray:
     for row, seg, pivot in zip(buf, segments, pivots):
         seg = np.asarray(seg, dtype=np.float64)
         if seg.ndim != 1 or len(seg) == 0:
-            raise ValidationError("analyze_spectrum: segment must be a non-empty 1-d array")
+            raise ValidationError("segment must be a non-empty 1-d array")
         if len(seg) > fft_size:
             raise ValidationError(
                 f"segment length {len(seg)} exceeds fft_size {fft_size}"
@@ -135,17 +102,17 @@ def _stacked_buffers(segments: list, fft_size: int, pivots) -> np.ndarray:
     return buf
 
 
-def inverse_spectrum(frame: SpectrumFrame) -> np.ndarray:
-    """Inverse FFT of a log-magnitude/phase frame; the output is real.
+def inverse_spectrum(log_mag: np.ndarray, phase: np.ndarray, fft_size: int) -> np.ndarray:
+    """Inverse FFT of a log-magnitude/phase half spectrum; the output is real.
 
     The magnitude floor applied at analysis is not undone.  DC and Nyquist
     are projected onto the real axis (mag * cos(phase)), which is exact for
     frames of real signals and keeps arbitrary frames real."""
-    mag = np.exp(frame.log_mag)
-    spec = mag * np.exp(1j * frame.phase)
-    spec[0] = mag[0] * np.cos(frame.phase[0])
-    spec[-1] = mag[-1] * np.cos(frame.phase[-1])
-    return np.fft.irfft(spec, n=frame.fft_size)
+    mag = np.exp(log_mag)
+    spec = mag * np.exp(1j * phase)
+    spec[0] = mag[0] * np.cos(phase[0])
+    spec[-1] = mag[-1] * np.cos(phase[-1])
+    return np.fft.irfft(spec, n=fft_size)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +125,6 @@ class LpcModel:
     order: int
     a: np.ndarray      # prediction error polynomial, a[0] == 1
     gain: float        # sqrt of the Levinson residual energy
-    clamped: bool = False
 
     def __post_init__(self) -> None:
         self.a = np.asarray(self.a, dtype=np.float64)
@@ -170,23 +136,14 @@ class LpcModel:
         if self.a[0] != 1.0:
             raise ValidationError(f"a[0] must be 1, got {self.a[0]}")
 
-    def is_min_phase(self) -> bool:
-        if self.order == 0:
-            return True
-        return bool(np.max(np.abs(np.roots(self.a))) < 1.0)
 
-
-def lpc_from_autocorr(r: np.ndarray, order: int | None = None) -> LpcModel:
-    """Levinson-Durbin recursion on autocorrelation values r[0..order].
-
-    Reflection coefficients with magnitude >= 1 are clamped to +/-0.999 and
-    the model is flagged; every returned model is therefore minimum phase.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    if order is None:
-        order = len(r) - 1
-    a, gain, clamped = lpc_from_autocorr_batch(r[None, :], order)
-    return LpcModel(order=order, a=a[0], gain=float(gain[0]), clamped=bool(clamped[0]))
+def autocorr(samples: np.ndarray, order: int) -> np.ndarray:
+    """Autocorrelation lags 0..order of a frame; lags past its length are 0."""
+    corr = np.correlate(samples, samples, "full")[len(samples) - 1:]
+    r = np.zeros(order + 1)
+    take = min(order + 1, len(corr))
+    r[:take] = corr[:take]
+    return r
 
 
 def _check_rows(bad: np.ndarray, reason: str) -> None:
@@ -195,9 +152,13 @@ def _check_rows(bad: np.ndarray, reason: str) -> None:
 
 
 def lpc_from_autocorr_batch(r: np.ndarray, order: int) -> tuple:
-    """lpc_from_autocorr of every row of r (rows, >= order + 1), as one
-    recursion over the stack.  Returns (a, gain, clamped) with shapes
-    (rows, order + 1), (rows,) and (rows,); a RowError names failing rows."""
+    """Levinson-Durbin recursion on the autocorrelation values r[:, 0..order]
+    of every row, as one recursion over the stack.
+
+    Reflection coefficients with magnitude >= 1 are clamped to +/-0.999 and
+    the row is flagged; every returned model is therefore minimum phase.
+    Returns (a, gain, clamped) with shapes (rows, order + 1), (rows,) and
+    (rows,); a RowError names failing rows."""
     r = np.asarray(r, dtype=np.float64)
     if r.ndim != 2 or order < 1 or r.shape[1] < order + 1:
         raise ValidationError(f"need r[0..{order}] autocorrelation values, got "
@@ -266,10 +227,7 @@ def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
         raise ValidationError(f"signal shorter than one {frame_len}-sample frame")
     win = np.hanning(frame_len)
     starts = np.arange(0, len(x) - frame_len + 1, shift)
-    r = np.empty((len(starts), order + 1))
-    for row, s in zip(r, starts):
-        fr = x[s:s + frame_len] * win
-        row[:] = np.correlate(fr, fr, "full")[frame_len - 1:frame_len + order]
+    r = np.array([autocorr(x[s:s + frame_len] * win, order) for s in starts])
     coefs = lpc_predictors(r, order)
     centers = starts + frame_len // 2
     res = np.empty_like(x)
@@ -596,56 +554,3 @@ def mel_cepstrum(log_mag: np.ndarray, fs: float, n_mels: int = 40,
     bank = mel_filterbank(log_mag.shape[-1], fs, n_mels)
     band = np.log(np.maximum(power @ bank.T, EPS_MAG))
     return scipy.fft.dct(band, type=2, norm="ortho", axis=-1)[..., :order + 1]
-
-
-# ---------------------------------------------------------------------------
-# fallback F0 tracker
-# ---------------------------------------------------------------------------
-
-
-def estimate_f0_autocorr(w: Waveform, frame_shift_s: float = 0.005,
-                         f0_min: float = 50.0, f0_max: float = 500.0,
-                         voicing_threshold: float = 0.3):
-    """Normalized-autocorrelation F0 tracker, used when no reference contour
-    is supplied.  Returns an F0Contour covering the whole waveform."""
-    from .signal_io import F0Contour
-
-    fs = w.fs
-    x = w.samples
-    if not 0.0 < f0_min < f0_max:
-        raise ValidationError(f"need 0 < f0_min < f0_max, got ({f0_min}, {f0_max})")
-    if f0_max > fs / 4.0:
-        raise ValidationError(f"f0_max {f0_max} above fs/4 = {fs / 4}")
-    lag_min = int(np.floor(fs / f0_max))
-    lag_max = int(np.ceil(fs / f0_min))
-    half = lag_max
-    shift = int(round(frame_shift_s * fs))
-    n_frames = max(1, int(np.ceil(len(x) / shift)))
-    values = np.zeros(n_frames)
-    for m in range(n_frames):
-        c = m * shift
-        a, b = max(0, c - half), min(len(x), c + half)
-        seg = x[a:b]
-        if len(seg) <= lag_min + 2 or np.max(np.abs(seg)) < 1e-8:
-            continue
-        seg = seg - np.mean(seg)
-        hi = min(lag_max, len(seg) - 1)
-        if hi <= lag_min:
-            continue
-        nfft = 1 << int(np.ceil(np.log2(2 * len(seg))))
-        raw = np.fft.irfft(np.abs(np.fft.rfft(seg, nfft)) ** 2)[:len(seg)]
-        energy = np.concatenate([[0.0], np.cumsum(seg * seg)])
-        total = energy[-1]
-        lags = np.arange(lag_min, hi + 1)
-        e_head = energy[len(seg) - lags]
-        e_tail = total - energy[lags]
-        rho = raw[lags] / np.sqrt(e_head * e_tail + 1e-20)
-        pk = float(np.max(rho))
-        if pk >= voicing_threshold:
-            # lags at multiples of the period tie on periodic signals;
-            # take the shortest lag within 1% of the peak
-            best = int(np.flatnonzero(rho >= pk - 0.01 * abs(pk))[0])
-            values[m] = fs / lags[best]
-    values = scipy.signal.medfilt(values, kernel_size=3)
-    values[values > 0] = np.clip(values[values > 0], f0_min, f0_max)
-    return F0Contour(values, frame_shift_s)

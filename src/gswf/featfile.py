@@ -8,8 +8,8 @@ Little-endian layout, version 1:
              | lsp L x f32 | phase_feature K x f32
              | log_mag K x f32          (full mode only)
 
-with K = fft_size/2 + 1 and L = LSP_DIMS, the fixed analysis.LSP_ORDER;
-streams with any other LSP order do not serialize.
+with K = fft_size/2 + 1 and L = analysis.LSP_ORDER; streams with any
+other LSP order do not serialize.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import FormatError
 
 MAGIC = b"GSWF"
 VERSION = 1
-LSP_DIMS = LSP_ORDER
 _HEADER = struct.Struct("<4sIIIBI")
 _SEG_FIXED = struct.Struct("<QBff")
 _MODES = {"parametric": 0, "full": 1}
@@ -34,9 +33,9 @@ def write_features(path: str, stream: FeatureStream) -> None:
     chunks = [_HEADER.pack(MAGIC, VERSION, stream.fs, stream.fft_size,
                            _MODES[stream.mode], len(stream.segments))]
     for seg in stream.segments:
-        if len(seg.lsp) != LSP_DIMS:
+        if len(seg.lsp) != LSP_ORDER:
             raise FormatError(
-                f"feature file stores exactly {LSP_DIMS} LSP values, "
+                f"feature file stores exactly {LSP_ORDER} LSP values, "
                 f"stream has {len(seg.lsp)}"
             )
         chunks.append(_SEG_FIXED.pack(int(seg.position), int(seg.voiced),
@@ -79,8 +78,8 @@ def read_features(path: str) -> FeatureStream:
         offset_after = _take(data, offset, _SEG_FIXED.size, f"segment {i} header")
         position, voiced, log_f0, gain = _SEG_FIXED.unpack_from(data, offset)
         offset = offset_after
-        next_off = _take(data, offset, 4 * LSP_DIMS, f"segment {i} lsp")
-        lsp = np.frombuffer(data, dtype="<f4", count=LSP_DIMS, offset=offset).astype(np.float64)
+        next_off = _take(data, offset, 4 * LSP_ORDER, f"segment {i} lsp")
+        lsp = np.frombuffer(data, dtype="<f4", count=LSP_ORDER, offset=offset).astype(np.float64)
         offset = next_off
         next_off = _take(data, offset, 4 * n_bins, f"segment {i} phase")
         phase = np.frombuffer(data, dtype="<f4", count=n_bins, offset=offset).astype(np.float64)

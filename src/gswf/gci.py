@@ -44,22 +44,6 @@ class GciTrack:
         if self.fs <= 0:
             raise ValidationError(f"sample rate must be positive, got {self.fs}")
 
-    def __len__(self) -> int:
-        return len(self.instants)
-
-    def check_period_band(self, f0_min: float, f0_max: float) -> None:
-        """Verify that consecutive voiced instants imply F0 within band."""
-        v = self.instants[self.voiced]
-        gaps = np.diff(v)
-        adjacent = gaps[gaps > 0]
-        lo, hi = self.fs / f0_max, self.fs / f0_min
-        bad = (adjacent < lo - 1) | (adjacent > hi + 1)
-        if np.any(bad):
-            raise ValidationError(
-                f"voiced gap of {int(adjacent[np.argmax(bad)])} samples outside "
-                f"period band [{lo:.1f}, {hi:.1f}]"
-            )
-
 
 @dataclass
 class CandidateInterval:

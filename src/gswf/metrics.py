@@ -160,12 +160,13 @@ def align_gci(pred_instants: np.ndarray, ref_instants: np.ndarray) -> list:
 
 
 def _aligned_frames(pred: FeatureStream, ref: FeatureStream, span=None):
-    pairs = align_gci(pred.positions, ref.positions)
+    pred_pos, ref_pos = pred.positions, ref.positions
+    pairs = align_gci(pred_pos, ref_pos)
     if span is not None:
         pairs = [(i, j) for i, j in pairs
-                 if span[0] <= ref.positions[j] < span[1]]
-    pred_spans = segment_spans(pred.positions) if len(pred) > 1 else [(1, 1)] * len(pred)
-    ref_spans = segment_spans(ref.positions) if len(ref) > 1 else [(1, 1)] * len(ref)
+                 if span[0] <= ref_pos[j] < span[1]]
+    pred_spans = segment_spans(pred_pos) if len(pred) > 1 else [(1, 1)] * len(pred)
+    ref_spans = segment_spans(ref_pos) if len(ref) > 1 else [(1, 1)] * len(ref)
 
     def log_mag_of(stream, spans, i):
         seg = stream.segments[i]

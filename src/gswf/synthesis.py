@@ -13,10 +13,8 @@ import logging
 import numpy as np
 
 from .analysis import FeatureStream, Segment, SegmentFeatures
-from .config import PipelineConfig
-from .dsp import (LspVector, SpectrumFrame, _buffer_start, _nudge_increasing,
-                  asymmetric_hann, inverse_spectrum, lpc_envelope, lsp_to_lpc,
-                  wrap_phase)
+from .dsp import (LspVector, _buffer_start, _nudge_increasing, asymmetric_hann,
+                  inverse_spectrum, lpc_envelope, lsp_to_lpc, wrap_phase)
 from .errors import ConfigError, ValidationError
 from .signal_io import Waveform
 
@@ -61,14 +59,11 @@ def segment_log_mag(f: SegmentFeatures, n_samples: int) -> np.ndarray:
     return _parametric_log_mag(f, n_samples)
 
 
-def features_to_segment(f: SegmentFeatures, left_len: int, right_len: int,
-                        cfg: PipelineConfig) -> Segment:
-    """Reconstruct the time-domain segment for one feature entry.  cfg is
-    unused; both segment builders take the same arguments."""
+def features_to_segment(f: SegmentFeatures, left_len: int, right_len: int) -> Segment:
+    """Reconstruct the time-domain segment for one feature entry."""
     n = left_len + right_len + 1
     fft_size = _fft_size(f, n)
-    frame = SpectrumFrame(segment_log_mag(f, n), decode_phase(f.phase_feature), fft_size)
-    buf = inverse_spectrum(frame)
+    buf = inverse_spectrum(segment_log_mag(f, n), decode_phase(f.phase_feature), fft_size)
     # the analysis put the instant at fft_size//2, so extraction around that
     # index stays aligned even when the synthesis wings differ from analysis
     start = _buffer_start(n, fft_size, left_len)
@@ -93,17 +88,11 @@ def _min_phase_time(log_mag: np.ndarray, fft_size: int) -> np.ndarray:
     return np.roll(response, fft_size // 2)
 
 
-def min_phase_segment(f: SegmentFeatures, left_len: int, right_len: int,
-                      cfg: PipelineConfig) -> Segment:
+def min_phase_segment(f: SegmentFeatures, left_len: int, right_len: int) -> Segment:
     """Same magnitude as features_to_segment, minimum phase instead of the
     transmitted phase."""
     n = left_len + right_len + 1
     fft_size = _fft_size(f, n)
-    if f.log_mag is None and not cfg.min_phase_from_envelope:
-        raise ConfigError(
-            "minimum-phase synthesis from a parametric stream requires "
-            "min_phase_from_envelope"
-        )
     buf = _min_phase_time(segment_log_mag(f, n), fft_size)
     start = _buffer_start(n, fft_size, left_len)
     # transmitted phase reproduces the analysis-windowed segment, but the
@@ -176,8 +165,7 @@ def _generation_positions(stream: FeatureStream) -> np.ndarray:
     return positions
 
 
-def _synthesize(stream: FeatureStream, cfg: PipelineConfig, positions: str,
-                builder) -> Waveform:
+def _synthesize(stream: FeatureStream, positions: str, builder) -> Waveform:
     if not stream.segments:
         raise ValidationError("cannot synthesize from an empty stream")
     if positions == "stream":
@@ -189,7 +177,7 @@ def _synthesize(stream: FeatureStream, cfg: PipelineConfig, positions: str,
     if len(pos) < 2:
         raise ValidationError("need at least 2 segments to synthesize")
     spans = segment_spans(pos)
-    segments = [builder(f, left, right, cfg)
+    segments = [builder(f, left, right)
                 for f, (left, right) in zip(stream.segments, spans)]
     total_len = int(pos[-1] + spans[-1][1] + 1)
     out = overlap_add(segments, pos, total_len)
@@ -202,15 +190,20 @@ def _synthesize(stream: FeatureStream, cfg: PipelineConfig, positions: str,
     return Waveform(out, stream.fs)
 
 
-def synthesize(stream: FeatureStream, cfg: PipelineConfig | None = None,
-               positions: str = "stream") -> Waveform:
+def synthesize(stream: FeatureStream, *, positions: str = "stream") -> Waveform:
     """Overlap-add resynthesis.  positions='stream' reconstructs at the
     analyzed instants; positions='f0' lays segments out from exp(log_f0)."""
-    return _synthesize(stream, cfg or PipelineConfig(), positions, features_to_segment)
+    return _synthesize(stream, positions, features_to_segment)
 
 
-def synthesize_min_phase(stream: FeatureStream, cfg: PipelineConfig | None = None,
+def synthesize_min_phase(stream: FeatureStream, *, from_envelope: bool = False,
                          positions: str = "stream") -> Waveform:
     """Baseline resynthesis with minimum phase derived from each segment's
-    log magnitude."""
-    return _synthesize(stream, cfg or PipelineConfig(), positions, min_phase_segment)
+    log magnitude.  A parametric stream has only its LSP envelope to take
+    that magnitude from, which from_envelope must allow."""
+    if stream.mode == "parametric" and not from_envelope:
+        raise ConfigError(
+            "minimum-phase synthesis from a parametric stream requires "
+            "min_phase_from_envelope"
+        )
+    return _synthesize(stream, positions, min_phase_segment)

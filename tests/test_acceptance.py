@@ -126,7 +126,7 @@ def test_criterion_03_full_mode_round_trip(acceptance_log):
         cfg = PipelineConfig(mode="full")
         t0 = time.perf_counter()
         stream = analyze(w, contour, cfg)
-        out = synthesize(stream, cfg)
+        out = synthesize(stream)
         elapsed = time.perf_counter() - t0
         n = min(len(out.samples), len(w.samples))
         edge = int(2 * w.fs / 120.0)
@@ -147,7 +147,7 @@ def _voiced_rmse_pair(w, contour, cfg):
     mask = voicing_mask(track, len(w.samples))
     out = []
     for synth in (synthesize, synthesize_min_phase):
-        y = synth(stream, cfg).samples
+        y = synth(stream).samples
         fit = np.zeros(len(w.samples))
         m = min(len(fit), len(y))
         fit[:m] = y[:m]

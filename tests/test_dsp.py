@@ -3,17 +3,15 @@ import pytest
 from scipy.fft import dct
 from scipy.linalg import solve_toeplitz
 
-from gswf import (LpcModel, PipelineConfig, SpectrumFrame, ValidationError,
-                  Waveform, analyze_spectrum, asymmetric_hann, estimate_f0_autocorr,
-                  inverse_spectrum, lpc_envelope, lpc_from_autocorr,
-                  lpc_residual, lpc_to_lsp, lsp_to_lpc, mel_cepstrum,
-                  mel_filterbank, wrap_phase)
-from gswf.analysis import LSP_ORDER, _autocorr, extract_segments
-from gswf.dsp import (analyze_spectrum_batch, lpc_from_autocorr_batch,
+from gswf import (LpcModel, PipelineConfig, ValidationError, Waveform,
+                  asymmetric_hann, inverse_spectrum, lpc_envelope, lpc_residual,
+                  lpc_to_lsp, lsp_to_lpc, mel_cepstrum, mel_filterbank, wrap_phase)
+from gswf.analysis import LSP_ORDER, extract_segments
+from gswf.dsp import (analyze_spectrum_batch, autocorr, lpc_from_autocorr_batch,
                       lpc_predictors, lpc_to_lsp_batch)
 from gswf.errors import RowError
 from gswf.gci import detect_gci
-from signals import harmonic_tone, random_stable_lpc, speech_like
+from signals import random_stable_lpc, speech_like
 
 
 # ---------------------------------------------------------------- wrapping
@@ -71,17 +69,17 @@ def test_asymmetric_hann_partitions_unity_at_constant_period():
 def test_spectrum_centered_impulse_is_pure_delay():
     seg = np.zeros(7)
     seg[3] = 1.0
-    frame = analyze_spectrum(seg, 8)
+    (log_mag,), (phase,) = analyze_spectrum_batch([seg], 8, [3])
     # sample 3 of 7 lands at buffer index 4
     expect = wrap_phase(-2 * np.pi * np.arange(5) * 4 / 8)
-    assert np.allclose(frame.phase, expect, atol=1e-12)
-    assert np.allclose(np.exp(frame.log_mag), 1.0, atol=1e-9)
+    assert np.allclose(phase, expect, atol=1e-12)
+    assert np.allclose(np.exp(log_mag), 1.0, atol=1e-9)
 
 
 def test_spectrum_cosine_peaks_at_its_bin():
     seg = np.cos(2 * np.pi * np.arange(8) / 8)
-    frame = analyze_spectrum(seg, 8)
-    assert int(np.argmax(frame.log_mag)) == 1
+    (log_mag,), _ = analyze_spectrum_batch([seg], 8, [3])
+    assert int(np.argmax(log_mag)) == 1
 
 
 def test_spectrum_matches_direct_dft():
@@ -93,16 +91,16 @@ def test_spectrum_matches_direct_dft():
         pivot = int(rng.integers(0, n))
         if pivot > fft_size // 2 or (n - 1 - pivot) > fft_size // 2 - 1:
             continue
-        frame = analyze_spectrum(seg, fft_size, pivot=pivot)
+        (log_mag,), (phase,) = analyze_spectrum_batch([seg], fft_size, [pivot])
         buf = np.zeros(fft_size)
         start = fft_size // 2 - pivot
         buf[start:start + n] = seg
         k = np.arange(fft_size // 2 + 1)
         dft = np.array([np.sum(buf * np.exp(-2j * np.pi * kk * np.arange(fft_size) / fft_size))
                         for kk in k])
-        assert np.allclose(np.exp(frame.log_mag) - 1e-10, np.abs(dft), atol=1e-8)
+        assert np.allclose(np.exp(log_mag) - 1e-10, np.abs(dft), atol=1e-8)
         live = np.abs(dft) > 1e-6
-        assert np.allclose(wrap_phase(frame.phase[live] - np.angle(dft[live])), 0.0,
+        assert np.allclose(wrap_phase(phase[live] - np.angle(dft[live])), 0.0,
                            atol=1e-6)
 
 
@@ -111,8 +109,8 @@ def test_spectrum_inverse_roundtrip():
     for _ in range(20):
         n = int(rng.integers(3, 120))
         seg = rng.normal(size=n)
-        frame = analyze_spectrum(seg, 128)
-        buf = inverse_spectrum(frame)
+        (log_mag,), (phase,) = analyze_spectrum_batch([seg], 128, [(n - 1) // 2])
+        buf = inverse_spectrum(log_mag, phase, 128)
         start = 64 - (n - 1) // 2
         assert np.allclose(buf[start:start + n], seg, atol=1e-9)
 
@@ -120,20 +118,20 @@ def test_spectrum_inverse_roundtrip():
 def test_spectrum_pivot_keeps_instant_at_buffer_center():
     seg = np.zeros(10)
     seg[2] = 1.0  # pivot sample carries the spike
-    frame = analyze_spectrum(seg, 16, pivot=2)
-    buf = inverse_spectrum(frame)
+    (log_mag,), (phase,) = analyze_spectrum_batch([seg], 16, [2])
+    buf = inverse_spectrum(log_mag, phase, 16)
     assert buf[8] == pytest.approx(1.0, abs=1e-9)
     assert np.sum(np.abs(buf) > 1e-6) == 1
 
 
 def test_spectrum_rejects_oversize_and_bad_pivot():
     with pytest.raises(ValidationError):
-        analyze_spectrum(np.ones(20), 16)
+        analyze_spectrum_batch([np.ones(20)], 16, [9])
     with pytest.raises(ValidationError):
-        analyze_spectrum(np.ones(10), 16, pivot=10)
+        analyze_spectrum_batch([np.ones(10)], 16, [10])
     with pytest.raises(ValidationError):
         # wing longer than fft/2 cannot keep the pivot centered
-        analyze_spectrum(np.ones(12), 16, pivot=11)
+        analyze_spectrum_batch([np.ones(12)], 16, [11])
 
 
 def test_inverse_spectrum_projects_dc_and_nyquist():
@@ -142,7 +140,7 @@ def test_inverse_spectrum_projects_dc_and_nyquist():
     phase = np.zeros(9)
     phase[0] = 1.0
     phase[-1] = 2.0
-    buf = inverse_spectrum(SpectrumFrame(log_mag, phase, 16))
+    buf = inverse_spectrum(log_mag, phase, 16)
     spec = np.fft.rfft(buf)
     assert abs(spec[0].imag) < 1e-12
     assert abs(spec[-1].imag) < 1e-12
@@ -152,12 +150,12 @@ def test_inverse_spectrum_projects_dc_and_nyquist():
 # --------------------------------------------------------------------- LPC
 
 def test_levinson_frozen_small_cases():
-    m = lpc_from_autocorr(np.array([1.0, 0.5, 0.25]), 2)
-    assert np.allclose(m.a, [1.0, -0.5, 0.0], atol=1e-15)
-    assert m.gain == pytest.approx(np.sqrt(0.75))
-    m1 = lpc_from_autocorr(np.array([1.0, 0.9]), 1)
-    assert np.allclose(m1.a, [1.0, -0.9])
-    assert m1.gain == pytest.approx(np.sqrt(1.0 - 0.81))
+    (a,), (gain,), _ = lpc_from_autocorr_batch(np.array([[1.0, 0.5, 0.25]]), 2)
+    assert np.allclose(a, [1.0, -0.5, 0.0], atol=1e-15)
+    assert gain == pytest.approx(np.sqrt(0.75))
+    (a1,), (gain1,), _ = lpc_from_autocorr_batch(np.array([[1.0, 0.9]]), 1)
+    assert np.allclose(a1, [1.0, -0.9])
+    assert gain1 == pytest.approx(np.sqrt(1.0 - 0.81))
 
 
 def test_levinson_matches_toeplitz_solve():
@@ -171,17 +169,17 @@ def test_levinson_matches_toeplitz_solve():
         from scipy.signal import lfilter
         h = lfilter([1.0], a_true, h)
         r = np.correlate(h, h, "full")[len(h) - 1:len(h) + order]
-        m = lpc_from_autocorr(r, order)
+        (a,), _, _ = lpc_from_autocorr_batch(r[None, :], order)
         solved = solve_toeplitz(r[:-1], -r[1:])
-        assert np.allclose(m.a[1:], solved, atol=1e-6)
-        assert m.is_min_phase()
+        assert np.allclose(a[1:], solved, atol=1e-6)
+        assert np.max(np.abs(np.roots(a))) < 1.0
 
 
 def test_levinson_clamps_marginal_models():
     # perfectly periodic autocorrelation drives |k| to 1
-    m = lpc_from_autocorr(np.array([1.0, 1.0, 1.0]), 2)
-    assert m.clamped
-    assert m.is_min_phase()
+    (a,), _, (clamped,) = lpc_from_autocorr_batch(np.array([[1.0, 1.0, 1.0]]), 2)
+    assert clamped
+    assert np.max(np.abs(np.roots(a))) < 1.0
 
 
 def test_lpc_residual_recovers_ar_excitation():
@@ -296,7 +294,7 @@ def _speech_autocorrs():
     # the flat predictor
     w, f0 = speech_like()
     segments = extract_segments(w, detect_gci(w, f0, PipelineConfig()))
-    rows = [_autocorr(seg.samples, LSP_ORDER) for seg in segments]
+    rows = [autocorr(seg.samples, LSP_ORDER) for seg in segments]
     return np.array(rows + [np.eye(1, LSP_ORDER + 1)[0]])
 
 
@@ -321,8 +319,8 @@ def test_levinson_rows_do_not_depend_on_the_batch():
     assert np.all(stack[:, 0] > 0) and len(stack) > 100
 
     def one_row(r):
-        m = lpc_from_autocorr(r, LSP_ORDER)
-        return m.a, m.gain, m.clamped
+        a, gain, clamped = lpc_from_autocorr_batch(r[None, :], LSP_ORDER)
+        return a[0], gain[0], clamped[0]
 
     _check_composition(lambda r: lpc_from_autocorr_batch(r, LSP_ORDER), one_row, stack)
 
@@ -345,8 +343,8 @@ def test_spectrum_rows_match_single_segment_calls():
     pivots = [len(s) // 2 for s in segs]
     log_mag, phase = analyze_spectrum_batch(segs, 512, pivots)
     for i, (seg, pivot) in enumerate(zip(segs, pivots)):
-        frame = analyze_spectrum(seg, 512, pivot=pivot)
-        assert _same_bits(frame.log_mag, log_mag[i]) and _same_bits(frame.phase, phase[i])
+        (one_mag,), (one_phase,) = analyze_spectrum_batch([seg], 512, [pivot])
+        assert _same_bits(one_mag, log_mag[i]) and _same_bits(one_phase, phase[i])
 
 
 def _clamped_model(order, rng):
@@ -463,15 +461,3 @@ def test_mel_cepstrum_matches_independent_oracle():
         bands[b] = np.log(np.maximum(np.dot(tri, power), 1e-10))
     expect = dct(bands, type=2, norm="ortho")[:25]
     assert np.allclose(got, expect, atol=1e-9)
-
-
-# ------------------------------------------------------------- F0 fallback
-
-def test_estimate_f0_tracks_tone_and_silence():
-    fs = 16000
-    tone, _ = harmonic_tone(fs=fs, f0=120.0, dur=0.5, n_harm=3)
-    x = np.concatenate([tone.samples, np.zeros(fs // 2)])
-    contour = estimate_f0_autocorr(Waveform(x, fs))
-    mid_voiced = contour.values[10:80]
-    assert np.all(np.abs(mid_voiced - 120.0) < 3.0)
-    assert np.all(contour.values[110:190] == 0.0)

@@ -5,7 +5,8 @@ import pytest
 
 from gswf import (FeatureStream, FormatError, PipelineConfig, SegmentFeatures,
                   ValidationError, analyze, read_features, write_features)
-from gswf.featfile import LSP_DIMS, MAGIC
+from gswf.analysis import LSP_ORDER
+from gswf.featfile import MAGIC
 from signals import harmonic_tone
 
 
@@ -19,7 +20,7 @@ def _stream(mode="full", n=5, k=257, fs=16000, fft_size=512, seed=31):
             voiced=bool(i % 2 == 0),
             log_f0=float(rng.uniform(4.0, 5.5)),
             gain=float(rng.uniform(-5.0, 0.0)),
-            lsp=np.sort(rng.uniform(0.01, 3.1, LSP_DIMS)),
+            lsp=np.sort(rng.uniform(0.01, 3.1, LSP_ORDER)),
             phase_feature=rng.uniform(-np.pi, np.pi, k),
             log_mag=rng.normal(0.0, 1.0, k) if mode == "full" else None,
         ))

@@ -23,14 +23,6 @@ def test_track_validates_ordering_and_shape():
         GciTrack(np.array([1, 5]), np.array([True]), 16000)
 
 
-def test_track_period_band_check():
-    t = GciTrack(np.array([0, 133, 266]), np.array([True, True, True]), 16000)
-    t.check_period_band(50.0, 500.0)
-    fast = GciTrack(np.array([0, 10, 20]), np.array([True, True, True]), 16000)
-    with pytest.raises(ValidationError):
-        fast.check_period_band(50.0, 500.0)
-
-
 def test_track_file_roundtrip(tmp_path):
     t = GciTrack(np.array([5, 100, 450]), np.array([False, True, True]), 16000)
     path = str(tmp_path / "t.gci")

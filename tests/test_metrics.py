@@ -209,7 +209,7 @@ def test_roundtrip_report_is_small_everywhere():
     w, contour = speech_like()
     cfg = PipelineConfig(mode="full")
     ref_stream = analyze(w, contour, cfg)
-    y = synthesize(ref_stream, cfg)
+    y = synthesize(ref_stream)
     n = len(w.samples)
     padded = np.zeros(n)
     padded[:min(n, len(y.samples))] = y.samples[:min(n, len(y.samples))]

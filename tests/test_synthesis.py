@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import gswf.synthesis
 from gswf import (ConfigError, FeatureStream, PipelineConfig, SegmentFeatures,
                   ValidationError, analyze, decode_phase, encode_phase,
                   features_to_segment, min_phase_segment, overlap_add,
@@ -75,7 +76,7 @@ def test_full_mode_roundtrip_is_near_exact():
     w, contour = harmonic_tone()
     cfg = PipelineConfig(mode="full")
     stream = analyze(w, contour, cfg)
-    y = synthesize(stream, cfg)
+    y = synthesize(stream)
     assert y.fs == w.fs
     assert _interior_rmse(y.samples, w.samples, stream.positions) < 1e-9
 
@@ -84,7 +85,7 @@ def test_full_mode_roundtrip_on_varying_pitch():
     w, contour = speech_like()
     cfg = PipelineConfig(mode="full")
     stream = analyze(w, contour, cfg)
-    y = synthesize(stream, cfg)
+    y = synthesize(stream)
     assert _interior_rmse(y.samples, w.samples, stream.positions) < 1e-3
 
 
@@ -92,7 +93,7 @@ def test_parametric_roundtrip_keeps_scale_and_shape():
     w, contour = harmonic_tone()
     cfg = PipelineConfig(mode="parametric")
     stream = analyze(w, contour, cfg)
-    y = synthesize(stream, cfg)
+    y = synthesize(stream)
     # envelope magnitude is lossy; scale must survive (factor-2 invariant)
     ratio = np.sqrt(np.mean(y.samples ** 2)) / np.sqrt(np.mean(w.samples ** 2))
     assert 0.5 < ratio < 2.0
@@ -103,8 +104,8 @@ def test_min_phase_degrades_but_keeps_energy():
     w, contour = harmonic_tone()
     cfg = PipelineConfig(mode="full")
     stream = analyze(w, contour, cfg)
-    y_full = synthesize(stream, cfg)
-    y_mp = synthesize_min_phase(stream, cfg)
+    y_full = synthesize(stream)
+    y_mp = synthesize_min_phase(stream)
     r_full = _interior_rmse(y_full.samples, w.samples, stream.positions)
     r_mp = _interior_rmse(y_mp.samples, w.samples, stream.positions)
     assert r_mp > 10 * r_full
@@ -125,9 +126,8 @@ def _features(gain=-2.0, k=257, voiced=True, log_mag=None, position=1000):
 
 
 def test_min_phase_flat_magnitude_is_windowed_impulse_at_pivot():
-    cfg = PipelineConfig(mode="full")
     f = _features(log_mag=np.zeros(257))
-    seg = min_phase_segment(f, 100, 150, cfg)
+    seg = min_phase_segment(f, 100, 150)
     assert len(seg.samples) == 251
     peak = int(np.argmax(np.abs(seg.samples)))
     assert peak == 100
@@ -136,38 +136,55 @@ def test_min_phase_flat_magnitude_is_windowed_impulse_at_pivot():
     assert np.max(np.abs(others)) < 1e-9
 
 
+def _parametric_pair():
+    return FeatureStream(fs=16000, fft_size=512, mode="parametric",
+                         segments=[_features(position=1000), _features(position=1133)])
+
+
 def test_min_phase_on_parametric_stream_needs_config():
-    f = _features()
     with pytest.raises(ConfigError):
-        min_phase_segment(f, 100, 100, PipelineConfig(mode="parametric"))
-    cfg = PipelineConfig(mode="parametric", min_phase_from_envelope=True)
-    seg = min_phase_segment(f, 100, 100, cfg)
-    assert len(seg.samples) == 201
+        synthesize_min_phase(_parametric_pair())
+    y = synthesize_min_phase(_parametric_pair(), from_envelope=True)
+    assert len(y.samples) == 1133 + 133 + 1
+    # the segment builder itself takes the envelope magnitude
+    assert len(min_phase_segment(_features(), 100, 100).samples) == 201
+
+
+def test_min_phase_config_error_comes_before_any_segment(monkeypatch):
+    calls = []
+    build = gswf.synthesis.min_phase_segment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gswf.synthesis, "min_phase_segment", counted)
+    with pytest.raises(ConfigError, match="min_phase_from_envelope"):
+        synthesize_min_phase(_parametric_pair())
+    assert calls == []
 
 
 def test_features_to_segment_rejects_oversize():
     f = _features(log_mag=np.zeros(257))
     with pytest.raises(ValidationError):
-        features_to_segment(f, 400, 400, PipelineConfig())
+        features_to_segment(f, 400, 400)
 
 
 def test_segment_geometry_comes_from_the_features():
     # 801 samples overflow the default fft_size 512 but fit the 1024-point
-    # spectrum the features carry; the config's fft_size plays no part
-    cfg = PipelineConfig(fft_size=512, min_phase_from_envelope=True)
+    # spectrum the features carry; no config is consulted
     for log_mag in (np.zeros(513), None):
         f = _features(k=513, log_mag=log_mag)
         for build in (features_to_segment, min_phase_segment):
-            assert len(build(f, 400, 400, cfg).samples) == 801
+            assert len(build(f, 400, 400).samples) == 801
             with pytest.raises(ValidationError):
-                build(f, 600, 600, cfg)
+                build(f, 600, 600)
 
 
 def test_parametric_segment_energy_tracks_gain():
-    cfg = PipelineConfig(mode="parametric")
     for gain in (-3.0, -1.0, 0.5):
         f = _features(gain=gain)
-        seg = features_to_segment(f, 120, 120, cfg)
+        seg = features_to_segment(f, 120, 120)
         # grain energy before windowing matches exp(gain); the Hann costs
         # a bounded factor
         rms = np.sqrt(np.mean(seg.samples ** 2))
@@ -215,7 +232,7 @@ def test_generation_mode_synthesizes_at_f0_spacing():
     w, contour = harmonic_tone(dur=0.3)
     cfg = PipelineConfig(mode="full")
     stream = analyze(w, contour, cfg)
-    y = synthesize(stream, cfg, positions="f0")
+    y = synthesize(stream, positions="f0")
     assert len(y.samples) > 0.25 * w.fs
     ratio = np.sqrt(np.mean(y.samples ** 2)) / np.sqrt(np.mean(w.samples ** 2))
     assert 0.5 < ratio < 2.0

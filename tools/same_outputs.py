@@ -11,7 +11,10 @@ parametric; ``synthesize`` full, ``--min-phase``, parametric and parametric
 ``--min-phase --min-phase-from-envelope``; ``roundtrip`` full and
 parametric ``--min-phase-from-envelope``; ``metrics`` as text and
 ``--json``, on the input against itself and on the roundtrip's min-phase
-resynthesis (analyzed again) against the input.
+resynthesis (analyzed again) against the input.  Then ``roundtrip --list``
+at ``--jobs 2`` over both inputs, and the library call
+``synthesize(read_features(...), positions="f0")`` on every feature file,
+written as a wav.
 It prints each output file that differs (or exists on one side only) and
 each command that fails on either side, and exits 1 if there is any, else 0.
 Only the standard library is used here; the commands need numpy and scipy.
@@ -37,6 +40,15 @@ for name, (w, f0) in (("speech", speech_like()), ("tone", harmonic_tone())):
     write_wav(f"{sys.argv[1]}/{name}.wav", w)
     write_f0_ref(f"{sys.argv[1]}/{name}.f0", f0)
 """
+
+SYNTH_F0 = """
+import sys
+from gswf import read_features, synthesize, write_wav
+for path in sys.argv[1:]:
+    write_wav(path.replace(".gswf", ".f0pos.wav"),
+              synthesize(read_features(path), positions="f0"))
+"""
+NAMES = ("speech", "tone")
 
 
 def commands(inputs: Path, name: str) -> list:
@@ -73,14 +85,17 @@ def run_tree(src: Path, inputs: Path, out_dir: Path) -> list:
     codes in command order."""
     out_dir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))
+    argvs = [argv for name in NAMES for argv in commands(inputs, name)]
+    argvs.append(["roundtrip", "--list", str(inputs / "batch.list"), "--jobs", "2"])
+    runs = [(" ".join(Path(a).name if a.startswith(str(inputs)) else a for a in argv),
+             [sys.executable, "-m", "gswf.cli", *argv]) for argv in argvs]
+    feats = [f"{name}.{mode}.gswf" for name in NAMES for mode in ("full", "par")]
+    runs.append(("synthesize(..., positions='f0')",
+                 [sys.executable, "-c", SYNTH_F0, *feats]))
     codes = []
-    for name in ("speech", "tone"):
-        for argv in commands(inputs, name):
-            proc = subprocess.run([sys.executable, "-m", "gswf.cli", *argv],
-                                  cwd=out_dir, env=env, capture_output=True, text=True)
-            label = " ".join(Path(a).name if a.startswith(str(inputs)) else a
-                             for a in argv)
-            codes.append((label, proc.returncode))
+    for label, cmd in runs:
+        proc = subprocess.run(cmd, cwd=out_dir, env=env, capture_output=True, text=True)
+        codes.append((label, proc.returncode))
     return codes
 
 
@@ -110,6 +125,9 @@ def main(argv=None) -> int:
                                                             str(ROOT / "tests")]))
         subprocess.run([sys.executable, "-c", WRITE_INPUTS, str(inputs)],
                        env=env, check=True)
+        # paths relative to the run directories, which sit next to `inputs`
+        (inputs / "batch.list").write_text("".join(
+            f"../inputs/{name}.wav ../inputs/{name}.f0 batch/{name}\n" for name in NAMES))
         codes_here = run_tree(ROOT / "src", inputs, work / "here")
         codes_base = run_tree(base, inputs, work / "base")
         # a command that fails on both sides leaves nothing to compare
