@@ -17,8 +17,7 @@ from .metrics import (MetricsReport, align_gci, dpd, evaluate, lsd, mcd,
                       rmse_waveform, voicing_mask)
 from .signal_io import (F0Contour, Waveform, read_f0_ref, read_wav,
                         write_f0_ref, write_wav)
-from .synthesis import (decode_phase, features_to_segment, min_phase_segment,
-                        overlap_add, synthesize, synthesize_min_phase,
+from .synthesis import (decode_phase, overlap_add, synthesize, synthesize_min_phase,
                         window_envelope)
 
 __version__ = "0.1.0"

@@ -103,15 +103,16 @@ def _stacked_buffers(segments: list, fft_size: int, pivots) -> np.ndarray:
 
 
 def inverse_spectrum(log_mag: np.ndarray, phase: np.ndarray, fft_size: int) -> np.ndarray:
-    """Inverse FFT of a log-magnitude/phase half spectrum; the output is real.
+    """Inverse FFT of log-magnitude/phase half spectra along the last axis;
+    the output is real, fft_size samples per spectrum.
 
     The magnitude floor applied at analysis is not undone.  DC and Nyquist
     are projected onto the real axis (mag * cos(phase)), which is exact for
     frames of real signals and keeps arbitrary frames real."""
     mag = np.exp(log_mag)
     spec = mag * np.exp(1j * phase)
-    spec[0] = mag[0] * np.cos(phase[0])
-    spec[-1] = mag[-1] * np.cos(phase[-1])
+    spec[..., 0] = mag[..., 0] * np.cos(phase[..., 0])
+    spec[..., -1] = mag[..., -1] * np.cos(phase[..., -1])
     return np.fft.irfft(spec, n=fft_size)
 
 
@@ -400,6 +401,21 @@ def _nudge_increasing(freqs: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
+def _nudge_rows(freqs: np.ndarray, tol: float) -> np.ndarray:
+    # _nudge_increasing, in place, on the rows out of order or out of (0, pi)
+    bad, reason = [], ""
+    inside = np.diff(freqs, axis=1, prepend=0.0, append=np.pi) > 0
+    for i in np.flatnonzero(~np.all(inside, axis=1)):
+        try:
+            freqs[i] = _nudge_increasing(freqs[i], tol)
+        except ValidationError as e:
+            bad.append(i)
+            reason = reason or str(e)
+    if bad:
+        raise RowError(reason, bad, len(freqs))
+    return freqs
+
+
 def lpc_to_lsp(m: LpcModel) -> LspVector:
     """Line spectral frequencies of a minimum-phase LPC model.
 
@@ -447,16 +463,7 @@ def lpc_to_lsp_batch(a: np.ndarray) -> np.ndarray:
     freqs = np.empty((rows, p))
     freqs[:, 0::2] = _fit_circle_roots(psum)
     freqs[:, 1::2] = _fit_circle_roots(qdif)
-    bad, reason = [], ""
-    for i in np.flatnonzero(~np.all(np.diff(freqs, axis=1) > 0, axis=1)):
-        try:
-            freqs[i] = _nudge_increasing(freqs[i], 1e-9)
-        except ValidationError as e:
-            bad.append(i)
-            reason = reason or str(e)
-    if bad:
-        raise RowError(reason, bad, rows)
-    return freqs
+    return _nudge_rows(freqs, 1e-9)
 
 
 def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:
@@ -483,28 +490,36 @@ def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:
 
 def lsp_to_lpc(v: LspVector) -> LpcModel:
     """Rebuild the unit-gain LPC model from line spectral frequencies."""
-    p, f = v.order, v.frequencies
-    one = np.longdouble(1.0)
+    return LpcModel(order=v.order, a=lsp_to_lpc_batch(v.frequencies[None, :])[0], gain=1.0)
+
+
+def lsp_to_lpc_batch(lsp: np.ndarray) -> np.ndarray:
+    """lsp_to_lpc of every row of (rows, p) frequencies in one pass: one
+    product of quadratics per half for the whole stack.  Neighbours glued
+    by float32 rounding (out of order by at most 1e-4) are split by one ulp
+    first.  Returns (rows, p + 1); a RowError names the rows that fail."""
+    f = _nudge_rows(np.array(lsp, dtype=np.float64), 1e-4)
+    p = f.shape[1]
     if p % 2 == 0:
-        # equal halves: both products in one call
-        psum, qdif = _poly_from_circle_roots(np.stack([f[0::2], f[1::2]]))
-        psum = np.convolve(psum, [one, one])
-        qdif = np.convolve(qdif, [one, -one])
+        # equal halves: both products in one call, then times 1 + z^-1 and
+        # 1 - z^-1, the sums np.convolve makes; the last term is not needed
+        psum, qdif = _poly_from_circle_roots(np.stack([f[:, 0::2], f[:, 1::2]]))
+        psum[:, 1:] += psum[:, :-1]
+        qdif[:, 1:] -= qdif[:, :-1]
     else:
-        psum = _poly_from_circle_roots(f[0::2])
-        qdif = np.convolve(_poly_from_circle_roots(f[1::2]), [one, 0.0 * one, -one])
-    a = (0.5 * (psum + qdif)[:p + 1]).astype(np.float64)
-    return LpcModel(order=p, a=a, gain=1.0)
+        psum = _poly_from_circle_roots(f[:, 0::2])[:, :p + 1]
+        qdif = np.zeros_like(psum)
+        qdif[:, :p] = _poly_from_circle_roots(f[:, 1::2])
+        qdif[:, 2:] -= qdif[:, :-2]  # times 1 - z^-2
+    return (0.5 * (psum + qdif)).astype(np.float64)
 
 
-def lpc_envelope(m: LpcModel, n_bins: int, fft_size: int) -> np.ndarray:
-    """Log-magnitude envelope log(gain) - log|A| on the rfft bin grid."""
-    if len(m.a) > fft_size:
-        raise ValidationError(f"fft_size {fft_size} too small for order {m.order}")
-    if n_bins > fft_size // 2 + 1:
-        raise ValidationError(f"cannot produce {n_bins} bins from fft_size {fft_size}")
-    response = np.abs(np.fft.rfft(m.a, fft_size)[:n_bins])
-    return np.log(max(m.gain, EPS_MAG)) - np.log(np.maximum(response, ENV_GUARD))
+def lpc_envelope(a: np.ndarray, fft_size: int) -> np.ndarray:
+    """Log-magnitude envelope -log|A| of each prediction error polynomial
+    along the last axis, on the fft_size//2 + 1 rfft bins."""
+    if a.shape[-1] > fft_size:
+        raise ValidationError(f"fft_size {fft_size} too small for order {a.shape[-1] - 1}")
+    return -np.log(np.maximum(np.abs(np.fft.rfft(a, fft_size)), ENV_GUARD))
 
 
 # ---------------------------------------------------------------------------

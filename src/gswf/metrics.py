@@ -17,7 +17,7 @@ from .dsp import mel_cepstrum, wrap_phase
 from .errors import ValidationError
 from .gci import GciTrack
 from .signal_io import Waveform
-from .synthesis import segment_log_mag, segment_spans
+from .synthesis import segment_log_mags, segment_spans
 
 DB = 10.0 / np.log(10.0)  # natural log to decibels
 
@@ -165,17 +165,18 @@ def _aligned_frames(pred: FeatureStream, ref: FeatureStream, span=None):
     if span is not None:
         pairs = [(i, j) for i, j in pairs
                  if span[0] <= ref_pos[j] < span[1]]
-    pred_spans = segment_spans(pred_pos) if len(pred) > 1 else [(1, 1)] * len(pred)
-    ref_spans = segment_spans(ref_pos) if len(ref) > 1 else [(1, 1)] * len(ref)
-
-    def log_mag_of(stream, spans, i):
-        seg = stream.segments[i]
-        left, right = spans[i]
-        return segment_log_mag(seg, left + right + 1)
-
     voiced_pairs = [(i, j) for i, j in pairs if ref.segments[j].voiced]
-    lm_p = [log_mag_of(pred, pred_spans, i) for i, _ in voiced_pairs]
-    lm_r = [log_mag_of(ref, ref_spans, j) for _, j in voiced_pairs]
+
+    def log_mags(stream, pos, rows):
+        # one batch over the voiced rows; a lone segment spans (1, 1)
+        spans = segment_spans(pos) if len(pos) > 1 else [(1, 1)]
+        return segment_log_mags([stream.segments[i] for i in rows],
+                                np.array([sum(spans[i]) + 1 for i in rows]))
+
+    if not voiced_pairs:
+        return pairs, voiced_pairs, [], [], [], []
+    lm_p = log_mags(pred, pred_pos, [i for i, _ in voiced_pairs])
+    lm_r = log_mags(ref, ref_pos, [j for _, j in voiced_pairs])
     ph_p = [pred.segments[i].phase_feature for i, _ in voiced_pairs]
     ph_r = [ref.segments[j].phase_feature for _, j in voiced_pairs]
     return pairs, voiced_pairs, lm_p, lm_r, ph_p, ph_r
@@ -217,14 +218,12 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
 
     pairs, voiced_pairs, lm_p, lm_r, ph_p, ph_r = _aligned_frames(
         pred_stream, ref_stream, span=None if span is None else (lo, hi))
-    lsd_val = lsd(np.array(lm_p), np.array(lm_r)) if voiced_pairs else 0.0
     if voiced_pairs:
-        cep_p = mel_cepstrum(np.array(lm_p), pred_stream.fs)
-        cep_r = mel_cepstrum(np.array(lm_r), ref_stream.fs)
-        mcd_val = mcd(cep_p, cep_r)
+        lsd_val = lsd(lm_p, lm_r)
+        mcd_val = mcd(mel_cepstrum(lm_p, pred_stream.fs), mel_cepstrum(lm_r, ref_stream.fs))
         dpd_val = dpd(np.array(ph_p), np.array(ph_r))
     else:
-        mcd_val, dpd_val = 0.0, 0.0
+        lsd_val = mcd_val = dpd_val = 0.0
 
     both_voiced = [(i, j) for i, j in pairs
                    if pred_stream.segments[i].voiced and ref_stream.segments[j].voiced]

@@ -1,6 +1,12 @@
 """Overlap-add resynthesis from feature streams, plus a minimum-phase
 baseline that keeps magnitudes but discards the transmitted phase.
 
+Segments are rebuilt BLOCK at a time, one array pass per block: a cumsum
+decodes the phases, parametric envelopes come from one LSP conversion and
+one rfft, and one irfft (or irfft, fft and ifft for minimum phase) makes
+the buffers.  Rows never mix, so the block size, which bounds the stacks'
+memory, changes no bit; overlap-add keeps the stream's summation order.
+
 Windows are applied at analysis only; overlap-add divides by the summed
 window envelope, clamped from below, so slowly varying pitch tracks
 reconstruct near-exactly and constant tracks exactly.
@@ -12,102 +18,92 @@ import logging
 
 import numpy as np
 
-from .analysis import FeatureStream, Segment, SegmentFeatures
-from .dsp import (LspVector, _buffer_start, _nudge_increasing, asymmetric_hann,
-                  inverse_spectrum, lpc_envelope, lsp_to_lpc, wrap_phase)
-from .errors import ConfigError, ValidationError
+from .analysis import FeatureStream, Segment
+from .dsp import (_buffer_start, asymmetric_hann, inverse_spectrum, lpc_envelope,
+                  lsp_to_lpc_batch, wrap_phase)
+from .errors import ConfigError, RowError, ValidationError
 from .signal_io import Waveform
 
 log = logging.getLogger(__name__)
 
 EPS_OLA = 1e-3  # window envelope clamp
+BLOCK = 64      # segments per array pass
 
 
 def decode_phase(phase_feature: np.ndarray) -> np.ndarray:
-    """Invert the [theta_1, wrapped differences] encoding; output in (-pi, pi]."""
-    return wrap_phase(np.cumsum(np.asarray(phase_feature, dtype=np.float64)))
+    """Invert the [theta_1, wrapped differences] encoding along the last
+    axis; output in (-pi, pi]."""
+    return wrap_phase(np.cumsum(np.asarray(phase_feature, dtype=np.float64), axis=-1))
 
 
-def _fft_size(f: SegmentFeatures, n_samples: int = 0) -> int:
-    """FFT size of the stored half spectrum; an n_samples segment must fit."""
-    fft_size = 2 * (len(f.phase_feature) - 1)
-    if n_samples > fft_size:
-        raise ValidationError(
-            f"segment at {f.position} needs {n_samples} samples, more than fft_size {fft_size}"
-        )
-    return fft_size
-
-
-def _parametric_log_mag(f: SegmentFeatures, n_samples: int) -> np.ndarray:
-    """LSP envelope shifted so the reconstructed segment carries exp(gain) RMS."""
-    fft_size = _fft_size(f)
-    # float32 serialization can glue tight frequency pairs back together
-    lsp = LspVector(_nudge_increasing(f.lsp, 1e-4))
-    env = lpc_envelope(lsp_to_lpc(lsp), len(f.phase_feature), fft_size)
+def segment_log_mags(feats: list, n_samples: np.ndarray) -> np.ndarray:
+    """Log magnitudes (rows, fft_size//2 + 1) of segments of n_samples[i]
+    samples: the stored spectra in full mode; in parametric mode the LSP
+    envelopes, shifted so each reconstructed segment carries exp(gain) RMS."""
+    if feats[0].log_mag is not None:
+        return np.array([f.log_mag for f in feats])
+    fft_size = 2 * (len(feats[0].phase_feature) - 1)
+    try:
+        env = lpc_envelope(lsp_to_lpc_batch([f.lsp for f in feats]), fft_size)
+    except RowError as e:
+        raise ValidationError(f"segment at {feats[e.rows[0]].position}: {e.reason}") from e
     mag2 = np.exp(2.0 * env)
     # Parseval: time-domain energy of a spectrum frame
-    env_energy = (mag2[0] + 2.0 * np.sum(mag2[1:-1]) + mag2[-1]) / fft_size
-    target = np.exp(2.0 * f.gain) * n_samples
-    return env + 0.5 * (np.log(target) - np.log(max(env_energy, 1e-300)))
+    energy = (mag2[:, 0] + 2.0 * np.sum(mag2[:, 1:-1], axis=1) + mag2[:, -1]) / fft_size
+    target = np.exp(2.0 * np.array([f.gain for f in feats])) * n_samples
+    return env + (0.5 * (np.log(target) - np.log(np.maximum(energy, 1e-300))))[:, None]
 
 
-def segment_log_mag(f: SegmentFeatures, n_samples: int) -> np.ndarray:
-    """Log magnitude of an n_samples segment: the stored spectrum in full
-    mode, the gain-scaled LSP envelope in parametric mode."""
-    if f.log_mag is not None:
-        return np.asarray(f.log_mag, dtype=np.float64)
-    return _parametric_log_mag(f, n_samples)
+def build_segments(feats: list, spans: list, min_phase: bool = False,
+                   windows=None) -> list:
+    """Time-domain segments of one block of feature entries, with their
+    (left, right) spans, in one array pass.  min_phase keeps the magnitude
+    and replaces the transmitted phase by the minimum phase; windows maps
+    spans to windows already built."""
+    windows = windows or _windows(spans)
+    n = [left + right + 1 for left, right in spans]
+    fft_size = 2 * (len(feats[0].phase_feature) - 1)
+    for f, size in zip(feats, n):
+        if size > fft_size:
+            raise ValidationError(f"segment at {f.position} needs {size} samples, "
+                                  f"more than fft_size {fft_size}")
+    log_mag = segment_log_mags(feats, np.array(n))
+    half = fft_size // 2
+    if min_phase:
+        # fold each real cepstrum onto its causal half; the minimum-phase
+        # response is rolled so its onset sits at the buffer center
+        cep = np.fft.irfft(log_mag, n=fft_size)
+        cep[:, 1:half] *= 2.0
+        cep[:, half + 1:] = 0.0
+        buf = np.roll(np.fft.ifft(np.exp(np.fft.fft(cep))).real, half, axis=1)
+    else:
+        buf = inverse_spectrum(log_mag, decode_phase([f.phase_feature for f in feats]),
+                               fft_size)
+    # envelope magnitude discards the window shaping that full-mode spectra
+    # carry, and the minimum-phase response is unwindowed and rings past the
+    # segment span; both are re-windowed so the OLA normalization holds
+    rewindow = min_phase or feats[0].log_mag is None
+    segments = []
+    for f, row, (left, right), size in zip(feats, buf, spans, n):
+        # the analysis put the instant at fft_size//2, so extraction around
+        # that index stays aligned even when the synthesis wings differ
+        start = _buffer_start(size, fft_size, left)
+        samples = row[start:start + size]
+        samples = samples * windows[left, right] if rewindow else samples.copy()
+        segments.append(Segment(int(f.position), left, right, samples, f.voiced))
+    return segments
 
 
-def features_to_segment(f: SegmentFeatures, left_len: int, right_len: int) -> Segment:
-    """Reconstruct the time-domain segment for one feature entry."""
-    n = left_len + right_len + 1
-    fft_size = _fft_size(f, n)
-    buf = inverse_spectrum(segment_log_mag(f, n), decode_phase(f.phase_feature), fft_size)
-    # the analysis put the instant at fft_size//2, so extraction around that
-    # index stays aligned even when the synthesis wings differ from analysis
-    start = _buffer_start(n, fft_size, left_len)
-    samples = buf[start:start + n]
-    if f.log_mag is None:
-        # envelope magnitude discards the window shaping that full-mode
-        # spectra carry, so parametric grains must be re-windowed for OLA
-        samples = samples * asymmetric_hann(left_len, right_len)
-    return Segment(center=int(f.position), left_len=left_len, right_len=right_len,
-                   samples=np.array(samples), voiced=f.voiced)
+def _windows(spans) -> dict:
+    return {(left, right): asymmetric_hann(left, right) for left, right in set(spans)}
 
 
-def _min_phase_time(log_mag: np.ndarray, fft_size: int) -> np.ndarray:
-    """Minimum-phase impulse response for a log-magnitude half spectrum,
-    rolled so the onset sits at the buffer center."""
-    cep = np.fft.irfft(np.asarray(log_mag, dtype=np.float64), n=fft_size)
-    folded = np.zeros_like(cep)
-    folded[0] = cep[0]
-    folded[1:fft_size // 2] = 2.0 * cep[1:fft_size // 2]
-    folded[fft_size // 2] = cep[fft_size // 2]
-    response = np.fft.ifft(np.exp(np.fft.fft(folded))).real
-    return np.roll(response, fft_size // 2)
-
-
-def min_phase_segment(f: SegmentFeatures, left_len: int, right_len: int) -> Segment:
-    """Same magnitude as features_to_segment, minimum phase instead of the
-    transmitted phase."""
-    n = left_len + right_len + 1
-    fft_size = _fft_size(f, n)
-    buf = _min_phase_time(segment_log_mag(f, n), fft_size)
-    start = _buffer_start(n, fft_size, left_len)
-    # transmitted phase reproduces the analysis-windowed segment, but the
-    # minimum-phase response is unwindowed and rings past the segment span;
-    # re-window so the overlap-add envelope normalization stays meaningful
-    samples = buf[start:start + n] * asymmetric_hann(left_len, right_len)
-    return Segment(center=int(f.position), left_len=left_len, right_len=right_len,
-                   samples=samples, voiced=f.voiced)
-
-
-def window_envelope(half_lens, positions, total_len: int) -> np.ndarray:
-    """Sum of the analysis windows implied by (left, right) spans."""
+def window_envelope(half_lens, positions, total_len: int, windows=None) -> np.ndarray:
+    """Sum of the analysis windows of (left, right) spans, built or from windows."""
+    windows = windows or _windows(half_lens)
     env = np.zeros(total_len)
     for (left, right), pos in zip(half_lens, positions):
-        _add_span(env, asymmetric_hann(left, right), int(pos) - left)
+        _add_span(env, windows[left, right], int(pos) - left)
     return env
 
 
@@ -118,7 +114,7 @@ def _add_span(acc: np.ndarray, values: np.ndarray, start: int) -> None:
         acc[lo:hi] += values[lo - start:hi - start]
 
 
-def overlap_add(segments, positions, total_len: int) -> np.ndarray:
+def overlap_add(segments, positions, total_len: int, windows=None) -> np.ndarray:
     """Place segments at their positions and normalize by the summed
     analysis-window envelope.  Samples where the envelope is below EPS_OLA
     are set to zero."""
@@ -128,7 +124,7 @@ def overlap_add(segments, positions, total_len: int) -> np.ndarray:
     for seg, pos in zip(segments, positions):
         _add_span(acc, seg.samples, int(pos) - seg.left_len)
     env = window_envelope([(s.left_len, s.right_len) for s in segments],
-                          positions, total_len)
+                          positions, total_len, windows)
     out = acc / np.maximum(env, EPS_OLA)
     # the few outermost samples have no meaningful window support; there the
     # clamped quotient is content/eps rather than a reconstruction, which can
@@ -141,31 +137,19 @@ def segment_spans(positions: np.ndarray) -> list:
     """(left, right) spans from neighbor gaps; edges mirror their known side."""
     if len(positions) == 1:
         raise ValidationError("cannot infer spans from a single position")
-    spans = []
-    for i in range(len(positions)):
-        left = positions[i] - positions[i - 1] if i > 0 else positions[1] - positions[0]
-        right = (positions[i + 1] - positions[i] if i < len(positions) - 1
-                 else positions[-1] - positions[-2])
-        spans.append((int(left), int(right)))
-    return spans
+    gaps = np.diff(positions).tolist()
+    return list(zip(gaps[:1] + gaps, gaps + gaps[-1:]))
 
 
 def _generation_positions(stream: FeatureStream) -> np.ndarray:
-    # one period of lead-in, then each segment's right period sets the gap
-    # to the next instant; the float accumulator keeps the long-run rate
-    # exact despite per-position rounding
-    positions = np.empty(len(stream.segments), dtype=np.int64)
-    t = 0.0
-    for i, seg in enumerate(stream.segments):
-        period = stream.fs / float(np.exp(seg.log_f0))
-        if i == 0:
-            t = period
-        positions[i] = int(round(t))
-        t += period
-    return positions
+    # one period of lead-in, then each segment's period sets the gap to the
+    # next instant: positions round the float running sums p0, 2 p0, 2 p0 +
+    # p1, ..., which keeps the long-run rate exact despite the rounding
+    periods = [stream.fs / float(np.exp(seg.log_f0)) for seg in stream.segments]
+    return np.round(np.cumsum(periods[:1] + periods[:-1])).astype(np.int64)
 
 
-def _synthesize(stream: FeatureStream, positions: str, builder) -> Waveform:
+def _synthesize(stream: FeatureStream, positions: str, min_phase: bool) -> Waveform:
     if not stream.segments:
         raise ValidationError("cannot synthesize from an empty stream")
     if positions == "stream":
@@ -177,10 +161,13 @@ def _synthesize(stream: FeatureStream, positions: str, builder) -> Waveform:
     if len(pos) < 2:
         raise ValidationError("need at least 2 segments to synthesize")
     spans = segment_spans(pos)
-    segments = [builder(f, left, right)
-                for f, (left, right) in zip(stream.segments, spans)]
+    windows = _windows(spans)
+    segments = []
+    for lo in range(0, len(pos), BLOCK):
+        segments += build_segments(stream.segments[lo:lo + BLOCK], spans[lo:lo + BLOCK],
+                                   min_phase, windows)
     total_len = int(pos[-1] + spans[-1][1] + 1)
-    out = overlap_add(segments, pos, total_len)
+    out = overlap_add(segments, pos, total_len, windows)
     peak = float(np.max(np.abs(out))) if len(out) else 0.0
     if peak > 1.0:
         # saturate like the PCM writer would; rescaling the whole utterance
@@ -193,7 +180,7 @@ def _synthesize(stream: FeatureStream, positions: str, builder) -> Waveform:
 def synthesize(stream: FeatureStream, *, positions: str = "stream") -> Waveform:
     """Overlap-add resynthesis.  positions='stream' reconstructs at the
     analyzed instants; positions='f0' lays segments out from exp(log_f0)."""
-    return _synthesize(stream, positions, features_to_segment)
+    return _synthesize(stream, positions, False)
 
 
 def synthesize_min_phase(stream: FeatureStream, *, from_envelope: bool = False,
@@ -206,4 +193,4 @@ def synthesize_min_phase(stream: FeatureStream, *, from_envelope: bool = False,
             "minimum-phase synthesis from a parametric stream requires "
             "min_phase_from_envelope"
         )
-    return _synthesize(stream, positions, min_phase_segment)
+    return _synthesize(stream, positions, True)

@@ -3,12 +3,13 @@ import pytest
 from scipy.fft import dct
 from scipy.linalg import solve_toeplitz
 
-from gswf import (LpcModel, PipelineConfig, ValidationError, Waveform,
+from gswf import (LpcModel, LspVector, PipelineConfig, ValidationError, Waveform,
                   asymmetric_hann, inverse_spectrum, lpc_envelope, lpc_residual,
                   lpc_to_lsp, lsp_to_lpc, mel_cepstrum, mel_filterbank, wrap_phase)
 from gswf.analysis import LSP_ORDER, extract_segments
-from gswf.dsp import (analyze_spectrum_batch, autocorr, lpc_from_autocorr_batch,
-                      lpc_predictors, lpc_to_lsp_batch)
+from gswf.dsp import (_poly_from_circle_roots, analyze_spectrum_batch, autocorr,
+                      lpc_from_autocorr_batch, lpc_predictors, lpc_to_lsp_batch,
+                      lsp_to_lpc_batch)
 from gswf.errors import RowError
 from gswf.gci import detect_gci
 from signals import random_stable_lpc, speech_like
@@ -337,6 +338,49 @@ def test_lsp_rows_do_not_depend_on_the_batch():
                        stack)
 
 
+def _lsp_to_lpc_by_convolution(f):
+    # the np.convolve chain whose sums lsp_to_lpc_batch makes as shifted adds
+    one, p = np.longdouble(1.0), len(f)
+    if p % 2 == 0:
+        psum = np.convolve(_poly_from_circle_roots(f[0::2]), [one, one])
+        qdif = np.convolve(_poly_from_circle_roots(f[1::2]), [one, -one])
+    else:
+        psum = _poly_from_circle_roots(f[0::2])
+        qdif = np.convolve(_poly_from_circle_roots(f[1::2]), [one, 0.0 * one, -one])
+    return (0.5 * (psum + qdif)[:p + 1]).astype(np.float64)
+
+
+def test_lsp_to_lpc_rows_match_the_convolution_chain():
+    rng = np.random.default_rng(33)
+    for order in (1, 2, 3, 7, 10, 40):
+        lsp = lpc_to_lsp_batch(np.array([random_stable_lpc(order, rng) for _ in range(6)]))
+        for row, f in zip(lsp_to_lpc_batch(lsp), lsp):
+            assert _same_bits(row, _lsp_to_lpc_by_convolution(f))
+    # the line spectra of speech_like() segments, one row and any sub-batch
+    stack = lpc_to_lsp_batch(lpc_predictors(_speech_autocorrs(), LSP_ORDER))
+    _check_composition(lambda f: (lsp_to_lpc_batch(f),),
+                       lambda row: (lsp_to_lpc(LspVector(row)).a,), stack)
+
+
+def test_lsp_to_lpc_splits_glued_pairs_and_names_bad_rows():
+    rng = np.random.default_rng(34)
+    lsp = lpc_to_lsp_batch(np.array([random_stable_lpc(10, rng) for _ in range(4)]))
+    glued = lsp.copy()
+    glued[1, 4] = glued[1, 3] - 5e-5  # within float32 rounding of a tight pair
+    split = glued[1].copy()
+    split[4] = np.nextafter(split[3], np.inf)
+    back = lsp_to_lpc_batch(glued)
+    assert _same_bits(back[1], lsp_to_lpc(LspVector(split)).a)
+    assert _same_bits(back[[0, 2, 3]], lsp_to_lpc_batch(lsp[[0, 2, 3]]))
+    bad = lsp.copy()
+    bad[2, 4] = bad[2, 3] - 1e-3
+    bad[3, -1] = np.pi
+    with pytest.raises(RowError, match=r"out of order by 1\.000e-03 at index 4 "
+                                       r"\(row 2; 2 of 4 rows fail\)") as err:
+        lsp_to_lpc_batch(bad)
+    assert err.value.rows == [2, 3]
+
+
 def test_spectrum_rows_match_single_segment_calls():
     rng = np.random.default_rng(32)
     segs = [rng.normal(0.0, 0.1, int(n)) for n in rng.integers(100, 400, 20)]
@@ -388,17 +432,14 @@ def test_batch_errors_name_the_first_failing_row():
 # ---------------------------------------------------------------- envelope
 
 def test_lpc_envelope_single_pole_pointwise():
-    m = LpcModel(order=1, a=np.array([1.0, -0.9]), gain=1.0)
-    env = lpc_envelope(m, 257, 512)
+    env = lpc_envelope(np.array([[1.0, -0.9], [1.0, 0.5]]), 512)
+    assert env.shape == (2, 257)
     w = np.pi * np.arange(257) / 256
-    expect = -np.log(np.abs(1.0 - 0.9 * np.exp(-1j * w)))
-    assert np.allclose(env, expect, atol=1e-9)
-
-
-def test_lpc_envelope_gain_offsets_log_magnitude():
-    m = LpcModel(order=1, a=np.array([1.0, -0.9]), gain=2.0)
-    base = lpc_envelope(LpcModel(order=1, a=np.array([1.0, -0.9]), gain=1.0), 33, 64)
-    assert np.allclose(lpc_envelope(m, 33, 64), base + np.log(2.0), atol=1e-12)
+    for row, pole in zip(env, (0.9, -0.5)):
+        expect = -np.log(np.abs(1.0 - pole * np.exp(-1j * w)))
+        assert np.allclose(row, expect, atol=1e-9)
+    with pytest.raises(ValidationError, match="too small for order 40"):
+        lpc_envelope(np.eye(1, 41), 32)
 
 
 # ------------------------------------------------------------ mel cepstrum

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 import gswf.synthesis
 from gswf import (ConfigError, FeatureStream, PipelineConfig, SegmentFeatures,
                   ValidationError, analyze, decode_phase, encode_phase,
-                  features_to_segment, min_phase_segment, overlap_add,
-                  synthesize, synthesize_min_phase, window_envelope, wrap_phase)
+                  overlap_add, read_features, synthesize, synthesize_min_phase,
+                  window_envelope, wrap_phase, write_features)
 from gswf.analysis import Segment
-from gswf.synthesis import _generation_positions, segment_spans
+from gswf.cli import run
+from gswf.synthesis import _generation_positions, build_segments, segment_spans
 from signals import harmonic_tone, speech_like
 
 
@@ -127,7 +129,7 @@ def _features(gain=-2.0, k=257, voiced=True, log_mag=None, position=1000):
 
 def test_min_phase_flat_magnitude_is_windowed_impulse_at_pivot():
     f = _features(log_mag=np.zeros(257))
-    seg = min_phase_segment(f, 100, 150)
+    (seg,) = build_segments([f], [(100, 150)], min_phase=True)
     assert len(seg.samples) == 251
     peak = int(np.argmax(np.abs(seg.samples)))
     assert peak == 100
@@ -147,27 +149,31 @@ def test_min_phase_on_parametric_stream_needs_config():
     y = synthesize_min_phase(_parametric_pair(), from_envelope=True)
     assert len(y.samples) == 1133 + 133 + 1
     # the segment builder itself takes the envelope magnitude
-    assert len(min_phase_segment(_features(), 100, 100).samples) == 201
+    (seg,) = build_segments([_features()], [(100, 100)], min_phase=True)
+    assert len(seg.samples) == 201
 
 
 def test_min_phase_config_error_comes_before_any_segment(monkeypatch):
     calls = []
-    build = gswf.synthesis.min_phase_segment
+    build = gswf.synthesis.build_segments
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(gswf.synthesis, "min_phase_segment", counted)
+    monkeypatch.setattr(gswf.synthesis, "build_segments", counted)
     with pytest.raises(ConfigError, match="min_phase_from_envelope"):
         synthesize_min_phase(_parametric_pair())
     assert calls == []
+    synthesize_min_phase(_parametric_pair(), from_envelope=True)
+    assert len(calls) == 1
 
 
-def test_features_to_segment_rejects_oversize():
-    f = _features(log_mag=np.zeros(257))
-    with pytest.raises(ValidationError):
-        features_to_segment(f, 400, 400)
+def test_build_segments_rejects_oversize():
+    feats = [_features(log_mag=np.zeros(257), position=p) for p in (1000, 1200)]
+    for min_phase in (False, True):
+        with pytest.raises(ValidationError, match="segment at 1200 needs 801 samples"):
+            build_segments(feats, [(100, 100), (400, 400)], min_phase)
 
 
 def test_segment_geometry_comes_from_the_features():
@@ -175,20 +181,72 @@ def test_segment_geometry_comes_from_the_features():
     # spectrum the features carry; no config is consulted
     for log_mag in (np.zeros(513), None):
         f = _features(k=513, log_mag=log_mag)
-        for build in (features_to_segment, min_phase_segment):
-            assert len(build(f, 400, 400).samples) == 801
+        for min_phase in (False, True):
+            (seg,) = build_segments([f], [(400, 400)], min_phase)
+            assert len(seg.samples) == 801
             with pytest.raises(ValidationError):
-                build(f, 600, 600)
+                build_segments([f], [(600, 600)], min_phase)
 
 
 def test_parametric_segment_energy_tracks_gain():
-    for gain in (-3.0, -1.0, 0.5):
-        f = _features(gain=gain)
-        seg = features_to_segment(f, 120, 120)
+    gains = (-3.0, -1.0, 0.5)
+    segs = build_segments([_features(gain=g) for g in gains], [(120, 120)] * 3)
+    for gain, seg in zip(gains, segs):
         # grain energy before windowing matches exp(gain); the Hann costs
         # a bounded factor
         rms = np.sqrt(np.mean(seg.samples ** 2))
         assert 0.3 * np.exp(gain) < rms < 1.2 * np.exp(gain)
+
+
+@pytest.fixture(scope="module")
+def speech_streams():
+    """speech_like() analyzed in full mode, and the same stream without its
+    magnitudes (parametric); 129 segments, so two default blocks."""
+    w, contour = speech_like()
+    full = analyze(w, contour, PipelineConfig(mode="full"))
+    par = FeatureStream(fs=full.fs, fft_size=full.fft_size, mode="parametric",
+                        segments=[dataclasses.replace(s, log_mag=None)
+                                  for s in full.segments])
+    return full, par
+
+
+def _all_syntheses(full, par):
+    out = []
+    for positions in ("stream", "f0"):
+        for stream in (full, par):
+            out.append(synthesize(stream, positions=positions).samples.tobytes())
+            out.append(synthesize_min_phase(stream, from_envelope=True,
+                                            positions=positions).samples.tobytes())
+    return out
+
+
+def test_block_boundaries_are_invisible(speech_streams, monkeypatch):
+    full, par = speech_streams
+    assert len(full) > gswf.synthesis.BLOCK
+    expected = _all_syntheses(full, par)
+    for block in (1, 7):
+        monkeypatch.setattr(gswf.synthesis, "BLOCK", block)
+        assert _all_syntheses(full, par) == expected
+
+
+def test_parametric_lsp_error_names_the_segment(speech_streams, tmp_path, capsys):
+    _, par = speech_streams
+    segments = list(par.segments)
+    bad = segments[70]
+    lsp = bad.lsp.copy()
+    lsp[5], lsp[6] = lsp[6], lsp[6] - 1e-3  # out of order by 1e-3
+    segments[70] = dataclasses.replace(bad, lsp=lsp)
+    stream = dataclasses.replace(par, segments=segments)
+    for synth in (synthesize, lambda s: synthesize_min_phase(s, from_envelope=True)):
+        with pytest.raises(ValidationError,
+                           match=rf"segment at {bad.position}: line spectral "
+                                 r"frequencies out of order by 1\.000e-03 at index 6"):
+            synth(stream)
+    feat = str(tmp_path / "bad.gswf")
+    write_features(feat, stream)
+    assert read_features(feat).segments[70].position == bad.position
+    assert run(["synthesize", feat, str(tmp_path / "out.wav")]) == 3
+    assert f"segment at {bad.position}" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- overlap-add
