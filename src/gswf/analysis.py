@@ -99,6 +99,26 @@ class FeatureStream:
         return np.array([seg.position for seg in self.segments], dtype=np.int64)
 
 
+def cut_segments(w: Waveform, centers, spans, voiced) -> list:
+    """One segment per center: the samples from center - left to
+    center + right of its (left, right) span, zero outside the waveform,
+    times asymmetric_hann(left, right)."""
+    x = w.samples
+    windows = {}
+    segments = []
+    for center, (left, right), flag in zip(centers, spans, voiced):
+        center, left, right = int(center), int(left), int(right)
+        if (left, right) not in windows:
+            windows[left, right] = asymmetric_hann(left, right)
+        lo, hi = center - left, center + right + 1
+        samples = np.zeros(hi - lo)
+        a, b = max(lo, 0), min(hi, len(x))
+        samples[a - lo:b - lo] = x[a:b]
+        segments.append(Segment(center, left, right, samples * windows[left, right],
+                                bool(flag)))
+    return segments
+
+
 def extract_segments(w: Waveform, track: GciTrack) -> list:
     """One windowed two-period segment per interior instant."""
     inst = track.instants
@@ -106,15 +126,8 @@ def extract_segments(w: Waveform, track: GciTrack) -> list:
         raise ValidationError(f"need at least 3 instants to form segments, got {len(inst)}")
     if inst[0] < 0 or inst[-1] >= len(w.samples):
         raise ValidationError("instants outside waveform bounds")
-    segments = []
-    for s in range(1, len(inst) - 1):
-        center = int(inst[s])
-        left = int(inst[s] - inst[s - 1])
-        right = int(inst[s + 1] - inst[s])
-        window = asymmetric_hann(left, right)
-        samples = w.samples[center - left:center + right + 1] * window
-        segments.append(Segment(center, left, right, samples, bool(track.voiced[s])))
-    return segments
+    gaps = np.diff(inst).tolist()
+    return cut_segments(w, inst[1:-1], zip(gaps[:-1], gaps[1:]), track.voiced[1:-1])
 
 
 def encode_phase(phase: np.ndarray) -> np.ndarray:
@@ -127,10 +140,11 @@ def encode_phase(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def segments_to_features(segments: list, fs: int, cfg: PipelineConfig) -> list:
-    """Features of every segment, computed in one array pass: per-segment
-    autocorrelations and gains, then one Levinson recursion, one LSP
-    conversion and one rfft over the whole stack."""
+def fit_segments(segments: list, cfg: PipelineConfig) -> tuple:
+    """The samples of each segment that an fft_size buffer holds with the
+    instant at index fft_size//2, and the instant's index in them: (samples,
+    pivots).  An oversize segment is an error, or truncated with a warning
+    when cfg.oversize_segment is "truncate"."""
     half = cfg.fft_size // 2
     cut, pivots = [], []
     for seg in segments:
@@ -150,11 +164,19 @@ def segments_to_features(segments: list, fs: int, cfg: PipelineConfig) -> list:
             warnings.warn(
                 f"truncating segment at {seg.center} from ({left}, {right}) to "
                 f"({left - lcut}, {right - rcut})",
-                stacklevel=2)
+                stacklevel=3)
             samples = samples[lcut:len(samples) - rcut]
             left = left - lcut
         cut.append(samples)
         pivots.append(left)
+    return cut, pivots
+
+
+def segments_to_features(segments: list, fs: int, cfg: PipelineConfig) -> list:
+    """Features of every segment, computed in one array pass: per-segment
+    autocorrelations and gains, then one Levinson recursion, one LSP
+    conversion and one rfft over the whole stack."""
+    cut, pivots = fit_segments(segments, cfg)
     if not segments:
         return []
     log_mag, phase = analyze_spectrum_batch(cut, cfg.fft_size, pivots)

@@ -11,21 +11,23 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
-from .analysis import analyze
+from .analysis import (FeatureStream, analyze, cut_segments, encode_phase, fit_segments,
+                       segments_to_features)
 from .config import COST_NORMS, MODES, PipelineConfig, load_config
+from .dsp import analyze_spectrum_batch
 from .errors import ConfigError, GswfError, ValidationError
 from .featfile import read_features, write_features
 from .gci import detect_gci, write_gci_track
 from .metrics import evaluate
 from .signal_io import Waveform, read_f0_ref, read_wav, write_wav
-from .synthesis import synthesize, synthesize_min_phase
+from .synthesis import segment_spans, synthesize, synthesize_min_phase
 
 DURATION_TOLERANCE = 0.10
 
@@ -119,14 +121,28 @@ def _fit_length(w: Waveform, total_len: int) -> Waveform:
     return Waveform(padded, w.fs)
 
 
-def _edge_trim_span(stream, total_len: int) -> tuple:
-    """One local period off each end; the mirrored edge windows there do not
-    reconstruct the signal and would swamp the scores."""
-    head = int(round(stream.fs / math.exp(stream.segments[0].log_f0)))
-    tail = int(round(stream.fs / math.exp(stream.segments[-1].log_f0)))
-    lo = min(head, total_len - 1)
-    hi = max(total_len - tail, lo + 1)
-    return lo, hi
+def _measure_at_instants(out: Waveform, stream: FeatureStream,
+                         cfg: PipelineConfig) -> FeatureStream:
+    """The stream with each field that evaluate scores in its mode measured
+    again on the resynthesis out, cut at the stream's own instants with the
+    spans and windows synthesis used.  Voicing and log F0 stay the stream's:
+    synthesis placed the pulses there."""
+    pos = stream.positions
+    segments = cut_segments(out, pos, segment_spans(pos),
+                            [seg.voiced for seg in stream.segments])
+    if stream.mode == "full":
+        # spectra and phases are all evaluate reads of a full-mode stream
+        cut, pivots = fit_segments(segments, cfg)
+        log_mag, phase = analyze_spectrum_batch(cut, cfg.fft_size, pivots)
+        measured = [replace(seg, log_mag=m, phase_feature=p)
+                    for seg, m, p in zip(stream.segments, log_mag, encode_phase(phase))]
+    else:
+        # parametric magnitudes come from the LSP envelope and the gain
+        measured = [replace(seg, gain=f.gain, lsp=f.lsp, phase_feature=f.phase_feature)
+                    for seg, f in zip(stream.segments,
+                                      segments_to_features(segments, out.fs, cfg))]
+    return FeatureStream(fs=stream.fs, fft_size=stream.fft_size, mode=stream.mode,
+                         segments=measured)
 
 
 def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
@@ -136,15 +152,16 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
     w, f0 = _read_inputs(wav_path, f0_path, cfg)
     stream = analyze(w, f0, cfg)
     write_features(os.path.join(out_dir, stem + ".gswf"), stream)
-    span = _edge_trim_span(stream, len(w.samples))
+    # the span the stream reconstructs; evaluate leaves out the segments
+    # centred on its ends, whose windows reach the unreconstructed edges
+    span = (int(stream.positions[0]), int(stream.positions[-1]))
     reports = []
     min_phase = functools.partial(synthesize_min_phase,
                                   from_envelope=cfg.min_phase_from_envelope)
     for label, synth in (("full", synthesize), ("minphase", min_phase)):
         out = _fit_length(synth(stream), len(w.samples))
         write_wav(os.path.join(out_dir, f"{stem}.{label}.wav"), out)
-        resynth_stream = analyze(out, f0, cfg)
-        report = evaluate(out, w, resynth_stream, stream, span=span)
+        report = evaluate(out, w, _measure_at_instants(out, stream, cfg), stream, span=span)
         reports.append((label, report))
     with open(os.path.join(out_dir, stem + ".report.txt"), "w", encoding="utf-8") as fh:
         for label, report in reports:

@@ -231,15 +231,20 @@ def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
     r = np.array([autocorr(x[s:s + frame_len] * win, order) for s in starts])
     coefs = lpc_predictors(r, order)
     centers = starts + frame_len // 2
+    # frame m filters [c[m-1], c[m+1]) once, the file edges standing in for
+    # the outer frames' missing neighbours; the FIR output at a sample does
+    # not depend on where the span starts once `order` samples of context
+    # lie before it, so these are the outputs a per-span filter would give
+    bounds = np.concatenate([[0], centers, [len(x)]])
+    outs = [_inverse_filter_span(x, a, bounds[m], bounds[m + 2])
+            for m, a in enumerate(coefs)]
     res = np.empty_like(x)
-    res[:centers[0]] = _inverse_filter_span(x, coefs[0], 0, centers[0])
-    res[centers[-1]:] = _inverse_filter_span(x, coefs[-1], centers[-1], len(x))
+    res[:centers[0]] = outs[0][:centers[0]]
+    res[centers[-1]:] = outs[-1][centers[-1] - bounds[-3]:]
     for m in range(len(centers) - 1):
         a0, b0 = centers[m], centers[m + 1]
-        if b0 == a0:
-            continue
-        lo = _inverse_filter_span(x, coefs[m], a0, b0)
-        hi = _inverse_filter_span(x, coefs[m + 1], a0, b0)
+        lo = outs[m][a0 - bounds[m]:b0 - bounds[m]]
+        hi = outs[m + 1][:b0 - a0]
         alpha = np.arange(b0 - a0) / (b0 - a0)
         res[a0:b0] = (1.0 - alpha) * lo + alpha * hi
     return res

@@ -249,21 +249,27 @@ def detect_gci(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None
     for lo, hi in unvoiced_regions:
         marks.extend((p, False) for p in range(lo, hi, step))
 
-    marks.sort(key=lambda mk: (mk[0], not mk[1]))
-    voiced_positions = np.array([p for p, v in marks if v], dtype=np.int64)
-    min_gap = max(1, int(round(0.001 * fs)))
-    instants: list[int] = []
-    flags: list[bool] = []
-    for pos, flag in marks:
-        if not flag and len(voiced_positions):
-            nearest = np.min(np.abs(voiced_positions - pos))
-            if nearest < min_gap:
-                continue
-        if instants and pos <= instants[-1]:
-            continue
-        instants.append(pos)
-        flags.append(flag)
-    return GciTrack(np.array(instants, dtype=np.int64), np.array(flags, dtype=bool), fs)
+    pos = np.array([p for p, _ in marks], dtype=np.int64)
+    flags = np.array([v for _, v in marks], dtype=bool)
+    pos, flags = merge_marks(pos, flags, max(1, int(round(0.001 * fs))))
+    return GciTrack(pos, flags, fs)
+
+
+def merge_marks(positions: np.ndarray, voiced: np.ndarray, min_gap: int) -> tuple:
+    """Voiced and unvoiced marks as one increasing sequence: an unvoiced
+    mark within min_gap samples of a voiced one is dropped, and of marks at
+    one position the first voiced one stays.  Returns (positions, voiced)."""
+    rank = np.lexsort((~voiced, positions))  # by position, voiced first on a tie
+    pos, flags = positions[rank], voiced[rank]
+    voiced_pos = pos[flags]
+    if len(voiced_pos):
+        nxt = np.searchsorted(voiced_pos, pos)
+        before = voiced_pos[np.maximum(nxt - 1, 0)]
+        after = voiced_pos[np.minimum(nxt, len(voiced_pos) - 1)]
+        keep = flags | (np.minimum(np.abs(pos - before), np.abs(after - pos)) >= min_gap)
+        pos, flags = pos[keep], flags[keep]
+    first = np.diff(pos, prepend=-1) > 0
+    return pos[first], flags[first]
 
 
 def write_gci_track(path: str, track: GciTrack) -> None:

@@ -164,7 +164,7 @@ def _aligned_frames(pred: FeatureStream, ref: FeatureStream, span=None):
     pairs = align_gci(pred_pos, ref_pos)
     if span is not None:
         pairs = [(i, j) for i, j in pairs
-                 if span[0] <= ref_pos[j] < span[1]]
+                 if span[0] < ref_pos[j] < span[1]]
     voiced_pairs = [(i, j) for i, j in pairs if ref.segments[j].voiced]
 
     def log_mags(stream, pos, rows):
@@ -186,10 +186,11 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
              ref_stream: FeatureStream, *, span: tuple | None = None) -> MetricsReport:
     """Full report for a predicted utterance against its reference.
 
-    span restricts scoring to a half-open (lo, hi) sample interval: waveform
-    metrics cover only those samples and aligned pairs whose reference
-    instant falls outside are dropped.  Round trips use it to leave out the
-    mirrored edge windows, which never reconstruct exactly.
+    span restricts scoring to a (lo, hi) sample interval: waveform metrics
+    cover the samples in [lo, hi), and aligned pairs count only when their
+    reference instant lies strictly inside it, so a segment centred on lo
+    or hi, whose window reaches past it, is left out.  A round trip passes
+    the span its stream reconstructs, from the first to the last instant.
     """
     if pred_wav.fs != ref_wav.fs or pred_stream.fs != ref_stream.fs \
             or pred_wav.fs != pred_stream.fs:

@@ -96,3 +96,36 @@ def random_stable_lpc(order, rng):
     if order % 2:
         a = np.convolve(a, [1.0, -rng.uniform(-0.9, 0.9)])
     return a
+
+
+def low_pitch_onsets(fs=16000, f0=(110.0, 150.0), seed=0):
+    """1.2 s of unvoiced lead-in, two low-pitched vowel stretches around a
+    noise burst, and an unvoiced tail.  The contour marks each stretch
+    voiced from one period before its first pulse, on a frame boundary, as
+    a pitch tracker that leads the excitation would.  F0 glides from f0[0]
+    to f0[1] over the utterance.  Returns (waveform, contour)."""
+    rng = np.random.default_rng(seed)
+    n = int(round(1.2 * fs))
+    shift = int(round(FRAME_SHIFT * fs))
+    f0_at = np.linspace(f0[0], f0[1], n)
+    regions = [(int(0.15 * fs) // shift * shift, int(0.55 * fs) // shift * shift),
+               (int(0.70 * fs) // shift * shift, int(1.05 * fs) // shift * shift)]
+    f0_inst = np.zeros(n)
+    x = np.zeros(n)
+    for (lo, hi), vowel in zip(regions, (((660, 90), (1720, 110), (2410, 140)),
+                                         ((300, 100), (870, 120), (2240, 150)))):
+        exc = np.zeros(n)
+        pos = lo + fs / f0_at[lo]
+        while pos < hi - 1:
+            exc[int(round(pos))] = -rng.uniform(0.8, 1.0)
+            pos += fs / f0_at[int(pos)]
+        f0_inst[lo:hi] = f0_at[lo:hi]
+        x += lfilter([1.0], _tract(vowel, fs), exc)
+    noise = rng.normal(0.0, 1.0, n)
+    burst = np.zeros(n)
+    burst[regions[0][1]:regions[1][0]] = noise[regions[0][1]:regions[1][0]]
+    frica = lfilter([1.0], _tract(((4500, 900),), fs), burst)
+    x += 0.15 * np.max(np.abs(x)) * frica / max(np.max(np.abs(frica)), 1e-12)
+    x += 1e-3 * np.max(np.abs(x)) * noise  # breath floor, so no span is silent
+    x *= 0.5 / np.max(np.abs(x))
+    return Waveform(x, fs), contour_from_f0(f0_inst, fs)

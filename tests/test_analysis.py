@@ -5,8 +5,8 @@ import gswf.analysis
 from gswf import (GciTrack, PipelineConfig, ValidationError, Waveform, analyze,
                   decode_phase, detect_gci, encode_phase, extract_segments,
                   segments_to_features, wrap_phase)
-from gswf.analysis import GAIN_FLOOR, LSP_ORDER, Segment
-from gswf.dsp import lpc_predictors
+from gswf.analysis import GAIN_FLOOR, LSP_ORDER, Segment, cut_segments
+from gswf.dsp import asymmetric_hann, lpc_predictors
 from gswf.gci import UNVOICED_SHIFT_S
 from signals import harmonic_tone, speech_like
 
@@ -43,6 +43,18 @@ def test_extract_segments_bounds_check():
     x = np.zeros(300)
     with pytest.raises(ValidationError):
         extract_segments(Waveform(x, 16000), _track([100, 200, 350]))
+
+
+def test_cut_segments_pads_zeros_outside_the_waveform():
+    rng = np.random.default_rng(23)
+    x = rng.normal(0.0, 0.2, 300)
+    head, inner, tail = cut_segments(Waveform(x, 16000), [40, 150, 280],
+                                     [(100, 60), (50, 70), (30, 90)], [True, False, True])
+    padded = np.concatenate([np.zeros(60), x, np.zeros(71)])
+    assert head.samples.tolist() == (padded[0:161] * asymmetric_hann(100, 60)).tolist()
+    assert inner.samples.tolist() == (x[100:221] * asymmetric_hann(50, 70)).tolist()
+    assert tail.samples.tolist() == (padded[310:431] * asymmetric_hann(30, 90)).tolist()
+    assert [s.voiced for s in (head, inner, tail)] == [True, False, True]
 
 
 def test_segments_overlap_add_to_windowed_identity():

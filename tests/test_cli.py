@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from gswf import read_features, read_gci_track, read_wav
+import gswf.cli
+from gswf import read_features, read_gci_track, read_wav, write_f0_ref, write_wav
 from gswf.cli import run
-from signals import harmonic_tone
+from signals import harmonic_tone, low_pitch_onsets, speech_like
 
 FS = 16000
 
@@ -301,6 +302,71 @@ def test_roundtrip_honours_parametric_mode(inputs, tmp_path, capsys):
         rows = [line.split() for line in fh.read().strip().splitlines()]
     assert len(rows) == 16
     assert all(len(row) == 3 and np.isfinite(float(row[1])) for row in rows)
+
+
+def _write_inputs(tmp_path, stem, w, contour):
+    wav, f0 = str(tmp_path / f"{stem}.wav"), str(tmp_path / f"{stem}.f0")
+    write_wav(wav, w)
+    write_f0_ref(f0, contour)
+    return wav, f0
+
+
+def _report_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return {key: float(value) for key, value, _ in
+                (line.split() for line in fh.read().strip().splitlines())}
+
+
+@pytest.mark.parametrize("make", [speech_like, harmonic_tone])
+def test_roundtrip_report_scores_the_reconstructed_span(make, tmp_path):
+    # the full-phase resynthesis rebuilds the input between the first and
+    # last instants, so its scores there read reconstruction error only
+    wav, f0 = _write_inputs(tmp_path, "x", *make())
+    out_dir = str(tmp_path / "rt")
+    assert run(["roundtrip", wav, f0, out_dir]) == 0
+    rows = _report_rows(os.path.join(out_dir, "x.report.txt"))
+    for key in ("rmse_voiced", "rmse_unvoiced", "rmse"):
+        assert rows[f"full.{key}"] < 1e-9
+    assert rows["full.lsd"] < 0.1
+    assert rows["minphase.rmse_voiced"] >= 2.0 * rows["full.rmse_voiced"]
+    for label in ("full", "minphase"):
+        assert rows[f"{label}.f0_rmse"] == 0.0
+        assert rows[f"{label}.vuv_error_rate"] == 0.0
+
+
+def test_roundtrip_analyzes_once_per_job(inputs, tmp_path, monkeypatch):
+    wav, f0 = inputs
+    calls = []
+    real = gswf.cli.analyze
+
+    def counting(*args, **kwargs):
+        calls.append(1)  # list.append is atomic, so pool workers lose no call
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gswf.cli, "analyze", counting)
+    assert run(["roundtrip", wav, f0, str(tmp_path / "one")]) == 0
+    assert len(calls) == 1
+    assert run(["roundtrip", wav, f0, str(tmp_path / "par"), "--mode", "parametric",
+                "--min-phase-from-envelope"]) == 0
+    assert len(calls) == 2
+    manifest = str(tmp_path / "jobs.txt")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(f"{wav} {f0} {tmp_path / 'a'}\n{wav} {f0} {tmp_path / 'b'}\n")
+    assert run(["roundtrip", "--list", manifest, "--jobs", "2"]) == 0
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_roundtrip_of_low_pitch_onsets_exits_0(seed, tmp_path):
+    # voicing leads each stretch's first pulse by a period at 110-150 Hz;
+    # the input analyzes, and re-detecting pulses on the minimum-phase
+    # resynthesis used to miss an onset pulse and exit 3 on these seeds
+    wav, f0 = _write_inputs(tmp_path, "low", *low_pitch_onsets(seed=seed))
+    assert run(["analyze", wav, f0, str(tmp_path / "low.gswf")]) == 0
+    out_dir = str(tmp_path / "rt")
+    assert run(["roundtrip", wav, f0, out_dir]) == 0
+    rows = _report_rows(os.path.join(out_dir, "low.report.txt"))
+    assert rows["full.rmse"] < 1e-9
 
 
 def test_unstorable_lsp_order_exits_4_before_work(inputs, tmp_path, capsys):

@@ -12,7 +12,7 @@ from gswf.dsp import (_poly_from_circle_roots, analyze_spectrum_batch, autocorr,
                       lsp_to_lpc_batch)
 from gswf.errors import RowError
 from gswf.gci import detect_gci
-from signals import random_stable_lpc, speech_like
+from signals import harmonic_tone, random_stable_lpc, speech_like
 
 
 # ---------------------------------------------------------------- wrapping
@@ -194,6 +194,43 @@ def test_lpc_residual_recovers_ar_excitation():
     corr = np.corrcoef(res[2000:-2000], noise[2000:-2000])[0, 1]
     assert corr > 0.95
     assert len(res) == 16000
+
+
+def _residual_two_filters_per_span(w, order, frame_s=0.025, shift_s=0.005):
+    # reference: each span between frame centers filtered by both of its
+    # frames' models, each call with `order` samples of real left context
+    import scipy.signal
+    x, fs = w.samples, w.fs
+    frame_len, shift = int(round(frame_s * fs)), int(round(shift_s * fs))
+    win = np.hanning(frame_len)
+    starts = np.arange(0, len(x) - frame_len + 1, shift)
+    coefs = lpc_predictors(np.array([autocorr(x[s:s + frame_len] * win, order)
+                                     for s in starts]), order)
+    centers = starts + frame_len // 2
+
+    def span(a, start, stop):
+        ctx = max(0, start - order)
+        return scipy.signal.lfilter(a, [1.0], x[ctx:stop])[start - ctx:]
+
+    res = np.empty_like(x)
+    res[:centers[0]] = span(coefs[0], 0, centers[0])
+    res[centers[-1]:] = span(coefs[-1], centers[-1], len(x))
+    for m in range(len(centers) - 1):
+        a0, b0 = centers[m], centers[m + 1]
+        alpha = np.arange(b0 - a0) / (b0 - a0)
+        res[a0:b0] = ((1.0 - alpha) * span(coefs[m], a0, b0)
+                      + alpha * span(coefs[m + 1], a0, b0))
+    return res
+
+
+@pytest.mark.parametrize("length", [16000, 400, 403])
+def test_lpc_residual_equals_two_filters_per_span(length):
+    # one filter call per frame must give the per-span filters' bits,
+    # down to a single frame (400 samples) and a ragged tail
+    for w in (speech_like()[0], harmonic_tone()[0]):
+        short = Waveform(w.samples[:length], w.fs)
+        got = lpc_residual(short, order=18)
+        assert got.tobytes() == _residual_two_filters_per_span(short, 18).tobytes()
 
 
 # --------------------------------------------------------------------- LSP

@@ -8,6 +8,7 @@ from gswf import (CandidateInterval, DetectionError, F0Contour, FormatError,
                   Waveform, align_gci, candidate_f0_grid, detect_gci,
                   find_intervals, mean_based_signal, read_gci_track,
                   select_candidates, viterbi_select, write_gci_track)
+from gswf.gci import merge_marks
 from signals import pulse_train, speech_like
 
 
@@ -306,3 +307,30 @@ def test_detect_gci_fully_unvoiced_contour():
     track = detect_gci(w, contour)
     assert not np.any(track.voiced)
     assert np.all(np.diff(track.instants) == 80)
+
+
+def _merge_marks_loop(positions, voiced, min_gap):
+    # reference: one mark at a time against every voiced mark
+    marks = sorted(zip(positions.tolist(), voiced.tolist()),
+                   key=lambda mk: (mk[0], not mk[1]))
+    voiced_pos = np.array([p for p, v in marks if v], dtype=np.int64)
+    out = []
+    for pos, flag in marks:
+        if not flag and len(voiced_pos) and np.min(np.abs(voiced_pos - pos)) < min_gap:
+            continue
+        if out and pos <= out[-1][0]:
+            continue
+        out.append((pos, flag))
+    return [p for p, _ in out], [v for _, v in out]
+
+
+def test_merge_marks_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(0, 40))
+        positions = rng.integers(0, 300, n)
+        voiced = rng.random(n) < (0.0, 0.3, 1.0)[trial % 3]
+        pos, flags = merge_marks(positions, voiced, 16)
+        ref_pos, ref_flags = _merge_marks_loop(positions, voiced, 16)
+        assert pos.tolist() == ref_pos
+        assert flags.tolist() == ref_flags
