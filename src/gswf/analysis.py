@@ -99,6 +99,14 @@ class FeatureStream:
         return np.array([seg.position for seg in self.segments], dtype=np.int64)
 
 
+def segment_spans(positions: np.ndarray) -> list:
+    """(left, right) spans from neighbor gaps; edges mirror their known side."""
+    if len(positions) == 1:
+        raise ValidationError("cannot infer spans from a single position")
+    gaps = np.diff(positions).tolist()
+    return list(zip(gaps[:1] + gaps, gaps + gaps[-1:]))
+
+
 def cut_segments(w: Waveform, centers, spans, voiced) -> list:
     """One segment per center: the samples from center - left to
     center + right of its (left, right) span, zero outside the waveform,
@@ -126,8 +134,7 @@ def extract_segments(w: Waveform, track: GciTrack) -> list:
         raise ValidationError(f"need at least 3 instants to form segments, got {len(inst)}")
     if inst[0] < 0 or inst[-1] >= len(w.samples):
         raise ValidationError("instants outside waveform bounds")
-    gaps = np.diff(inst).tolist()
-    return cut_segments(w, inst[1:-1], zip(gaps[:-1], gaps[1:]), track.voiced[1:-1])
+    return cut_segments(w, inst[1:-1], segment_spans(inst)[1:-1], track.voiced[1:-1])
 
 
 def encode_phase(phase: np.ndarray) -> np.ndarray:

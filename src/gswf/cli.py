@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import (FeatureStream, analyze, cut_segments, encode_phase, fit_segments,
-                       segments_to_features)
+                       segment_spans, segments_to_features)
 from .config import COST_NORMS, MODES, PipelineConfig, load_config
 from .dsp import analyze_spectrum_batch
 from .errors import ConfigError, GswfError, ValidationError
@@ -27,7 +27,7 @@ from .featfile import read_features, write_features
 from .gci import detect_gci, write_gci_track
 from .metrics import evaluate
 from .signal_io import Waveform, read_f0_ref, read_wav, write_wav
-from .synthesis import segment_spans, synthesize, synthesize_min_phase
+from .synthesis import synthesize, synthesize_min_phase
 
 DURATION_TOLERANCE = 0.10
 

@@ -24,43 +24,46 @@ from .errors import FormatError
 MAGIC = b"GSWF"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIBI")
-_SEG_FIXED = struct.Struct("<QBff")
 _MODES = {"parametric": 0, "full": 1}
 _MODE_NAMES = {v: k for k, v in _MODES.items()}
 
 
+def _record(mode: str, fft_size: int) -> np.dtype:
+    """The packed little-endian record of one segment."""
+    n_bins = fft_size // 2 + 1
+    fields = [("position", "<u8"), ("voiced", "u1"), ("log_f0", "<f4"), ("gain", "<f4"),
+              ("lsp", "<f4", (LSP_ORDER,)), ("phase", "<f4", (n_bins,))]
+    if mode == "full":
+        fields.append(("log_mag", "<f4", (n_bins,)))
+    return np.dtype(fields)
+
+
 def write_features(path: str, stream: FeatureStream) -> None:
-    chunks = [_HEADER.pack(MAGIC, VERSION, stream.fs, stream.fft_size,
-                           _MODES[stream.mode], len(stream.segments))]
     for seg in stream.segments:
         if len(seg.lsp) != LSP_ORDER:
             raise FormatError(
                 f"feature file stores exactly {LSP_ORDER} LSP values, "
                 f"stream has {len(seg.lsp)}"
             )
-        chunks.append(_SEG_FIXED.pack(int(seg.position), int(seg.voiced),
-                                      float(seg.log_f0), float(seg.gain)))
-        chunks.append(np.asarray(seg.lsp, dtype="<f4").tobytes())
-        chunks.append(np.asarray(seg.phase_feature, dtype="<f4").tobytes())
-        if stream.mode == "full":
-            chunks.append(np.asarray(seg.log_mag, dtype="<f4").tobytes())
+    full = stream.mode == "full"
+    records = np.array([(seg.position, seg.voiced, seg.log_f0, seg.gain, seg.lsp,
+                         seg.phase_feature) + ((seg.log_mag,) if full else ())
+                        for seg in stream.segments],
+                       dtype=_record(stream.mode, stream.fft_size))
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-def _take(data: bytes, offset: int, count: int, what: str) -> int:
-    if offset + count > len(data):
-        raise FormatError(
-            f"truncated feature file: need {count} bytes for {what} at offset "
-            f"{offset}, have {len(data) - offset}"
-        )
-    return offset + count
+        fh.write(_HEADER.pack(MAGIC, VERSION, stream.fs, stream.fft_size,
+                              _MODES[stream.mode], len(records)))
+        records.tofile(fh)
 
 
 def read_features(path: str) -> FeatureStream:
     with open(path, "rb") as fh:
         data = fh.read()
-    _take(data, 0, _HEADER.size, "header")
+    if len(data) < _HEADER.size:
+        raise FormatError(
+            f"truncated feature file: need {_HEADER.size} bytes for the header at "
+            f"offset 0, have {len(data)}"
+        )
     magic, version, fs, fft_size, mode_byte, count = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
@@ -71,30 +74,21 @@ def read_features(path: str) -> FeatureStream:
     if fft_size < 2 or fft_size % 2:
         raise FormatError(f"{path}: invalid fft_size {fft_size}")
     mode = _MODE_NAMES[mode_byte]
-    n_bins = fft_size // 2 + 1
-    offset = _HEADER.size
-    segments = []
-    for i in range(count):
-        offset_after = _take(data, offset, _SEG_FIXED.size, f"segment {i} header")
-        position, voiced, log_f0, gain = _SEG_FIXED.unpack_from(data, offset)
-        offset = offset_after
-        next_off = _take(data, offset, 4 * LSP_ORDER, f"segment {i} lsp")
-        lsp = np.frombuffer(data, dtype="<f4", count=LSP_ORDER, offset=offset).astype(np.float64)
-        offset = next_off
-        next_off = _take(data, offset, 4 * n_bins, f"segment {i} phase")
-        phase = np.frombuffer(data, dtype="<f4", count=n_bins, offset=offset).astype(np.float64)
-        offset = next_off
-        log_mag = None
-        if mode == "full":
-            next_off = _take(data, offset, 4 * n_bins, f"segment {i} log_mag")
-            log_mag = np.frombuffer(data, dtype="<f4", count=n_bins,
-                                    offset=offset).astype(np.float64)
-            offset = next_off
-        segments.append(SegmentFeatures(
-            position=int(position), voiced=bool(voiced), log_f0=float(log_f0),
-            gain=float(gain), lsp=lsp, phase_feature=phase, log_mag=log_mag))
-    if offset != len(data):
+    record = _record(mode, fft_size)
+    end = _HEADER.size + count * record.itemsize
+    if len(data) != end:
+        kind = ("truncated feature file" if len(data) < end
+                else f"{len(data) - end} trailing bytes")
         raise FormatError(
-            f"{path}: {len(data) - offset} trailing bytes at offset {offset}"
+            f"{path}: {kind}: {count} segments of {record.itemsize} bytes end at "
+            f"offset {end}, the file has {len(data)} bytes"
         )
+    rec = np.frombuffer(data, dtype=record, count=count, offset=_HEADER.size)
+    log_mag = rec["log_mag"].astype(np.float64) if mode == "full" else [None] * count
+    segments = [SegmentFeatures(position=p, voiced=bool(v), log_f0=f, gain=g, lsp=lsp,
+                                phase_feature=phase, log_mag=mag)
+                for p, v, f, g, lsp, phase, mag in zip(
+                    rec["position"].tolist(), rec["voiced"].tolist(), rec["log_f0"].tolist(),
+                    rec["gain"].tolist(), rec["lsp"].astype(np.float64),
+                    rec["phase"].astype(np.float64), log_mag)]
     return FeatureStream(fs=int(fs), fft_size=int(fft_size), mode=mode, segments=segments)

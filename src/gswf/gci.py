@@ -45,37 +45,6 @@ class GciTrack:
             raise ValidationError(f"sample rate must be positive, got {self.fs}")
 
 
-@dataclass
-class CandidateInterval:
-    start: int
-    end: int                 # inclusive
-    positions: np.ndarray    # sample indices, descending residual amplitude
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=np.int64)
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
-        if len(self.positions) != len(self.amplitudes) or len(self.positions) == 0:
-            raise ValidationError("interval needs at least one candidate")
-        if np.any(self.positions < self.start) or np.any(self.positions > self.end):
-            raise ValidationError("candidate outside its interval")
-        if np.any(np.diff(self.amplitudes) > 0):
-            raise ValidationError("candidates must be sorted by descending amplitude")
-
-
-@dataclass
-class GciCandidateSet:
-    intervals: list
-    fs: int
-
-    def __post_init__(self) -> None:
-        ends = [iv.end for iv in self.intervals]
-        starts = [iv.start for iv in self.intervals]
-        for i in range(1, len(self.intervals)):
-            if starts[i] <= ends[i - 1]:
-                raise ValidationError(f"intervals {i - 1} and {i} overlap")
-
-
 def mean_based_signal(w: Waveform, mean_period_samples: float) -> np.ndarray:
     """Blackman-weighted moving mean with half-width 0.875 of the mean pitch
     period; edges treat the signal as zero-padded."""
@@ -115,40 +84,33 @@ def find_intervals(mean_signal: np.ndarray, voiced_regions) -> list:
 
 
 def select_candidates(residual: np.ndarray, intervals, m: int,
-                      min_sep_samples: int = 1) -> list:
+                      min_sep_samples: int = 1) -> np.ndarray:
     """Top-m residual samples per interval, greedily enforcing the minimum
-    separation.  Small intervals may yield fewer than m candidates."""
+    separation: an (intervals, m) int64 array of sample indices in
+    descending residual order, padded with -1 where a small interval yields
+    fewer than m.  Each of the m passes takes every row's largest remaining
+    sample (the first on a tie) and masks its neighbourhood."""
     if m < 1:
         raise ValidationError(f"candidate count must be >= 1, got {m}")
     residual = np.asarray(residual, dtype=np.float64)
-    out = []
-    for a, b in intervals:
-        if a < 0 or b >= len(residual) or b < a:
-            raise ValidationError(f"interval ({a}, {b}) outside residual bounds")
-        vals = residual[a:b + 1]
-        order = np.argsort(-vals, kind="stable")
-        chosen: list[int] = []
-        for idx in order:
-            pos = a + int(idx)
-            if all(abs(pos - c) >= min_sep_samples for c in chosen):
-                chosen.append(pos)
-                if len(chosen) == m:
-                    break
-        positions = np.array(chosen, dtype=np.int64)
-        out.append(CandidateInterval(a, b, positions, residual[positions]))
+    bounds = np.array(intervals, dtype=np.int64).reshape(-1, 2)
+    starts, ends = bounds[:, 0], bounds[:, 1]
+    bad = (starts < 0) | (ends >= len(residual)) | (ends < starts)
+    if np.any(bad):
+        a, b = bounds[np.argmax(bad)]
+        raise ValidationError(f"interval ({a}, {b}) outside residual bounds")
+    widths = ends - starts + 1
+    cols = np.arange(np.max(widths, initial=1))
+    inside = cols < widths[:, None]
+    vals = np.where(inside, residual[np.where(inside, starts[:, None] + cols, 0)], -np.inf)
+    rows = np.arange(len(bounds))
+    sep = max(1, min_sep_samples)
+    out = np.full((len(bounds), m), -1, dtype=np.int64)
+    for j in range(m):
+        pick = np.argmax(vals, axis=1)
+        out[:, j] = np.where(vals[rows, pick] > -np.inf, starts + pick, -1)
+        vals[np.abs(cols - pick[:, None]) < sep] = -np.inf
     return out
-
-
-def candidate_f0_grid(cset: GciCandidateSet) -> list:
-    """Per adjacent interval pair, the implied-F0 matrix fs / gap indexed
-    [previous candidate, next candidate]; non-positive gaps become NaN."""
-    grids = []
-    for prev, nxt in zip(cset.intervals[:-1], cset.intervals[1:]):
-        gap = nxt.positions[None, :] - prev.positions[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f0 = np.where(gap > 0, cset.fs / np.where(gap != 0, gap, 1), np.nan)
-        grids.append(f0)
-    return grids
 
 
 def _nearest_frame(t: np.ndarray, shift: float, n_frames: int) -> np.ndarray:
@@ -156,35 +118,39 @@ def _nearest_frame(t: np.ndarray, shift: float, n_frames: int) -> np.ndarray:
     return np.clip(idx, 0, n_frames - 1)
 
 
-def viterbi_select(cset: GciCandidateSet, f0_ref: F0Contour,
+def viterbi_select(positions: np.ndarray, fs: int, f0_ref: F0Contour,
                    cost_norm: str = "abs") -> list:
-    """Minimum total |F0ref - implied F0| path, one candidate per interval.
+    """Minimum total |F0ref - implied F0| path through the (intervals, m)
+    candidate array, one candidate index per interval.
 
-    The reference is sampled at the temporal midpoint of each candidate gap
-    (nearest frame).  Cost ties prefer the larger residual amplitude, which
-    the descending candidate order turns into a first-minimum rule."""
-    ivs = cset.intervals
-    if not ivs:
+    The implied F0 of a candidate pair is fs over its gap, and the reference
+    is sampled at the gap's temporal midpoint (nearest frame); padded (-1)
+    candidates and non-positive gaps cost inf.  Cost ties prefer the larger
+    residual amplitude, which the descending candidate order turns into a
+    first-minimum rule."""
+    cand = np.asarray(positions, dtype=np.int64)
+    if not len(cand):
         return []
-    grids = candidate_f0_grid(cset)
-    prev_cost = np.zeros(len(ivs[0].positions))
+    g0, g1 = cand[:-1, :, None], cand[1:, None, :]
+    gap = g1 - g0
+    valid = (gap > 0) & (g0 >= 0) & (g1 >= 0)
+    f0 = fs / np.where(valid, gap, 1)
+    mid = 0.5 * (g0.astype(np.float64) + g1.astype(np.float64)) / fs
+    frames = _nearest_frame(mid, f0_ref.frame_shift_s, len(f0_ref))
+    dev = np.abs(f0_ref.values[frames] - f0)
+    if cost_norm == "squared":
+        dev = dev * dev
+    trans = np.where(valid, dev, np.inf)
+    cost = np.where(cand[0] >= 0, 0.0, np.inf)
     back = []
-    for i in range(1, len(ivs)):
-        g0 = ivs[i - 1].positions[:, None].astype(np.float64)
-        g1 = ivs[i].positions[None, :].astype(np.float64)
-        mid = 0.5 * (g0 + g1) / cset.fs
-        frames = _nearest_frame(mid, f0_ref.frame_shift_s, len(f0_ref))
-        dev = np.abs(f0_ref.values[frames] - grids[i - 1])
-        if cost_norm == "squared":
-            dev = dev * dev
-        trans = np.where(np.isnan(grids[i - 1]), np.inf, dev)
-        total = prev_cost[:, None] + trans
+    for i, t in enumerate(trans, start=1):
+        total = cost[:, None] + t
         choice = np.argmin(total, axis=0)
-        prev_cost = total[choice, np.arange(total.shape[1])]
-        if not np.any(np.isfinite(prev_cost)):
+        cost = total[choice, np.arange(total.shape[1])]
+        if not np.any(np.isfinite(cost)):
             raise DetectionError(f"no valid transition into interval {i}")
         back.append(choice)
-    path = [int(np.argmin(prev_cost))]
+    path = [int(np.argmin(cost))]
     for choice in reversed(back):
         path.append(int(choice[path[-1]]))
     path.reverse()
@@ -240,12 +206,10 @@ def detect_gci(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None
                 # back to constant-rate marks so coverage has no hole
                 marks.extend((p, False) for p in range(lo, hi, step))
                 continue
-            cset = GciCandidateSet(
-                select_candidates(residual, intervals, CANDIDATES_PER_INTERVAL,
-                                  min_sep), fs)
-            path = viterbi_select(cset, f0_ref, cfg.cost_norm)
-            marks.extend((int(iv.positions[k]), True)
-                         for iv, k in zip(cset.intervals, path))
+            cand = select_candidates(residual, intervals, CANDIDATES_PER_INTERVAL,
+                                     min_sep)
+            path = viterbi_select(cand, fs, f0_ref, cfg.cost_norm)
+            marks.extend((int(p), True) for p in cand[np.arange(len(cand)), path])
     for lo, hi in unvoiced_regions:
         marks.extend((p, False) for p in range(lo, hi, step))
 

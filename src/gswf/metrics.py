@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import FeatureStream
+from .analysis import FeatureStream, segment_spans
 from .dsp import mel_cepstrum, wrap_phase
 from .errors import ValidationError
 from .gci import GciTrack
 from .signal_io import Waveform
-from .synthesis import segment_log_mags, segment_spans
+from .synthesis import segment_log_mags
 
 DB = 10.0 / np.log(10.0)  # natural log to decibels
 

@@ -18,7 +18,7 @@ import logging
 
 import numpy as np
 
-from .analysis import FeatureStream, Segment
+from .analysis import FeatureStream, Segment, segment_spans
 from .dsp import (_buffer_start, asymmetric_hann, inverse_spectrum, lpc_envelope,
                   lsp_to_lpc_batch, wrap_phase)
 from .errors import ConfigError, RowError, ValidationError
@@ -131,14 +131,6 @@ def overlap_add(segments, positions, total_len: int, windows=None) -> np.ndarray
     # spike for unwindowed (minimum-phase) content
     out[env < EPS_OLA] = 0.0
     return out
-
-
-def segment_spans(positions: np.ndarray) -> list:
-    """(left, right) spans from neighbor gaps; edges mirror their known side."""
-    if len(positions) == 1:
-        raise ValidationError("cannot infer spans from a single position")
-    gaps = np.diff(positions).tolist()
-    return list(zip(gaps[:1] + gaps, gaps + gaps[-1:]))
 
 
 def _generation_positions(stream: FeatureStream) -> np.ndarray:

@@ -11,15 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from gswf import (F0Contour, GciTrack, PipelineConfig, align_gci, analyze,
-                  decode_phase, detect_gci, dpd, encode_phase, lpc_to_lsp,
-                  lsp_to_lpc, lsd, mcd, rmse_waveform, synthesize,
-                  synthesize_min_phase, voicing_mask, window_envelope,
-                  wrap_phase)
+from gswf import F0Contour, PipelineConfig, analyze, synthesize, synthesize_min_phase
+from gswf.analysis import encode_phase
 from gswf.cli import run
-from gswf.dsp import LpcModel
-from gswf.gci import (CandidateInterval, GciCandidateSet, candidate_f0_grid,
-                      viterbi_select)
+from gswf.dsp import LpcModel, lpc_to_lsp, lsp_to_lpc, wrap_phase
+from gswf.gci import GciTrack, detect_gci, viterbi_select
+from gswf.metrics import align_gci, dpd, lsd, mcd, rmse_waveform, voicing_mask
+from gswf.synthesis import decode_phase, window_envelope
 from signals import harmonic_tone, pulse_train, random_stable_lpc, speech_like
 
 
@@ -61,23 +59,21 @@ def test_criterion_01_phase_representation_exactness(acceptance_log):
 
 # --------------------------------------------------------------- criterion 2
 
-def _toy_cset(fs, pos_lists):
-    intervals = []
-    for pl in pos_lists:
-        pos = np.array(sorted(pl, reverse=True), dtype=np.int64)
-        amp = np.linspace(2.0, 1.0, len(pos))
-        intervals.append(CandidateInterval(int(min(pl)), int(max(pl)), pos, amp))
-    return GciCandidateSet(intervals, fs)
+def _toy_cand(pos_lists):
+    # (intervals, m) candidates in descending residual order, padded with -1;
+    # here the residual order is descending position
+    cand = np.full((len(pos_lists), max(len(pl) for pl in pos_lists)), -1, dtype=np.int64)
+    for row, pl in enumerate(pos_lists):
+        cand[row, :len(pl)] = sorted(pl, reverse=True)
+    return cand
 
 
-def _path_cost(cset, contour, path):
-    grids = candidate_f0_grid(cset)
+def _path_cost(cand, fs, contour, path):
     cost = 0.0
     for i in range(1, len(path)):
-        f0 = grids[i - 1][path[i - 1], path[i]]
-        p0 = cset.intervals[i - 1].positions[path[i - 1]]
-        p1 = cset.intervals[i].positions[path[i]]
-        mid = 0.5 * (p0 + p1) / cset.fs
+        p0, p1 = cand[i - 1, path[i - 1]], cand[i, path[i]]
+        f0 = fs / (p1 - p0)
+        mid = 0.5 * (p0 + p1) / fs
         frame = min(int(np.floor(mid / contour.frame_shift_s + 0.5)),
                     len(contour) - 1)
         cost += abs(contour.values[frame] - f0)
@@ -101,14 +97,15 @@ def test_criterion_02_viterbi_optimality(acceptance_log):
                                  replace=False)
                 pos_lists.append(sorted(int(p) for p in pts))
             contour = F0Contour(rng.uniform(80.0, 140.0, 60), 0.005)
-            cset = _toy_cset(16000, pos_lists)
-            dp_cost = _path_cost(cset, contour, viterbi_select(cset, contour))
-            ranges = [range(len(iv.positions)) for iv in cset.intervals]
-            brute = min(_path_cost(cset, contour, p)
+            cand = _toy_cand(pos_lists)
+            dp_cost = _path_cost(cand, 16000, contour,
+                                 viterbi_select(cand, 16000, contour))
+            ranges = [range(len(pl)) for pl in pos_lists]
+            brute = min(_path_cost(cand, 16000, contour, p)
                         for p in itertools.product(*ranges))
             # candidates are stored by descending residual amplitude, so the
             # greedy top-residual chain is index 0 everywhere
-            greedy = _path_cost(cset, contour, [0] * n_iv)
+            greedy = _path_cost(cand, 16000, contour, [0] * n_iv)
             assert dp_cost == brute
             assert dp_cost <= greedy
             greedy_beaten += dp_cost < greedy
@@ -285,7 +282,8 @@ def test_criterion_09_corpus_results_out_of_scope(acceptance_log):
 
 def test_criterion_10_cli_determinism(acceptance_log, tmp_path):
     with _criterion(acceptance_log, 10) as c:
-        from gswf import write_f0_ref, write_wav
+        from gswf import write_wav
+        from gswf.signal_io import write_f0_ref
         w, contour = harmonic_tone(dur=0.4)
         wav = str(tmp_path / "in.wav")
         f0 = str(tmp_path / "in.f0")

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import gswf.analysis
-from gswf import (GciTrack, PipelineConfig, ValidationError, Waveform, analyze,
-                  decode_phase, detect_gci, encode_phase, extract_segments,
-                  segments_to_features, wrap_phase)
-from gswf.analysis import GAIN_FLOOR, LSP_ORDER, Segment, cut_segments
-from gswf.dsp import asymmetric_hann, lpc_predictors
+from gswf import PipelineConfig, ValidationError, Waveform, analyze
+from gswf.analysis import (GAIN_FLOOR, LSP_ORDER, Segment, cut_segments, encode_phase,
+                           extract_segments, segments_to_features)
+from gswf.dsp import asymmetric_hann, lpc_predictors, wrap_phase
+from gswf.gci import GciTrack, detect_gci
+from gswf.synthesis import decode_phase
 from gswf.gci import UNVOICED_SHIFT_S
 from signals import harmonic_tone, speech_like
 
@@ -102,7 +103,6 @@ def test_phase_feature_compacts_linear_phase():
 # ----------------------------------------------------------------- features
 
 def _segment_from_signal(x, center, left, right, fs=16000, voiced=True):
-    from gswf import asymmetric_hann
     win = asymmetric_hann(left, right)
     return Segment(center, left, right,
                    x[center - left:center + right + 1] * win, voiced)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import gswf.cli
-from gswf import read_features, read_gci_track, read_wav, write_f0_ref, write_wav
+from gswf import read_features, read_wav, write_wav
 from gswf.cli import run
+from gswf.gci import read_gci_track
+from gswf.signal_io import write_f0_ref
 from signals import harmonic_tone, low_pitch_onsets, speech_like
 
 FS = 16000
@@ -17,7 +19,8 @@ def inputs(tmp_path_factory):
     """A 0.5 s tone with its reference contour, written once for the module."""
     root = tmp_path_factory.mktemp("cli_inputs")
     w, contour = harmonic_tone(dur=0.5)
-    from gswf import write_f0_ref, write_wav
+    from gswf import write_wav
+    from gswf.signal_io import write_f0_ref
     wav = str(root / "tone.wav")
     f0 = str(root / "tone.f0")
     write_wav(wav, w)
@@ -217,7 +220,8 @@ def test_roundtrip_report_survives_jittered_edge_gaps(tmp_path):
     # seed 3 lands edge gaps that differ from their mirrored guesses; the
     # leftover wing used to overshoot full scale and drag down the whole file
     w, contour = harmonic_tone(FS, 120.0, 0.5, 10, seed=3)
-    from gswf import write_f0_ref, write_wav
+    from gswf import write_wav
+    from gswf.signal_io import write_f0_ref
     wav = str(tmp_path / "jit.wav")
     f0 = str(tmp_path / "jit.f0")
     write_wav(wav, w)

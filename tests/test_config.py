@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from gswf import ConfigError, PipelineConfig, load_config
+from gswf import ConfigError, PipelineConfig
+from gswf.config import load_config
 from gswf.cli import run
 from signals import harmonic_tone
 
@@ -22,7 +23,8 @@ DELETED = {"lsp_order": "40", "mel_bands": "40", "mel_order": "24",
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("config_inputs")
     w, contour = harmonic_tone(dur=0.3)
-    from gswf import write_f0_ref, write_wav
+    from gswf import write_wav
+    from gswf.signal_io import write_f0_ref
     wav, f0 = str(root / "tone.wav"), str(root / "tone.f0")
     write_wav(wav, w)
     write_f0_ref(f0, contour)

@@ -3,13 +3,14 @@ import pytest
 from scipy.fft import dct
 from scipy.linalg import solve_toeplitz
 
-from gswf import (LpcModel, LspVector, PipelineConfig, ValidationError, Waveform,
-                  asymmetric_hann, inverse_spectrum, lpc_envelope, lpc_residual,
-                  lpc_to_lsp, lsp_to_lpc, mel_cepstrum, mel_filterbank, wrap_phase)
+from gswf import PipelineConfig, ValidationError, Waveform
 from gswf.analysis import LSP_ORDER, extract_segments
-from gswf.dsp import (_poly_from_circle_roots, analyze_spectrum_batch, autocorr,
-                      lpc_from_autocorr_batch, lpc_predictors, lpc_to_lsp_batch,
-                      lsp_to_lpc_batch)
+from gswf.dsp import (LpcModel, LspVector, _poly_from_circle_roots,
+                      analyze_spectrum_batch, asymmetric_hann, autocorr,
+                      inverse_spectrum, lpc_envelope, lpc_from_autocorr_batch,
+                      lpc_predictors, lpc_residual, lpc_to_lsp, lpc_to_lsp_batch,
+                      lsp_to_lpc, lsp_to_lpc_batch, mel_cepstrum, mel_filterbank,
+                      wrap_phase)
 from gswf.errors import RowError
 from gswf.gci import detect_gci
 from signals import harmonic_tone, random_stable_lpc, speech_like

@@ -3,12 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from gswf import (CandidateInterval, DetectionError, F0Contour, FormatError,
-                  GciCandidateSet, GciTrack, PipelineConfig, ValidationError,
-                  Waveform, align_gci, candidate_f0_grid, detect_gci,
-                  find_intervals, mean_based_signal, read_gci_track,
-                  select_candidates, viterbi_select, write_gci_track)
-from gswf.gci import merge_marks
+from gswf import DetectionError, F0Contour, FormatError, ValidationError, Waveform
+from gswf.gci import (GciTrack, detect_gci, find_intervals, mean_based_signal,
+                      merge_marks, read_gci_track, select_candidates, viterbi_select,
+                      write_gci_track)
+from gswf.metrics import align_gci
 from signals import pulse_train, speech_like
 
 
@@ -93,8 +92,9 @@ def test_find_intervals_respects_region_bounds():
 def test_select_candidates_top_m_frozen():
     residual = np.array([0.0, 0.0, 5.0, 0.0, 3.0, 0.0, 4.0, 0.0])
     out = select_candidates(residual, [(0, 7)], 2)
-    assert sorted(out[0].positions.tolist()) == [2, 6]
-    assert out[0].amplitudes[0] == 5.0
+    assert out.shape == (1, 2) and out.dtype == np.int64
+    assert sorted(out[0].tolist()) == [2, 6]
+    assert residual[out[0, 0]] == 5.0
 
 
 def test_select_candidates_min_separation():
@@ -104,72 +104,96 @@ def test_select_candidates_min_separation():
     residual[14] = 4.9
     residual[25] = 3.0
     out = select_candidates(residual, [(0, 39)], 2, min_sep_samples=8)
-    assert out[0].positions.tolist() == [10, 25]
+    assert out[0].tolist() == [10, 25]
 
 
 def test_select_candidates_small_interval_yields_fewer():
     residual = np.array([1.0, 2.0, 3.0])
     out = select_candidates(residual, [(0, 2)], 5, min_sep_samples=2)
-    assert len(out[0].positions) == 2  # 2 and 0 only
+    assert np.count_nonzero(out[0] >= 0) == 2  # 2 and 0 only
+    assert out[0].tolist() == [2, 0, -1, -1, -1]
 
 
-def test_candidate_interval_validation():
+def _select_candidates_loop(residual, intervals, m, min_sep_samples):
+    # reference: per interval, walk the samples in stable descending order
+    # and keep each one that is far enough from every kept one
+    out = np.full((len(intervals), m), -1, dtype=np.int64)
+    for row, (a, b) in enumerate(intervals):
+        chosen = []
+        for idx in np.argsort(-residual[a:b + 1], kind="stable"):
+            pos = a + int(idx)
+            if all(abs(pos - c) >= min_sep_samples for c in chosen):
+                chosen.append(pos)
+                if len(chosen) == m:
+                    break
+        out[row, :len(chosen)] = chosen
+    return out
+
+
+def test_select_candidates_matches_greedy_loop():
+    rng = np.random.default_rng(9)
+    for trial in range(300):
+        n = int(rng.integers(1, 200))
+        # few distinct levels, so ties are common
+        residual = rng.integers(-3, 4, n).astype(np.float64)
+        cuts = np.sort(rng.choice(n, size=2 * int(rng.integers(1, max(2, n // 4))),
+                                  replace=True))
+        intervals = [(int(a), int(b)) for a, b in zip(cuts[0::2], cuts[1::2])]
+        intervals.append((n - 1, n - 1))  # width 1
+        m = int(rng.integers(1, 7))
+        min_sep = trial % 13  # 0 through 12
+        got = select_candidates(residual, intervals, m, min_sep)
+        assert np.array_equal(got, _select_candidates_loop(residual, intervals, m, min_sep))
+
+
+def test_select_candidates_validates_arguments():
+    residual = np.arange(10, dtype=np.float64)
     with pytest.raises(ValidationError):
-        CandidateInterval(0, 10, np.array([12]), np.array([1.0]))
-    with pytest.raises(ValidationError):
-        CandidateInterval(0, 10, np.array([2, 3]), np.array([1.0, 2.0]))
-    with pytest.raises(ValidationError):
-        GciCandidateSet([
-            CandidateInterval(0, 10, np.array([5]), np.array([1.0])),
-            CandidateInterval(10, 20, np.array([15]), np.array([1.0])),
-        ], 16000)
+        select_candidates(residual, [(0, 5)], 0)
+    for bad in ((-1, 5), (3, 10), (6, 5)):
+        with pytest.raises(ValidationError):
+            select_candidates(residual, [(0, 2), bad], 3)
 
 
 # ------------------------------------------------------------------- viterbi
 
-def _toy_cset(fs, positions_per_interval, amplitudes=None):
-    intervals = []
-    for k, positions in enumerate(positions_per_interval):
-        pos = np.array(sorted(positions, reverse=True), dtype=np.int64)
-        amp = (np.array(amplitudes[k], dtype=np.float64) if amplitudes
-               else np.linspace(2.0, 1.0, len(pos)))
-        lo, hi = int(min(positions)), int(max(positions))
-        intervals.append(CandidateInterval(lo, hi, pos, amp))
-    return GciCandidateSet(intervals, fs)
+def _toy_cand(positions_per_interval):
+    # one row per interval in descending residual order: here simply the
+    # positions in descending order, padded with -1
+    width = max(len(p) for p in positions_per_interval)
+    cand = np.full((len(positions_per_interval), width), -1, dtype=np.int64)
+    for row, positions in enumerate(positions_per_interval):
+        cand[row, :len(positions)] = sorted(positions, reverse=True)
+    return cand
 
 
-def _brute_force_cost(cset, contour, cost_norm="abs"):
-    grids = candidate_f0_grid(cset)
-    best = (np.inf, None)
-    ranges = [range(len(iv.positions)) for iv in cset.intervals]
-    for path in itertools.product(*ranges):
-        cost = 0.0
-        ok = True
-        for i in range(1, len(path)):
-            f0 = grids[i - 1][path[i - 1], path[i]]
-            if not np.isfinite(f0):
-                ok = False
-                break
-            p0 = cset.intervals[i - 1].positions[path[i - 1]]
-            p1 = cset.intervals[i].positions[path[i]]
-            mid = 0.5 * (p0 + p1) / cset.fs
-            frame = min(int(np.floor(mid / contour.frame_shift_s + 0.5)),
-                        len(contour) - 1)
-            dev = abs(contour.values[frame] - f0)
-            cost += dev * dev if cost_norm == "squared" else dev
-        if ok and cost < best[0]:
-            best = (cost, path)
-    return best
+def _path_cost(cand, fs, contour, path, cost_norm="abs"):
+    cost = 0.0
+    for i in range(1, len(path)):
+        p0, p1 = cand[i - 1, path[i - 1]], cand[i, path[i]]
+        if p1 - p0 <= 0:
+            return np.inf
+        f0 = fs / (p1 - p0)
+        mid = 0.5 * (p0 + p1) / fs
+        frame = min(int(np.floor(mid / contour.frame_shift_s + 0.5)), len(contour) - 1)
+        dev = abs(contour.values[frame] - f0)
+        cost += dev * dev if cost_norm == "squared" else dev
+    return cost
+
+
+def _brute_force_cost(cand, fs, contour, cost_norm="abs"):
+    ranges = [range(int(np.count_nonzero(row >= 0))) for row in cand]
+    return min(_path_cost(cand, fs, contour, path, cost_norm)
+               for path in itertools.product(*ranges))
 
 
 def test_viterbi_prefers_reference_consistent_gaps():
     fs = 16000
     contour = F0Contour(np.full(20, 100.0), 0.005)
     # interval 2 offers a decoy that would imply 200 Hz
-    cset = _toy_cset(fs, [[100], [180, 260], [420]])
-    path = viterbi_select(cset, contour)
-    chosen = [iv.positions[k] for iv, k in zip(cset.intervals, path)]
-    assert chosen == [100, 260, 420]
+    cand = _toy_cand([[100], [180, 260], [420]])
+    path = viterbi_select(cand, fs, contour)
+    assert cand[np.arange(3), path].tolist() == [100, 260, 420]
 
 
 def test_viterbi_matches_brute_force_on_random_instances():
@@ -186,74 +210,60 @@ def test_viterbi_matches_brute_force_on_random_instances():
             pts = rng.choice(np.arange(cursor, cursor + width), size=k, replace=False)
             pos_lists.append(sorted(int(p) for p in pts))
         contour = F0Contour(rng.uniform(80.0, 140.0, 50), 0.005)
-        cset = _toy_cset(fs, pos_lists)
-        path = viterbi_select(cset, contour)
-        got_cost = _path_cost(cset, contour, path)
-        best_cost, _ = _brute_force_cost(cset, contour)
+        cand = _toy_cand(pos_lists)
+        path = viterbi_select(cand, fs, contour)
+        assert all(cand[i, k] >= 0 for i, k in enumerate(path))
+        got_cost = _path_cost(cand, fs, contour, path)
+        best_cost = _brute_force_cost(cand, fs, contour)
         assert got_cost == pytest.approx(best_cost, abs=1e-9)
-
-
-def _path_cost(cset, contour, path, cost_norm="abs"):
-    grids = candidate_f0_grid(cset)
-    cost = 0.0
-    for i in range(1, len(path)):
-        f0 = grids[i - 1][path[i - 1], path[i]]
-        p0 = cset.intervals[i - 1].positions[path[i - 1]]
-        p1 = cset.intervals[i].positions[path[i]]
-        mid = 0.5 * (p0 + p1) / cset.fs
-        frame = min(int(np.floor(mid / contour.frame_shift_s + 0.5)), len(contour) - 1)
-        dev = abs(contour.values[frame] - f0)
-        cost += dev * dev if cost_norm == "squared" else dev
-    return cost
 
 
 def test_viterbi_tie_breaks_toward_larger_amplitude():
     fs = 16000
-    contour = F0Contour(np.full(10, 100.0), 0.005)
-    # both second-interval candidates imply the same |F0 - ref|
-    cset = _toy_cset(fs, [[160], [304, 336]], amplitudes=[[1.0], [2.0, 1.0]])
-    # gaps 144 and 176 straddle 160 samples (100 Hz): |111.1-100| = 11.1,
-    # |90.9-100| = 9.1, not a tie; build a genuine tie instead
-    cset = _toy_cset(fs, [[160], [300, 340]], amplitudes=[[1.0], [2.0, 1.0]])
+    # gaps 140 and 180 around a reference at the mean of their F0s
+    cand = _toy_cand([[160], [300, 340]])
     g = fs / (np.array([300, 340]) - 160.0)
     ref = float(np.mean(g))
     contour = F0Contour(np.full(10, ref), 0.005)
-    path = viterbi_select(cset, contour)
-    assert cset.intervals[1].positions[path[1]] == 300  # larger amplitude wins
+    path = viterbi_select(cand, fs, contour)
+    assert cand[1, path[1]] == 300
+    # an exact tie: gaps 100 and 400 imply 160 and 40 Hz, both 60 Hz from
+    # the reference, so the first (larger-residual) candidate wins
+    contour = F0Contour(np.full(10, 100.0), 0.005)
+    cand = np.array([[160, -1], [560, 260]])
+    assert viterbi_select(cand, fs, contour)[1] == 0
 
 
 def test_viterbi_squared_norm_changes_tradeoffs():
     fs = 16000
     contour = F0Contour(np.full(40, 100.0), 0.005)
-    cset = _toy_cset(fs, [[100], [240, 280], [420, 430]])
+    cand = _toy_cand([[100], [240, 280], [420, 430]])
     for norm in ("abs", "squared"):
-        path = viterbi_select(cset, contour, cost_norm=norm)
-        cost = _path_cost(cset, contour, path, norm)
-        best, _ = _brute_force_cost(cset, contour, norm)
+        path = viterbi_select(cand, fs, contour, cost_norm=norm)
+        cost = _path_cost(cand, fs, contour, path, norm)
+        best = _brute_force_cost(cand, fs, contour, norm)
         assert cost == pytest.approx(best, abs=1e-9)
 
 
-def test_viterbi_no_valid_transition_raises(monkeypatch):
-    # ordered intervals cannot produce non-positive gaps, so the dead-end
-    # guard is only reachable with a doctored grid
-    import gswf.gci as gci_mod
-    fs = 16000
+def test_viterbi_no_valid_transition_raises():
+    # every gap into the second interval is non-positive
     contour = F0Contour(np.full(10, 100.0), 0.005)
-    cset = _toy_cset(fs, [[100], [260]])
-    monkeypatch.setattr(gci_mod, "candidate_f0_grid",
-                        lambda cs: [np.full((1, 1), np.nan)])
     with pytest.raises(DetectionError):
-        viterbi_select(cset, contour)
+        viterbi_select(np.array([[260], [100]]), 16000, contour)
+    with pytest.raises(DetectionError):
+        viterbi_select(np.array([[100, 120], [100, -1]]), 16000, contour)
 
 
-def test_candidate_grid_positive_gaps_are_finite():
-    cset = _toy_cset(16000, [[100, 110], [240, 260]])
-    grid = candidate_f0_grid(cset)[0]
-    assert grid.shape == (2, 2)
-    assert np.isfinite(grid).all()
-    # positions are stored in descending amplitude order: [110, 100], [260, 240]
-    assert grid[0, 0] == pytest.approx(16000 / (260 - 110), abs=1e-9)
-    assert grid[1, 1] == pytest.approx(16000 / (240 - 100), abs=1e-9)
+def test_viterbi_never_picks_padding():
+    fs = 16000
+    contour = F0Contour(np.full(20, 100.0), 0.005)
+    # the only real candidates imply F0s far from the reference; padded
+    # slots would be free if they were not excluded
+    cand = np.array([[100, -1, -1], [110, -1, -1], [500, 130, -1]])
+    path = viterbi_select(cand, fs, contour)
+    assert all(cand[i, k] >= 0 for i, k in enumerate(path))
+    assert viterbi_select(cand[:1], fs, contour) == [0]
+    assert viterbi_select(np.empty((0, 5), dtype=np.int64), fs, contour) == []
 
 
 # ------------------------------------------------------------- full detector

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from gswf import (FeatureStream, GciTrack, PipelineConfig, SegmentFeatures,
-                  ValidationError, Waveform, align_gci, analyze, dpd, evaluate,
-                  lsd, mcd, rmse_waveform, synthesize, voicing_mask, wrap_phase)
-from gswf.metrics import DB, REPORT_KEYS
+from gswf import (FeatureStream, PipelineConfig, SegmentFeatures, ValidationError,
+                  Waveform, analyze, evaluate, synthesize)
+from gswf.dsp import wrap_phase
+from gswf.gci import GciTrack
+from gswf.metrics import (DB, REPORT_KEYS, align_gci, dpd, lsd, mcd, rmse_waveform,
+                          voicing_mask)
 from signals import harmonic_tone, speech_like
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gswf import (F0Contour, FormatError, ValidationError, Waveform,
-                  read_f0_ref, read_wav, write_f0_ref, write_wav)
+from gswf import (F0Contour, FormatError, ValidationError, Waveform, read_f0_ref,
+                  read_wav, write_wav)
+from gswf.signal_io import write_f0_ref
 
 
 def test_wav_roundtrip_is_code_exact(tmp_path):

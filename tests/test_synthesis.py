@@ -6,12 +6,13 @@ import pytest
 
 import gswf.synthesis
 from gswf import (ConfigError, FeatureStream, PipelineConfig, SegmentFeatures,
-                  ValidationError, analyze, decode_phase, encode_phase,
-                  overlap_add, read_features, synthesize, synthesize_min_phase,
-                  window_envelope, wrap_phase, write_features)
-from gswf.analysis import Segment
+                  ValidationError, analyze, read_features, synthesize,
+                  synthesize_min_phase, write_features)
+from gswf.analysis import Segment, encode_phase, segment_spans
 from gswf.cli import run
-from gswf.synthesis import _generation_positions, build_segments, segment_spans
+from gswf.dsp import wrap_phase
+from gswf.synthesis import (_generation_positions, build_segments, decode_phase,
+                            overlap_add, window_envelope)
 from signals import harmonic_tone, speech_like
 
 
@@ -260,7 +261,9 @@ def test_overlap_add_rejects_mismatched_lists():
 def test_overlap_add_reconstructs_windowed_grains():
     rng = np.random.default_rng(44)
     x = rng.normal(0.0, 0.3, 1500)
-    from gswf import GciTrack, extract_segments, Waveform
+    from gswf import Waveform
+    from gswf.analysis import extract_segments
+    from gswf.gci import GciTrack
     instants = np.arange(100, 1500, 137)
     track = GciTrack(instants, np.ones(len(instants), dtype=bool), 16000)
     segs = extract_segments(Waveform(x, 16000), track)
