@@ -5,6 +5,10 @@ that overlap-add of untouched segments reproduces the waveform.  A segment
 is described by voicing, log F0, log gain, line spectral frequencies and a
 phase-difference vector; full mode additionally stores the log-magnitude
 spectrum.
+
+This module owns the segment layout that analysis, synthesis and the
+roundtrip scoring share (cut_segments): a segment is a row of fft_size
+samples with its instant at index fft_size//2.
 """
 
 from __future__ import annotations
@@ -15,35 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import (analyze_spectrum_batch, asymmetric_hann, autocorr,
-                  lpc_predictors, lpc_to_lsp_batch, wrap_phase)
+from .dsp import EPS_MAG, autocorr, lpc_predictors, lpc_to_lsp_batch, wrap_phase
 from .errors import RowError, ValidationError
 from .gci import UNVOICED_SHIFT_S, GciTrack, detect_gci
 from .signal_io import F0Contour, Waveform
 
 GAIN_FLOOR = 1e-10  # RMS floor so silent segments keep a finite log gain
 LSP_ORDER = 40      # LSP values per segment; the feature file stores exactly this many
-
-
-@dataclass
-class Segment:
-    center: int
-    left_len: int
-    right_len: int
-    samples: np.ndarray
-    voiced: bool
-
-    def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.left_len < 1 or self.right_len < 1:
-            raise ValidationError(
-                f"segment half lengths must be >= 1, got ({self.left_len}, {self.right_len})"
-            )
-        if len(self.samples) != self.left_len + self.right_len + 1:
-            raise ValidationError(
-                f"segment at {self.center}: expected "
-                f"{self.left_len + self.right_len + 1} samples, got {len(self.samples)}"
-            )
 
 
 @dataclass
@@ -107,34 +89,77 @@ def segment_spans(positions: np.ndarray) -> list:
     return list(zip(gaps[:1] + gaps, gaps + gaps[-1:]))
 
 
-def cut_segments(w: Waveform, centers, spans, voiced) -> list:
-    """One segment per center: the samples from center - left to
-    center + right of its (left, right) span, zero outside the waveform,
-    times asymmetric_hann(left, right)."""
+def fit_wings(spans, fft_size: int) -> np.ndarray:
+    """The (left, right) wings of each span that a row of fft_size samples
+    holds with its instant at index fft_size//2: left <= fft_size/2 and
+    right <= fft_size/2 - 1.  Returns an (n, 2) int64 array."""
+    half = fft_size // 2
+    return np.minimum(np.reshape(np.array(spans, dtype=np.int64), (-1, 2)),
+                      [half, half - 1])
+
+
+def window_rows(spans, fft_size: int) -> np.ndarray:
+    """asymmetric_hann(left, right) of each (left, right) span as a row of
+    an (n, fft_size) stack, its peak at index fft_size//2, over the span's
+    wings (fit_wings) and zero elsewhere."""
+    spans = np.reshape(np.array(spans, dtype=np.int64), (-1, 2))
+    if np.any(spans < 1):
+        raise ValidationError(f"window half lengths must be >= 1, got {spans.min()}")
+    half = fft_size // 2
+    rows = np.zeros((len(spans), fft_size))
+    # 0.5 - 0.5 cos(pi k / n) for k = 0..n: asymmetric_hann's rise over n
+    # samples, and read backwards from k = n - 1 its fall, term for term
+    ramps = {n: 0.5 - 0.5 * np.cos(np.pi * np.arange(n + 1) / n)
+             for n in np.unique(spans).tolist()}
+    for row, (left, right), (wl, wr) in zip(rows, spans.tolist(),
+                                            fit_wings(spans, fft_size).tolist()):
+        row[half - wl:half + 1] = ramps[left][left - wl:]
+        row[half + 1:half + wr + 1] = ramps[right][right - wr:right][::-1]
+    return rows
+
+
+def cut_segments(w: Waveform, centers, spans, fft_size: int,
+                 oversize: str | None = None) -> np.ndarray:
+    """The segment layout: one row of an (n, fft_size) stack per center,
+    holding the samples of w around it times window_rows of its (left,
+    right) span, the center at index fft_size//2 and zero outside the wings
+    and outside w.  A span longer than the wings is an error when oversize
+    is "error", truncated with a warning when it is "truncate", and
+    truncated quietly when it is None, the layout of a stream whose
+    analysis already applied the policy."""
     x = w.samples
-    windows = {}
-    segments = []
-    for center, (left, right), flag in zip(centers, spans, voiced):
-        center, left, right = int(center), int(left), int(right)
-        if (left, right) not in windows:
-            windows[left, right] = asymmetric_hann(left, right)
-        lo, hi = center - left, center + right + 1
-        samples = np.zeros(hi - lo)
-        a, b = max(lo, 0), min(hi, len(x))
-        samples[a - lo:b - lo] = x[a:b]
-        segments.append(Segment(center, left, right, samples * windows[left, right],
-                                bool(flag)))
-    return segments
+    centers = np.asarray(centers, dtype=np.int64)
+    if np.any((centers < 0) | (centers >= len(x))):
+        raise ValidationError("instants outside waveform bounds")
+    spans = np.reshape(np.array(spans, dtype=np.int64), (-1, 2))
+    wings = fit_wings(spans, fft_size)
+    if oversize:
+        for i in np.flatnonzero(np.any(wings != spans, axis=1)):
+            (left, right), (wl, wr) = spans[i], wings[i]
+            if oversize != "truncate":
+                raise ValidationError(
+                    f"segment at {centers[i]} spans ({left}, {right}) samples around "
+                    f"the instant, more than fft_size {fft_size} can hold; "
+                    f"lower the pitch range or raise fft_size")
+            warnings.warn(f"truncating segment at {centers[i]} from ({left}, {right}) "
+                          f"to ({wl}, {wr})", stacklevel=3)
+    rows = window_rows(spans, fft_size)
+    half = fft_size // 2
+    padded = np.concatenate([np.zeros(half), x, np.zeros(half)])
+    for row, c, (wl, wr) in zip(rows, centers, wings):
+        row[half - wl:half + wr + 1] *= padded[c + half - wl:c + half + wr + 1]
+    return rows
 
 
-def extract_segments(w: Waveform, track: GciTrack) -> list:
-    """One windowed two-period segment per interior instant."""
+def extract_segments(w: Waveform, track: GciTrack, cfg: PipelineConfig) -> np.ndarray:
+    """The cut_segments rows of the interior instants."""
     inst = track.instants
     if len(inst) < 3:
         raise ValidationError(f"need at least 3 instants to form segments, got {len(inst)}")
     if inst[0] < 0 or inst[-1] >= len(w.samples):
         raise ValidationError("instants outside waveform bounds")
-    return cut_segments(w, inst[1:-1], segment_spans(inst)[1:-1], track.voiced[1:-1])
+    return cut_segments(w, inst[1:-1], segment_spans(inst)[1:-1], cfg.fft_size,
+                        cfg.oversize_segment)
 
 
 def encode_phase(phase: np.ndarray) -> np.ndarray:
@@ -147,70 +172,61 @@ def encode_phase(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_segments(segments: list, cfg: PipelineConfig) -> tuple:
-    """The samples of each segment that an fft_size buffer holds with the
-    instant at index fft_size//2, and the instant's index in them: (samples,
-    pivots).  An oversize segment is an error, or truncated with a warning
-    when cfg.oversize_segment is "truncate"."""
-    half = cfg.fft_size // 2
-    cut, pivots = [], []
-    for seg in segments:
-        samples = seg.samples
-        left, right = seg.left_len, seg.right_len
-        # the instant sits at buffer index fft_size//2, so each wing is
-        # bounded separately rather than just the total length
-        lcut = max(left - half, 0)
-        rcut = max(right - (half - 1), 0)
-        if lcut or rcut:
-            if cfg.oversize_segment != "truncate":
-                raise ValidationError(
-                    f"segment at {seg.center} spans ({left}, {right}) samples around "
-                    f"the instant, more than fft_size {cfg.fft_size} can hold; "
-                    f"lower the pitch range or raise fft_size"
-                )
-            warnings.warn(
-                f"truncating segment at {seg.center} from ({left}, {right}) to "
-                f"({left - lcut}, {right - rcut})",
-                stacklevel=3)
-            samples = samples[lcut:len(samples) - rcut]
-            left = left - lcut
-        cut.append(samples)
-        pivots.append(left)
-    return cut, pivots
+def row_spectra(rows: np.ndarray) -> tuple:
+    """Natural-log magnitude and phase feature (encode_phase) of the rfft of
+    each row: (log_mag, phase_feature), each (rows, fft_size//2 + 1).  The
+    rfft and the encoding take 64 rows at a time, so their temporaries stay
+    one block however long the stack; rows never mix, so the block changes
+    no bit."""
+    log_mag = np.empty((len(rows), rows.shape[1] // 2 + 1))
+    feature = np.empty_like(log_mag)
+    for lo in range(0, len(rows), 64):
+        spec = np.fft.rfft(rows[lo:lo + 64])
+        np.abs(spec, out=log_mag[lo:lo + 64])
+        feature[lo:lo + 64] = encode_phase(wrap_phase(np.angle(spec)))
+    log_mag += EPS_MAG
+    np.log(log_mag, out=log_mag)
+    return log_mag, feature
 
 
-def segments_to_features(segments: list, fs: int, cfg: PipelineConfig) -> list:
-    """Features of every segment, computed in one array pass: per-segment
-    autocorrelations and gains, then one Levinson recursion, one LSP
-    conversion and one rfft over the whole stack."""
-    cut, pivots = fit_segments(segments, cfg)
-    if not segments:
+def segments_to_features(rows: np.ndarray, centers, spans, voiced, fs: int,
+                         mode: str) -> list:
+    """Features of the cut_segments rows of (center, span) pairs, computed
+    in one array pass: autocorrelations and gains of each row's wings, then
+    one Levinson recursion, one LSP conversion and the rfft of the stack."""
+    if not len(rows):
         return []
-    log_mag, phase = analyze_spectrum_batch(cut, cfg.fft_size, pivots)
-    r = np.array([autocorr(samples, LSP_ORDER) for samples in cut])
+    half = rows.shape[1] // 2
+    views = [row[half - wl:half + wr + 1]
+             for row, (wl, wr) in zip(rows, fit_wings(spans, rows.shape[1]))]
+    r = np.array([autocorr(samples, LSP_ORDER) for samples in views])
     try:
         lsp = lpc_to_lsp_batch(lpc_predictors(r, LSP_ORDER))
     except RowError as e:
         raise ValidationError(
-            f"{e.reason} (segment at sample {segments[e.rows[0]].center}; "
+            f"{e.reason} (segment at sample {centers[e.rows[0]]}; "
             f"{len(e.rows)} of {e.n_rows} segments fail)") from e
-    phase = encode_phase(phase)
+    log_mag, phase = row_spectra(rows)
     unvoiced_log_f0 = float(np.log(1.0 / UNVOICED_SHIFT_S))
     return [SegmentFeatures(
-        position=seg.center,
-        voiced=seg.voiced,
-        log_f0=float(np.log(fs / seg.right_len)) if seg.voiced else unvoiced_log_f0,
+        position=int(center),
+        voiced=bool(flag),
+        log_f0=float(np.log(fs / int(right))) if flag else unvoiced_log_f0,
         gain=float(np.log(max(float(np.sqrt(np.mean(samples ** 2))), GAIN_FLOOR))),
         lsp=lsp[i],
         phase_feature=phase[i],
-        log_mag=log_mag[i] if cfg.mode == "full" else None,
-    ) for i, (seg, samples) in enumerate(zip(segments, cut))]
+        log_mag=log_mag[i] if mode == "full" else None,
+    ) for i, (center, (_, right), flag, samples)
+        in enumerate(zip(centers, spans, voiced, views))]
 
 
 def analyze(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None) -> FeatureStream:
     """Waveform to feature stream: GCI detection, segmentation, features."""
     cfg = cfg or PipelineConfig()
     track = detect_gci(w, f0_ref, cfg)
-    segments = extract_segments(w, track)
+    rows = extract_segments(w, track, cfg)
+    inst = track.instants
     return FeatureStream(fs=w.fs, fft_size=cfg.fft_size, mode=cfg.mode,
-                         segments=segments_to_features(segments, w.fs, cfg))
+                         segments=segments_to_features(
+                             rows, inst[1:-1], segment_spans(inst)[1:-1],
+                             track.voiced[1:-1], w.fs, cfg.mode))

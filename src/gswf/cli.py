@@ -18,10 +18,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import (FeatureStream, analyze, cut_segments, encode_phase, fit_segments,
-                       segment_spans, segments_to_features)
-from .config import COST_NORMS, MODES, PipelineConfig, load_config
-from .dsp import analyze_spectrum_batch
+from .analysis import (FeatureStream, analyze, cut_segments, row_spectra, segment_spans,
+                       segments_to_features)
+from .config import MODES, PipelineConfig, load_config
+from .dsp import mel_support
 from .errors import ConfigError, GswfError, ValidationError
 from .featfile import read_features, write_features
 from .gci import detect_gci, write_gci_track
@@ -31,7 +31,7 @@ from .synthesis import synthesize, synthesize_min_phase
 
 DURATION_TOLERANCE = 0.10
 
-_OVERRIDE_FIELDS = ("fft_size", "mode", "f0_min", "f0_max", "frame_shift_s", "cost_norm")
+_OVERRIDE_FIELDS = ("fft_size", "mode", "f0_min", "f0_max", "frame_shift_s")
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -42,7 +42,6 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f0-max", type=float, dest="f0_max")
     parser.add_argument("--frame-shift", type=float, dest="frame_shift_s",
                         help="reference F0 frame shift in seconds")
-    parser.add_argument("--cost-norm", choices=COST_NORMS, dest="cost_norm")
     parser.add_argument("--min-phase-from-envelope", action="store_true",
                         dest="min_phase_from_envelope")
 
@@ -121,35 +120,37 @@ def _fit_length(w: Waveform, total_len: int) -> Waveform:
     return Waveform(padded, w.fs)
 
 
-def _measure_at_instants(out: Waveform, stream: FeatureStream,
-                         cfg: PipelineConfig) -> FeatureStream:
+def _measure_at_instants(out: Waveform, stream: FeatureStream) -> FeatureStream:
     """The stream with each field that evaluate scores in its mode measured
     again on the resynthesis out, cut at the stream's own instants with the
-    spans and windows synthesis used.  Voicing and log F0 stay the stream's:
-    synthesis placed the pulses there."""
+    layout synthesis used.  Voicing and log F0 stay the stream's: synthesis
+    placed the pulses there."""
     pos = stream.positions
-    segments = cut_segments(out, pos, segment_spans(pos),
-                            [seg.voiced for seg in stream.segments])
+    spans = segment_spans(pos)
+    rows = cut_segments(out, pos, spans, stream.fft_size)
     if stream.mode == "full":
         # spectra and phases are all evaluate reads of a full-mode stream
-        cut, pivots = fit_segments(segments, cfg)
-        log_mag, phase = analyze_spectrum_batch(cut, cfg.fft_size, pivots)
+        log_mag, phase = row_spectra(rows)
         measured = [replace(seg, log_mag=m, phase_feature=p)
-                    for seg, m, p in zip(stream.segments, log_mag, encode_phase(phase))]
+                    for seg, m, p in zip(stream.segments, log_mag, phase)]
     else:
         # parametric magnitudes come from the LSP envelope and the gain
+        voiced = [seg.voiced for seg in stream.segments]
         measured = [replace(seg, gain=f.gain, lsp=f.lsp, phase_feature=f.phase_feature)
-                    for seg, f in zip(stream.segments,
-                                      segments_to_features(segments, out.fs, cfg))]
+                    for seg, f in zip(stream.segments, segments_to_features(
+                        rows, pos, spans, voiced, out.fs, stream.mode))]
     return FeatureStream(fs=stream.fs, fft_size=stream.fft_size, mode=stream.mode,
                          segments=measured)
 
 
 def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
                    cfg: PipelineConfig) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(wav_path))[0]
     w, f0 = _read_inputs(wav_path, f0_path, cfg)
+    if not mel_support(cfg.fft_size // 2 + 1, w.fs):
+        raise ConfigError(f"fft_size {cfg.fft_size} at fs {w.fs} Hz leaves a mel band of "
+                          f"the metrics without a spectral bin; raise fft_size")
+    os.makedirs(out_dir, exist_ok=True)
     stream = analyze(w, f0, cfg)
     write_features(os.path.join(out_dir, stem + ".gswf"), stream)
     # the span the stream reconstructs; evaluate leaves out the segments
@@ -161,7 +162,7 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
     for label, synth in (("full", synthesize), ("minphase", min_phase)):
         out = _fit_length(synth(stream), len(w.samples))
         write_wav(os.path.join(out_dir, f"{stem}.{label}.wav"), out)
-        report = evaluate(out, w, _measure_at_instants(out, stream, cfg), stream, span=span)
+        report = evaluate(out, w, _measure_at_instants(out, stream), stream, span=span)
         reports.append((label, report))
     with open(os.path.join(out_dir, stem + ".report.txt"), "w", encoding="utf-8") as fh:
         for label, report in reports:

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 MODES = ("parametric", "full")
-COST_NORMS = ("abs", "squared")
 OVERSIZE_POLICIES = ("error", "truncate")
 
 
@@ -22,8 +21,6 @@ class PipelineConfig:
     f0_min: float = 50.0
     f0_max: float = 500.0
     frame_shift_s: float = 0.005
-    # GCI detection
-    cost_norm: str = "abs"
     # synthesis
     min_phase_from_envelope: bool = False
 
@@ -42,8 +39,6 @@ class PipelineConfig:
             raise ConfigError(f"need 0 < f0_min < f0_max, got ({self.f0_min}, {self.f0_max})")
         if self.frame_shift_s <= 0:
             raise ConfigError("frame_shift_s must be positive")
-        if self.cost_norm not in COST_NORMS:
-            raise ConfigError(f"cost_norm must be one of {COST_NORMS}, got {self.cost_norm!r}")
 
     def replace(self, **kwargs) -> "PipelineConfig":
         return dataclasses.replace(self, **kwargs)

@@ -20,6 +20,7 @@ EPS_MAG = 1e-10    # magnitude floor before taking logs
 ENV_GUARD = 1e-12  # |A(e^jw)| guard in the LPC envelope
 TWO_PI = 2.0 * np.pi
 SILENT_R0 = 1e-20  # autocorrelation energy below which a frame is silence
+MEL_BANDS = 40     # mel bands of the cepstra the metrics compare
 
 # ---------------------------------------------------------------------------
 # phases and windows
@@ -54,52 +55,6 @@ def asymmetric_hann(left: int, right: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # spectra
 # ---------------------------------------------------------------------------
-
-
-def _buffer_start(n: int, fft_size: int, pivot: int) -> int:
-    """Start index that puts segment sample `pivot` at buffer index
-    fft_size//2.  A one-sample shift is tolerated so a full-size segment
-    still fits; anything larger means the segment cannot be represented."""
-    start = fft_size // 2 - pivot
-    clamped = min(max(start, 0), fft_size - n)
-    if abs(clamped - start) > 1:
-        raise ValidationError(
-            f"segment of {n} samples with pivot {pivot} does not fit an "
-            f"fft of {fft_size}"
-        )
-    return clamped
-
-
-def analyze_spectrum_batch(segments: list, fft_size: int, pivots) -> tuple:
-    """FFT of each segment in a zero-padded buffer, with its sample pivots[i]
-    placed at buffer index fft_size//2, through one rfft over the stacked
-    buffers.  Returns (log_mag, phase), each (len(segments), fft_size//2 + 1)."""
-    spec = np.fft.rfft(_stacked_buffers(segments, fft_size, pivots))
-    # the stacks of spectra are the largest arrays of an analysis: the log
-    # magnitude is computed in place and the spectra freed once used
-    log_mag = np.abs(spec)
-    log_mag += EPS_MAG
-    np.log(log_mag, out=log_mag)
-    phase = np.angle(spec)
-    del spec
-    return log_mag, wrap_phase(phase)
-
-
-def _stacked_buffers(segments: list, fft_size: int, pivots) -> np.ndarray:
-    buf = np.zeros((len(segments), fft_size))
-    for row, seg, pivot in zip(buf, segments, pivots):
-        seg = np.asarray(seg, dtype=np.float64)
-        if seg.ndim != 1 or len(seg) == 0:
-            raise ValidationError("segment must be a non-empty 1-d array")
-        if len(seg) > fft_size:
-            raise ValidationError(
-                f"segment length {len(seg)} exceeds fft_size {fft_size}"
-            )
-        if not 0 <= pivot < len(seg):
-            raise ValidationError(f"pivot {pivot} outside segment of {len(seg)} samples")
-        start = _buffer_start(len(seg), fft_size, pivot)
-        row[start:start + len(seg)] = seg
-    return buf
 
 
 def inverse_spectrum(log_mag: np.ndarray, phase: np.ndarray, fft_size: int) -> np.ndarray:
@@ -540,13 +495,24 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
+def _mel_edges(fs: float, n_mels: int) -> np.ndarray:
+    return _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(fs / 2.0)), n_mels + 2))
+
+
+def mel_support(n_bins: int, fs: float, n_mels: int = MEL_BANDS) -> bool:
+    """Whether every band of mel_filterbank(n_bins, fs, n_mels) holds a bin.
+    The first band is the narrowest, since mel spacing widens with
+    frequency, so it decides: it must hold the first bin above DC."""
+    return fs / 2.0 / (n_bins - 1) < _mel_edges(fs, n_mels)[2]
+
+
 def mel_filterbank(n_bins: int, fs: float, n_mels: int) -> np.ndarray:
     """Triangular filters on a mel-spaced grid over [0, fs/2], each row
     normalized to unit sum so a flat spectrum yields equal band energies."""
     if n_bins < 2:
         raise ValidationError("need at least 2 spectral bins")
     f = np.linspace(0.0, fs / 2.0, n_bins)
-    edges = _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(fs / 2.0)), n_mels + 2))
+    edges = _mel_edges(fs, n_mels)
     bank = np.zeros((n_mels, n_bins))
     for b in range(n_mels):
         lo, mid, hi = edges[b], edges[b + 1], edges[b + 2]
@@ -561,7 +527,7 @@ def mel_filterbank(n_bins: int, fs: float, n_mels: int) -> np.ndarray:
     return bank
 
 
-def mel_cepstrum(log_mag: np.ndarray, fs: float, n_mels: int = 40,
+def mel_cepstrum(log_mag: np.ndarray, fs: float, n_mels: int = MEL_BANDS,
                  order: int = 24) -> np.ndarray:
     """Mel cepstrum of natural-log magnitude spectra along the last axis:
     filterbank on the linear power spectrum, log band energies, orthonormal

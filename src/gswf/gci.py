@@ -118,8 +118,7 @@ def _nearest_frame(t: np.ndarray, shift: float, n_frames: int) -> np.ndarray:
     return np.clip(idx, 0, n_frames - 1)
 
 
-def viterbi_select(positions: np.ndarray, fs: int, f0_ref: F0Contour,
-                   cost_norm: str = "abs") -> list:
+def viterbi_select(positions: np.ndarray, fs: int, f0_ref: F0Contour) -> list:
     """Minimum total |F0ref - implied F0| path through the (intervals, m)
     candidate array, one candidate index per interval.
 
@@ -138,8 +137,6 @@ def viterbi_select(positions: np.ndarray, fs: int, f0_ref: F0Contour,
     mid = 0.5 * (g0.astype(np.float64) + g1.astype(np.float64)) / fs
     frames = _nearest_frame(mid, f0_ref.frame_shift_s, len(f0_ref))
     dev = np.abs(f0_ref.values[frames] - f0)
-    if cost_norm == "squared":
-        dev = dev * dev
     trans = np.where(valid, dev, np.inf)
     cost = np.where(cand[0] >= 0, 0.0, np.inf)
     back = []
@@ -208,7 +205,7 @@ def detect_gci(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None
                 continue
             cand = select_candidates(residual, intervals, CANDIDATES_PER_INTERVAL,
                                      min_sep)
-            path = viterbi_select(cand, fs, f0_ref, cfg.cost_norm)
+            path = viterbi_select(cand, fs, f0_ref)
             marks.extend((int(p), True) for p in cand[np.arange(len(cand)), path])
     for lo, hi in unvoiced_regions:
         marks.extend((p, False) for p in range(lo, hi, step))

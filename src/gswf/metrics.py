@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import FeatureStream, segment_spans
+from .analysis import FeatureStream, fit_wings, segment_spans
 from .dsp import mel_cepstrum, wrap_phase
 from .errors import ValidationError
 from .gci import GciTrack
@@ -168,10 +168,11 @@ def _aligned_frames(pred: FeatureStream, ref: FeatureStream, span=None):
     voiced_pairs = [(i, j) for i, j in pairs if ref.segments[j].voiced]
 
     def log_mags(stream, pos, rows):
-        # one batch over the voiced rows; a lone segment spans (1, 1)
+        # one batch over the voiced rows, each as long as the wings synthesis
+        # gives it; a lone segment spans (1, 1)
         spans = segment_spans(pos) if len(pos) > 1 else [(1, 1)]
-        return segment_log_mags([stream.segments[i] for i in rows],
-                                np.array([sum(spans[i]) + 1 for i in rows]))
+        wings = fit_wings([spans[i] for i in rows], stream.fft_size)
+        return segment_log_mags([stream.segments[i] for i in rows], wings.sum(axis=1) + 1)
 
     if not voiced_pairs:
         return pairs, voiced_pairs, [], [], [], []

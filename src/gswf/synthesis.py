@@ -4,12 +4,14 @@ baseline that keeps magnitudes but discards the transmitted phase.
 Segments are rebuilt BLOCK at a time, one array pass per block: a cumsum
 decodes the phases, parametric envelopes come from one LSP conversion and
 one rfft, and one irfft (or irfft, fft and ifft for minimum phase) makes
-the buffers.  Rows never mix, so the block size, which bounds the stacks'
-memory, changes no bit; overlap-add keeps the stream's summation order.
+the rows.  A row has analysis.cut_segments's layout: its instant at index
+fft_size//2 and the wings of its span around it.  Rows never mix, so the
+block size, which bounds the stacks' memory, changes no bit; overlap-add
+keeps the stream's summation order.
 
-Windows are applied at analysis only; overlap-add divides by the summed
-window envelope, clamped from below, so slowly varying pitch tracks
-reconstruct near-exactly and constant tracks exactly.
+Overlap-add divides by the summed windows of the same wings, clamped from
+below, so slowly varying pitch tracks reconstruct near-exactly and
+constant tracks exactly.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import logging
 
 import numpy as np
 
-from .analysis import FeatureStream, Segment, segment_spans
-from .dsp import (_buffer_start, asymmetric_hann, inverse_spectrum, lpc_envelope,
-                  lsp_to_lpc_batch, wrap_phase)
+from .analysis import FeatureStream, fit_wings, segment_spans, window_rows
+from .dsp import inverse_spectrum, lpc_envelope, lsp_to_lpc_batch, wrap_phase
 from .errors import ConfigError, RowError, ValidationError
 from .signal_io import Waveform
 
@@ -54,20 +55,14 @@ def segment_log_mags(feats: list, n_samples: np.ndarray) -> np.ndarray:
     return env + (0.5 * (np.log(target) - np.log(np.maximum(energy, 1e-300))))[:, None]
 
 
-def build_segments(feats: list, spans: list, min_phase: bool = False,
-                   windows=None) -> list:
-    """Time-domain segments of one block of feature entries, with their
-    (left, right) spans, in one array pass.  min_phase keeps the magnitude
-    and replaces the transmitted phase by the minimum phase; windows maps
-    spans to windows already built."""
-    windows = windows or _windows(spans)
-    n = [left + right + 1 for left, right in spans]
+def build_segments(feats: list, spans, min_phase: bool = False) -> np.ndarray:
+    """The rows (len(feats), fft_size) of one block of feature entries with
+    their (left, right) spans, in one array pass, each with its instant at
+    index fft_size//2; overlap_add reads each row's wings (fit_wings).
+    min_phase keeps the magnitude and replaces the transmitted phase by the
+    minimum phase."""
     fft_size = 2 * (len(feats[0].phase_feature) - 1)
-    for f, size in zip(feats, n):
-        if size > fft_size:
-            raise ValidationError(f"segment at {f.position} needs {size} samples, "
-                                  f"more than fft_size {fft_size}")
-    log_mag = segment_log_mags(feats, np.array(n))
+    log_mag = segment_log_mags(feats, fit_wings(spans, fft_size).sum(axis=1) + 1)
     half = fft_size // 2
     if min_phase:
         # fold each real cepstrum onto its causal half; the minimum-phase
@@ -75,56 +70,53 @@ def build_segments(feats: list, spans: list, min_phase: bool = False,
         cep = np.fft.irfft(log_mag, n=fft_size)
         cep[:, 1:half] *= 2.0
         cep[:, half + 1:] = 0.0
-        buf = np.roll(np.fft.ifft(np.exp(np.fft.fft(cep))).real, half, axis=1)
+        rows = np.roll(np.fft.ifft(np.exp(np.fft.fft(cep))).real, half, axis=1)
     else:
-        buf = inverse_spectrum(log_mag, decode_phase([f.phase_feature for f in feats]),
-                               fft_size)
+        rows = inverse_spectrum(log_mag, decode_phase([f.phase_feature for f in feats]),
+                                fft_size)
     # envelope magnitude discards the window shaping that full-mode spectra
     # carry, and the minimum-phase response is unwindowed and rings past the
     # segment span; both are re-windowed so the OLA normalization holds
-    rewindow = min_phase or feats[0].log_mag is None
-    segments = []
-    for f, row, (left, right), size in zip(feats, buf, spans, n):
-        # the analysis put the instant at fft_size//2, so extraction around
-        # that index stays aligned even when the synthesis wings differ
-        start = _buffer_start(size, fft_size, left)
-        samples = row[start:start + size]
-        samples = samples * windows[left, right] if rewindow else samples.copy()
-        segments.append(Segment(int(f.position), left, right, samples, f.voiced))
-    return segments
+    if min_phase or feats[0].log_mag is None:
+        rows *= window_rows(spans, fft_size)
+    return rows
 
 
-def _windows(spans) -> dict:
-    return {(left, right): asymmetric_hann(left, right) for left, right in set(spans)}
+def _add_wings(acc: np.ndarray, rows: np.ndarray, positions, spans) -> None:
+    # each row's wings, added at its position in stream order
+    half = rows.shape[1] // 2
+    wings = fit_wings(spans, rows.shape[1]).tolist()
+    for row, pos, (left, right) in zip(rows, positions, wings):
+        pos = int(pos)
+        lo, hi = max(0, pos - left), min(len(acc), pos + right + 1)
+        if hi > lo:
+            acc[lo:hi] += row[half + lo - pos:half + hi - pos]
 
 
-def window_envelope(half_lens, positions, total_len: int, windows=None) -> np.ndarray:
-    """Sum of the analysis windows of (left, right) spans, built or from windows."""
-    windows = windows or _windows(half_lens)
+def window_envelope(spans, positions, total_len: int, fft_size: int) -> np.ndarray:
+    """Sum of the windows of (left, right) spans over the wings an fft_size
+    row holds (window_rows), added BLOCK spans at a time."""
     env = np.zeros(total_len)
-    for (left, right), pos in zip(half_lens, positions):
-        _add_span(env, windows[left, right], int(pos) - left)
+    for lo in range(0, len(spans), BLOCK):
+        _add_wings(env, window_rows(spans[lo:lo + BLOCK], fft_size),
+                   positions[lo:lo + BLOCK], spans[lo:lo + BLOCK])
     return env
 
 
-def _add_span(acc: np.ndarray, values: np.ndarray, start: int) -> None:
-    lo = max(0, start)
-    hi = min(len(acc), start + len(values))
-    if hi > lo:
-        acc[lo:hi] += values[lo - start:hi - start]
-
-
-def overlap_add(segments, positions, total_len: int, windows=None) -> np.ndarray:
-    """Place segments at their positions and normalize by the summed
-    analysis-window envelope.  Samples where the envelope is below EPS_OLA
-    are set to zero."""
-    if len(segments) != len(positions):
-        raise ValidationError("one position per segment required")
+def overlap_add(blocks, positions, spans, total_len: int) -> np.ndarray:
+    """Add the wings of each row of the blocks of rows (build_segments) at
+    its position, block by block, and normalize by the window envelope of
+    the same spans.  Samples where the envelope is below EPS_OLA are set to
+    zero."""
     acc = np.zeros(total_len)
-    for seg, pos in zip(segments, positions):
-        _add_span(acc, seg.samples, int(pos) - seg.left_len)
-    env = window_envelope([(s.left_len, s.right_len) for s in segments],
-                          positions, total_len, windows)
+    done = 0
+    for rows in blocks:
+        block = slice(done, done + len(rows))
+        _add_wings(acc, rows, positions[block], spans[block])
+        done += len(rows)
+    if not done or done != len(positions) or len(spans) != len(positions):
+        raise ValidationError("one position and one span per row required")
+    env = window_envelope(spans, positions, total_len, rows.shape[1])
     out = acc / np.maximum(env, EPS_OLA)
     # the few outermost samples have no meaningful window support; there the
     # clamped quotient is content/eps rather than a reconstruction, which can
@@ -152,14 +144,11 @@ def _synthesize(stream: FeatureStream, positions: str, min_phase: bool) -> Wavef
         raise ConfigError(f"positions must be 'stream' or 'f0', got {positions!r}")
     if len(pos) < 2:
         raise ValidationError("need at least 2 segments to synthesize")
-    spans = segment_spans(pos)
-    windows = _windows(spans)
-    segments = []
-    for lo in range(0, len(pos), BLOCK):
-        segments += build_segments(stream.segments[lo:lo + BLOCK], spans[lo:lo + BLOCK],
-                                   min_phase, windows)
+    spans = np.array(segment_spans(pos))
+    blocks = (build_segments(stream.segments[lo:lo + BLOCK], spans[lo:lo + BLOCK], min_phase)
+              for lo in range(0, len(pos), BLOCK))
     total_len = int(pos[-1] + spans[-1][1] + 1)
-    out = overlap_add(segments, pos, total_len, windows)
+    out = overlap_add(blocks, pos, spans, total_len)
     peak = float(np.max(np.abs(out))) if len(out) else 0.0
     if peak > 1.0:
         # saturate like the PCM writer would; rescaling the whole utterance

@@ -195,7 +195,7 @@ def test_criterion_06_cola_identity(acceptance_log):
             positions = np.arange(2, 30) * period
             spans = [(period, period)] * len(positions)
             total = int(positions[-1] + period + 1)
-            env = window_envelope(spans, positions, total)
+            env = window_envelope(spans, positions, total, 512)
             interior = env[positions[1]:positions[-2]]
             worst = max(worst, float(np.max(np.abs(interior - 1.0))))
         assert worst <= 1e-12

@@ -3,9 +3,9 @@ import pytest
 
 import gswf.analysis
 from gswf import PipelineConfig, ValidationError, Waveform, analyze
-from gswf.analysis import (GAIN_FLOOR, LSP_ORDER, Segment, cut_segments, encode_phase,
-                           extract_segments, segments_to_features)
-from gswf.dsp import asymmetric_hann, lpc_predictors, wrap_phase
+from gswf.analysis import (GAIN_FLOOR, LSP_ORDER, cut_segments, encode_phase,
+                           extract_segments, fit_wings, segments_to_features)
+from gswf.dsp import asymmetric_hann, autocorr, lpc_predictors, wrap_phase
 from gswf.gci import GciTrack, detect_gci
 from gswf.synthesis import decode_phase
 from gswf.gci import UNVOICED_SHIFT_S
@@ -24,38 +24,82 @@ def _track(instants, fs=16000, voiced=None):
 def test_extract_segments_frozen_asymmetric_case():
     rng = np.random.default_rng(21)
     x = rng.normal(0.0, 0.2, 600)
-    segs = extract_segments(Waveform(x, 16000), _track([100, 200, 350]))
-    assert len(segs) == 1
-    seg = segs[0]
-    assert seg.center == 200 and seg.left_len == 100 and seg.right_len == 150
-    assert len(seg.samples) == 251
+    rows = extract_segments(Waveform(x, 16000), _track([100, 200, 350]), PipelineConfig())
+    assert rows.shape == (1, 512)
+    row = rows[0]
+    # the (100, 150) span around 200 sits in the row with the instant at 256
+    assert row[156:407].tolist() == (x[100:351] * asymmetric_hann(100, 150)).tolist()
     # window peak passes the instant sample through untouched
-    assert seg.samples[100] == pytest.approx(x[200])
-    assert seg.samples[0] == 0.0 and seg.samples[-1] == 0.0
+    assert row[256] == x[200]
+    assert row[156] == 0.0 and row[406] == 0.0
+    assert not np.any(row[:156]) and not np.any(row[407:])
 
 
 def test_extract_segments_requires_three_instants():
     x = np.zeros(500)
     with pytest.raises(ValidationError):
-        extract_segments(Waveform(x, 16000), _track([100, 200]))
+        extract_segments(Waveform(x, 16000), _track([100, 200]), PipelineConfig())
 
 
 def test_extract_segments_bounds_check():
     x = np.zeros(300)
     with pytest.raises(ValidationError):
-        extract_segments(Waveform(x, 16000), _track([100, 200, 350]))
+        extract_segments(Waveform(x, 16000), _track([100, 200, 350]), PipelineConfig())
 
 
 def test_cut_segments_pads_zeros_outside_the_waveform():
     rng = np.random.default_rng(23)
     x = rng.normal(0.0, 0.2, 300)
     head, inner, tail = cut_segments(Waveform(x, 16000), [40, 150, 280],
-                                     [(100, 60), (50, 70), (30, 90)], [True, False, True])
+                                     [(100, 60), (50, 70), (30, 90)], 512)
     padded = np.concatenate([np.zeros(60), x, np.zeros(71)])
-    assert head.samples.tolist() == (padded[0:161] * asymmetric_hann(100, 60)).tolist()
-    assert inner.samples.tolist() == (x[100:221] * asymmetric_hann(50, 70)).tolist()
-    assert tail.samples.tolist() == (padded[310:431] * asymmetric_hann(30, 90)).tolist()
-    assert [s.voiced for s in (head, inner, tail)] == [True, False, True]
+    assert head[156:317].tolist() == (padded[0:161] * asymmetric_hann(100, 60)).tolist()
+    assert inner[206:327].tolist() == (x[100:221] * asymmetric_hann(50, 70)).tolist()
+    assert tail[226:347].tolist() == (padded[310:431] * asymmetric_hann(30, 90)).tolist()
+    for row, (lo, hi) in zip((head, inner, tail), ((156, 317), (206, 327), (226, 347))):
+        assert not np.any(row[:lo]) and not np.any(row[hi:])
+
+
+def _old_layout(x, centers, spans, fft_size):
+    """The chain the layout replaced, kept as the reference: cut and window
+    a segment, cut its wings to the buffer (fit_segments), then place it
+    with the instant at fft_size//2 (_buffer_start's placement)."""
+    half = fft_size // 2
+    rows, cut = np.zeros((len(centers), fft_size)), []
+    for row, center, (left, right) in zip(rows, centers, spans):
+        lo, hi = center - left, center + right + 1
+        samples = np.zeros(hi - lo)
+        a, b = max(lo, 0), min(hi, len(x))
+        samples[a - lo:b - lo] = x[a:b]
+        samples = samples * asymmetric_hann(left, right)
+        lcut, rcut = max(left - half, 0), max(right - (half - 1), 0)
+        samples = samples[lcut:len(samples) - rcut]
+        start = half - (left - lcut)
+        clamped = min(max(start, 0), fft_size - len(samples))
+        assert abs(clamped - start) <= 1
+        row[clamped:clamped + len(samples)] = samples
+        cut.append(samples)
+    return rows, cut
+
+
+def test_cut_segments_matches_the_old_layout_chain():
+    rng = np.random.default_rng(26)
+    x = rng.normal(0.0, 0.3, 1200)
+    for fft_size in (128, 256, 512):
+        # centers near both file edges and wings up to twice what a row holds
+        centers = np.concatenate([rng.integers(0, 60, 20), rng.integers(0, 1200, 60),
+                                  rng.integers(1140, 1200, 20)])
+        spans = [(int(a), int(b)) for a, b in rng.integers(1, fft_size + 1, (100, 2))]
+        want, cut = _old_layout(x, centers, spans, fft_size)
+        got = cut_segments(Waveform(x, 16000), centers, spans, fft_size)
+        assert got.tobytes() == want.tobytes()
+        assert np.any(fit_wings(spans, fft_size) != spans)
+        # the wings of a row are the samples the old chain kept, bit for bit
+        half = fft_size // 2
+        for row, (wl, wr), samples in zip(got, fit_wings(spans, fft_size), cut):
+            view = row[half - wl:half + wr + 1]
+            assert autocorr(view, LSP_ORDER).tobytes() == \
+                autocorr(samples, LSP_ORDER).tobytes()
 
 
 def test_segments_overlap_add_to_windowed_identity():
@@ -64,10 +108,10 @@ def test_segments_overlap_add_to_windowed_identity():
     rng = np.random.default_rng(22)
     x = rng.normal(0.0, 0.3, 2000)
     instants = np.arange(100, 2000, 160)
-    segs = extract_segments(Waveform(x, 16000), _track(instants))
+    rows = extract_segments(Waveform(x, 16000), _track(instants), PipelineConfig())
     acc = np.zeros(2000)
-    for seg in segs:
-        acc[seg.center - seg.left_len:seg.center + seg.right_len + 1] += seg.samples
+    for row, center in zip(rows, instants[1:-1]):
+        acc[center - 160:center + 161] += row[256 - 160:256 + 161]
     lo, hi = int(instants[1]), int(instants[-2])
     assert np.max(np.abs(acc[lo:hi] - x[lo:hi])) <= 1e-12
 
@@ -102,45 +146,40 @@ def test_phase_feature_compacts_linear_phase():
 
 # ----------------------------------------------------------------- features
 
-def _segment_from_signal(x, center, left, right, fs=16000, voiced=True):
-    win = asymmetric_hann(left, right)
-    return Segment(center, left, right,
-                   x[center - left:center + right + 1] * win, voiced)
+def _features(x, center, left, right, cfg, voiced=True):
+    rows = cut_segments(Waveform(x, 16000), [center], [(left, right)], cfg.fft_size,
+                        cfg.oversize_segment)
+    return rows, segments_to_features(rows, [center], [(left, right)], [voiced], 16000,
+                                      cfg.mode)[0]
 
 
 def test_segment_features_shapes_and_values():
     w, _ = harmonic_tone(dur=0.2)
     cfg = PipelineConfig(mode="full")
-    seg = _segment_from_signal(w.samples, 800, 133, 133)
-    f = segments_to_features([seg], 16000, cfg)[0]
+    rows, f = _features(w.samples, 800, 133, 133, cfg)
     assert f.position == 800 and f.voiced
     assert len(f.lsp) == LSP_ORDER
     assert len(f.phase_feature) == cfg.fft_size // 2 + 1
     assert f.log_mag is not None and len(f.log_mag) == 257
     assert f.log_f0 == pytest.approx(np.log(16000 / 133))
-    rms = np.sqrt(np.mean(seg.samples ** 2))
+    rms = np.sqrt(np.mean(rows[0, 256 - 133:256 + 134] ** 2))
     assert f.gain == pytest.approx(np.log(rms))
 
 
 def test_segment_features_parametric_mode_drops_log_mag():
     w, _ = harmonic_tone(dur=0.2)
     cfg = PipelineConfig(mode="parametric")
-    seg = _segment_from_signal(w.samples, 800, 133, 133)
-    assert segments_to_features([seg], 16000, cfg)[0].log_mag is None
+    assert _features(w.samples, 800, 133, 133, cfg)[1].log_mag is None
 
 
 def test_segment_features_unvoiced_log_f0_is_mark_rate():
-    cfg = PipelineConfig()
-    seg = Segment(500, 80, 80, np.zeros(161), False)
-    f = segments_to_features([seg], 16000, cfg)[0]
+    _, f = _features(np.zeros(1000), 500, 80, 80, PipelineConfig(), voiced=False)
     assert f.log_f0 == pytest.approx(np.log(1.0 / UNVOICED_SHIFT_S))
     assert f.gain == pytest.approx(np.log(GAIN_FLOOR))
 
 
 def test_silent_segment_gets_uniform_lsp_grid():
-    cfg = PipelineConfig()
-    seg = Segment(500, 80, 80, np.zeros(161), False)
-    f = segments_to_features([seg], 16000, cfg)[0]
+    _, f = _features(np.zeros(1000), 500, 80, 80, PipelineConfig(), voiced=False)
     expect = np.arange(1, LSP_ORDER + 1) * np.pi / (LSP_ORDER + 1)
     assert np.allclose(f.lsp, expect, atol=1e-9)
 
@@ -148,22 +187,28 @@ def test_silent_segment_gets_uniform_lsp_grid():
 def test_oversize_segment_error_and_truncate_modes():
     rng = np.random.default_rng(24)
     x = rng.normal(0.0, 0.1, 2000)
-    seg = _segment_from_signal(x, 1000, 300, 300)
-    with pytest.raises(ValidationError):
-        segments_to_features([seg], 16000, PipelineConfig(fft_size=512))[0]
+    with pytest.raises(ValidationError, match=r"segment at 1000 spans \(300, 300\)"):
+        _features(x, 1000, 300, 300, PipelineConfig(fft_size=512))
     cfg = PipelineConfig(fft_size=512, oversize_segment="truncate")
-    with pytest.warns(UserWarning):
-        f = segments_to_features([seg], 16000, cfg)[0]
+    with pytest.warns(UserWarning, match=r"truncating segment at 1000 from "
+                                         r"\(300, 300\) to \(256, 255\)"):
+        rows, f = _features(x, 1000, 300, 300, cfg)
     assert len(f.phase_feature) == 257
+    # log F0 keeps the period; the gain is the RMS of the samples kept
+    assert f.log_f0 == pytest.approx(np.log(16000 / 300))
+    assert f.gain == pytest.approx(np.log(np.sqrt(np.mean(rows[0] ** 2))))
 
 
 def test_wing_longer_than_half_fft_is_oversize():
     rng = np.random.default_rng(25)
     x = rng.normal(0.0, 0.1, 2000)
     # total fits in 512 but the left wing exceeds fft_size/2
-    seg = _segment_from_signal(x, 1000, 300, 100)
     with pytest.raises(ValidationError):
-        segments_to_features([seg], 16000, PipelineConfig(fft_size=512))[0]
+        _features(x, 1000, 300, 100, PipelineConfig(fft_size=512))
+    # the instant sits at index 256, so a right wing of 256 is one too many
+    with pytest.raises(ValidationError):
+        _features(x, 1000, 100, 256, PipelineConfig(fft_size=512))
+    _features(x, 1000, 256, 255, PipelineConfig(fft_size=512))
 
 
 # ------------------------------------------------------------------ analyze
@@ -204,7 +249,7 @@ def test_analyze_finds_all_roots_in_two_eigvals_calls(monkeypatch):
 def test_analyze_error_names_the_failing_segment(monkeypatch):
     w, contour = speech_like()
     cfg = PipelineConfig()
-    segments = extract_segments(w, detect_gci(w, contour, cfg))
+    centers = detect_gci(w, contour, cfg).instants[1:-1]
     bad = 37
 
     def spoiled(r, order):
@@ -217,8 +262,8 @@ def test_analyze_error_names_the_failing_segment(monkeypatch):
     with pytest.raises(ValidationError) as err:
         analyze(w, contour, cfg)
     msg = str(err.value)
-    assert f"segment at sample {segments[bad].center};" in msg
-    assert f"1 of {len(segments)} segments fail" in msg
+    assert f"segment at sample {centers[bad]};" in msg
+    assert f"1 of {len(centers)} segments fail" in msg
     assert "off the unit circle" in msg and err.value.exit_code == 3
 
 

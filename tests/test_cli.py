@@ -373,6 +373,39 @@ def test_roundtrip_of_low_pitch_onsets_exits_0(seed, tmp_path):
     assert rows["full.rmse"] < 1e-9
 
 
+def test_truncated_stream_synthesizes_and_roundtrips(tmp_path):
+    # at fft_size 256 the longest periods of speech_like() overflow a row;
+    # synthesis uses the wings analysis truncated them to
+    wav, f0 = _write_inputs(tmp_path, "s", *speech_like())
+    cfg_path = str(tmp_path / "truncate.cfg")
+    with open(cfg_path, "w", encoding="utf-8") as fh:
+        fh.write("oversize_segment = truncate\n")
+    feats = str(tmp_path / "s.gswf")
+    flags = ["--fft-size", "256", "--config", cfg_path]
+    with pytest.warns(UserWarning, match="truncat"):
+        assert run(["analyze", wav, f0, feats, *flags]) == 0
+    assert run(["synthesize", feats, str(tmp_path / "s.out.wav")]) == 0
+    assert run(["synthesize", feats, str(tmp_path / "s.mp.wav"), "--min-phase"]) == 0
+    out_dir = str(tmp_path / "rt")
+    with pytest.warns(UserWarning, match="truncat"):
+        assert run(["roundtrip", wav, f0, out_dir, *flags]) == 0
+    assert _report_rows(os.path.join(out_dir, "s.report.txt"))["full.rmse"] < 1e-9
+
+
+def test_roundtrip_fft_size_below_the_mel_bands_exits_4_before_work(tmp_path, capsys):
+    # a 300 Hz tone analyzes and synthesizes at fft_size 128, but 65 bins at
+    # 16 kHz leave the first of the metrics' 40 mel bands without a bin
+    wav, f0 = _write_inputs(tmp_path, "hi", *harmonic_tone(f0=300.0, dur=0.3))
+    assert run(["analyze", wav, f0, str(tmp_path / "hi.gswf"), "--fft-size", "128"]) == 0
+    out_dir = str(tmp_path / "rt")
+    assert run(["roundtrip", wav, f0, out_dir, "--fft-size", "128"]) == 4
+    err = capsys.readouterr().err
+    assert "fft_size 128 at fs 16000 Hz" in err
+    assert not os.path.exists(out_dir)
+    assert run(["roundtrip", wav, f0, out_dir, "--fft-size", "256"]) == 0
+    assert os.path.exists(os.path.join(out_dir, "hi.gswf"))
+
+
 def test_unstorable_lsp_order_exits_4_before_work(inputs, tmp_path, capsys):
     wav, f0 = inputs
     cfg_path = str(tmp_path / "order.cfg")
@@ -455,7 +488,7 @@ def test_config_file_env_and_flag_precedence(inputs, tmp_path, monkeypatch):
     wav, f0 = inputs
     cfg_path = str(tmp_path / "gswf.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write("# comment\nfft_size = 1024\ncost_norm = abs\n")
+        fh.write("# comment\nfft_size = 1024\nf0_min = 60\n")
     by_flag = str(tmp_path / "flag.gswf")
     assert run(["analyze", wav, f0, by_flag, "--config", cfg_path]) == 0
     assert read_features(by_flag).fft_size == 1024

@@ -9,14 +9,16 @@ from gswf.cli import run
 from signals import harmonic_tone
 
 KEPT = {"fft_size", "mode", "oversize_segment", "f0_min", "f0_max",
-        "frame_shift_s", "cost_norm", "min_phase_from_envelope"}
+        "frame_shift_s", "min_phase_from_envelope"}
 
-# fixed by the representation or duplicated by a library default; a config
-# file that still sets one is refused as an unknown key
+# fixed by the representation, duplicated by a library default, or removed
+# with the option it set (cost_norm's squared Viterbi norm); a config file
+# that still sets one is refused as an unknown key
 DELETED = {"lsp_order": "40", "mel_bands": "40", "mel_order": "24",
            "unvoiced_shift_s": "0.005", "candidates_per_interval": "5",
            "candidate_min_sep_s": "0.0005", "residual_frame_s": "0.025",
-           "residual_shift_s": "0.005", "eps_ola": "0.001", "dpd_wrap": "true"}
+           "residual_shift_s": "0.005", "eps_ola": "0.001", "dpd_wrap": "true",
+           "cost_norm": "abs"}
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +56,6 @@ def test_smallest_fft_size_is_128():
     ({"f0_min": 0.0}, "f0_min"),
     ({"f0_min": 300.0, "f0_max": 200.0}, "f0_min"),
     ({"frame_shift_s": 0.0}, "frame_shift_s"),
-    ({"cost_norm": "max"}, "cost_norm"),
 ])
 def test_validate_rejects(kwargs, match):
     with pytest.raises(ConfigError, match=match):

@@ -4,15 +4,15 @@ from scipy.fft import dct
 from scipy.linalg import solve_toeplitz
 
 from gswf import PipelineConfig, ValidationError, Waveform
-from gswf.analysis import LSP_ORDER, extract_segments
-from gswf.dsp import (LpcModel, LspVector, _poly_from_circle_roots,
-                      analyze_spectrum_batch, asymmetric_hann, autocorr,
-                      inverse_spectrum, lpc_envelope, lpc_from_autocorr_batch,
-                      lpc_predictors, lpc_residual, lpc_to_lsp, lpc_to_lsp_batch,
-                      lsp_to_lpc, lsp_to_lpc_batch, mel_cepstrum, mel_filterbank,
-                      wrap_phase)
+from gswf.analysis import LSP_ORDER, cut_segments, extract_segments, row_spectra
+from gswf.dsp import (LpcModel, LspVector, _poly_from_circle_roots, asymmetric_hann,
+                      autocorr, inverse_spectrum, lpc_envelope,
+                      lpc_from_autocorr_batch, lpc_predictors, lpc_residual, lpc_to_lsp,
+                      lpc_to_lsp_batch, lsp_to_lpc, lsp_to_lpc_batch, mel_cepstrum,
+                      mel_filterbank, mel_support, wrap_phase)
 from gswf.errors import RowError
 from gswf.gci import detect_gci
+from gswf.synthesis import decode_phase
 from signals import harmonic_tone, random_stable_lpc, speech_like
 
 
@@ -68,36 +68,46 @@ def test_asymmetric_hann_partitions_unity_at_constant_period():
 
 # ---------------------------------------------------------------- spectrum
 
+def _layout_spectra(x, center, span, fft_size, oversize=None):
+    # the row cut_segments lays out, its log magnitude and its decoded phase
+    rows = cut_segments(Waveform(np.asarray(x, dtype=np.float64), 16000), [center], [span],
+                        fft_size, oversize)
+    (log_mag,), (feature,) = row_spectra(rows)
+    return rows[0], log_mag, decode_phase(feature)
+
+
 def test_spectrum_centered_impulse_is_pure_delay():
-    seg = np.zeros(7)
-    seg[3] = 1.0
-    (log_mag,), (phase,) = analyze_spectrum_batch([seg], 8, [3])
-    # sample 3 of 7 lands at buffer index 4
+    x = np.zeros(20)
+    x[9] = 1.0
+    row, log_mag, phase = _layout_spectra(x, 9, (3, 3), 8)
+    # the instant lands at buffer index fft_size//2
+    assert row.tolist() == [0, 0, 0, 0, 1, 0, 0, 0]
     expect = wrap_phase(-2 * np.pi * np.arange(5) * 4 / 8)
     assert np.allclose(phase, expect, atol=1e-12)
     assert np.allclose(np.exp(log_mag), 1.0, atol=1e-9)
 
 
 def test_spectrum_cosine_peaks_at_its_bin():
-    seg = np.cos(2 * np.pi * np.arange(8) / 8)
-    (log_mag,), _ = analyze_spectrum_batch([seg], 8, [3])
-    assert int(np.argmax(log_mag)) == 1
+    x = np.cos(2 * np.pi * np.arange(400) / 16)
+    _, log_mag, _ = _layout_spectra(x, 200, (32, 31), 64)
+    assert int(np.argmax(log_mag)) == 4
 
 
 def test_spectrum_matches_direct_dft():
     rng = np.random.default_rng(8)
+    fft_size = 64
+    k = np.arange(fft_size // 2 + 1)
     for _ in range(20):
-        n = int(rng.integers(3, 63))
-        fft_size = 64
-        seg = rng.normal(size=n)
-        pivot = int(rng.integers(0, n))
-        if pivot > fft_size // 2 or (n - 1 - pivot) > fft_size // 2 - 1:
-            continue
-        (log_mag,), (phase,) = analyze_spectrum_batch([seg], fft_size, [pivot])
+        x = rng.normal(size=200)
+        center = int(rng.integers(0, 200))
+        left, right = (int(v) for v in rng.integers(1, 40, 2))
+        # wings up to 39 samples, so some are truncated to the row's 32 and 31
+        _, log_mag, phase = _layout_spectra(x, center, (left, right), fft_size)
         buf = np.zeros(fft_size)
-        start = fft_size // 2 - pivot
-        buf[start:start + n] = seg
-        k = np.arange(fft_size // 2 + 1)
+        win = asymmetric_hann(left, right)
+        for j in range(-min(left, 32), min(right, 31) + 1):
+            if 0 <= center + j < len(x):
+                buf[32 + j] = x[center + j] * win[left + j]
         dft = np.array([np.sum(buf * np.exp(-2j * np.pi * kk * np.arange(fft_size) / fft_size))
                         for kk in k])
         assert np.allclose(np.exp(log_mag) - 1e-10, np.abs(dft), atol=1e-8)
@@ -109,31 +119,39 @@ def test_spectrum_matches_direct_dft():
 def test_spectrum_inverse_roundtrip():
     rng = np.random.default_rng(9)
     for _ in range(20):
-        n = int(rng.integers(3, 120))
-        seg = rng.normal(size=n)
-        (log_mag,), (phase,) = analyze_spectrum_batch([seg], 128, [(n - 1) // 2])
-        buf = inverse_spectrum(log_mag, phase, 128)
-        start = 64 - (n - 1) // 2
-        assert np.allclose(buf[start:start + n], seg, atol=1e-9)
+        x = rng.normal(size=300)
+        center = int(rng.integers(0, 300))
+        span = tuple(int(v) for v in rng.integers(1, 70, 2))
+        row, log_mag, phase = _layout_spectra(x, center, span, 128)
+        assert np.allclose(inverse_spectrum(log_mag, phase, 128), row, atol=1e-9)
 
 
 def test_spectrum_pivot_keeps_instant_at_buffer_center():
-    seg = np.zeros(10)
-    seg[2] = 1.0  # pivot sample carries the spike
-    (log_mag,), (phase,) = analyze_spectrum_batch([seg], 16, [2])
-    buf = inverse_spectrum(log_mag, phase, 16)
-    assert buf[8] == pytest.approx(1.0, abs=1e-9)
-    assert np.sum(np.abs(buf) > 1e-6) == 1
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        x = np.zeros(100)
+        center = int(rng.integers(0, 100))
+        x[center] = 1.0  # the instant carries the spike
+        span = tuple(int(v) for v in rng.integers(1, 20, 2))
+        _, log_mag, phase = _layout_spectra(x, center, span, 16)
+        buf = inverse_spectrum(log_mag, phase, 16)
+        assert buf[8] == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(np.abs(buf) > 1e-6) == 1
 
 
 def test_spectrum_rejects_oversize_and_bad_pivot():
-    with pytest.raises(ValidationError):
-        analyze_spectrum_batch([np.ones(20)], 16, [9])
-    with pytest.raises(ValidationError):
-        analyze_spectrum_batch([np.ones(10)], 16, [10])
-    with pytest.raises(ValidationError):
-        # wing longer than fft/2 cannot keep the pivot centered
-        analyze_spectrum_batch([np.ones(12)], 16, [11])
+    x = np.ones(40)
+    with pytest.raises(ValidationError, match="more than fft_size 16"):
+        _layout_spectra(x, 20, (9, 5), 16, "error")
+    with pytest.raises(ValidationError, match="more than fft_size 16"):
+        # a right wing of fft/2 cannot keep the instant centered
+        _layout_spectra(x, 20, (5, 8), 16, "error")
+    _layout_spectra(x, 20, (8, 7), 16, "error")
+    for center in (-1, 40):
+        with pytest.raises(ValidationError, match="outside waveform"):
+            _layout_spectra(x, center, (5, 5), 16)
+    with pytest.raises(ValidationError, match="half lengths"):
+        _layout_spectra(x, 20, (0, 5), 16)
 
 
 def test_inverse_spectrum_projects_dc_and_nyquist():
@@ -332,8 +350,8 @@ def _speech_autocorrs():
     # the segments of speech_like() and a unit impulse, whose recursion gives
     # the flat predictor
     w, f0 = speech_like()
-    segments = extract_segments(w, detect_gci(w, f0, PipelineConfig()))
-    rows = [autocorr(seg.samples, LSP_ORDER) for seg in segments]
+    segments = extract_segments(w, detect_gci(w, f0, PipelineConfig()), PipelineConfig())
+    rows = [autocorr(row, LSP_ORDER) for row in segments]
     return np.array(rows + [np.eye(1, LSP_ORDER + 1)[0]])
 
 
@@ -421,11 +439,13 @@ def test_lsp_to_lpc_splits_glued_pairs_and_names_bad_rows():
 
 def test_spectrum_rows_match_single_segment_calls():
     rng = np.random.default_rng(32)
-    segs = [rng.normal(0.0, 0.1, int(n)) for n in rng.integers(100, 400, 20)]
-    pivots = [len(s) // 2 for s in segs]
-    log_mag, phase = analyze_spectrum_batch(segs, 512, pivots)
-    for i, (seg, pivot) in enumerate(zip(segs, pivots)):
-        (one_mag,), (one_phase,) = analyze_spectrum_batch([seg], 512, [pivot])
+    x = rng.normal(0.0, 0.1, 4000)
+    # 150 rows: three rfft blocks
+    rows = cut_segments(Waveform(x, 16000), rng.integers(0, 4000, 150),
+                        rng.integers(50, 250, (150, 2)), 512)
+    log_mag, phase = row_spectra(rows)
+    for i, row in enumerate(rows):
+        (one_mag,), (one_phase,) = row_spectra(row[None, :])
         assert _same_bits(one_mag, log_mag[i]) and _same_bits(one_phase, phase[i])
 
 
@@ -492,6 +512,20 @@ def test_mel_filterbank_shape_and_normalization():
 def test_mel_filterbank_rejects_empty_bands():
     with pytest.raises(ValidationError):
         mel_filterbank(17, 16000, 40)
+
+
+def test_mel_support_predicts_the_filterbank():
+    for fs in (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 96000):
+        for fft_size in (32, 64, 128, 256, 512, 1024):
+            for n_mels in (10, 40):
+                try:
+                    mel_filterbank(fft_size // 2 + 1, fs, n_mels)
+                    built = True
+                except ValidationError:
+                    built = False
+                assert mel_support(fft_size // 2 + 1, fs, n_mels) == built
+    assert not mel_support(65, 16000) and mel_support(129, 16000)
+    assert not mel_support(129, 44100) and mel_support(257, 48000)
 
 
 def test_mel_cepstrum_flat_spectrum_is_dc_only():

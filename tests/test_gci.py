@@ -167,7 +167,7 @@ def _toy_cand(positions_per_interval):
     return cand
 
 
-def _path_cost(cand, fs, contour, path, cost_norm="abs"):
+def _path_cost(cand, fs, contour, path):
     cost = 0.0
     for i in range(1, len(path)):
         p0, p1 = cand[i - 1, path[i - 1]], cand[i, path[i]]
@@ -177,13 +177,13 @@ def _path_cost(cand, fs, contour, path, cost_norm="abs"):
         mid = 0.5 * (p0 + p1) / fs
         frame = min(int(np.floor(mid / contour.frame_shift_s + 0.5)), len(contour) - 1)
         dev = abs(contour.values[frame] - f0)
-        cost += dev * dev if cost_norm == "squared" else dev
+        cost += dev
     return cost
 
 
-def _brute_force_cost(cand, fs, contour, cost_norm="abs"):
+def _brute_force_cost(cand, fs, contour):
     ranges = [range(int(np.count_nonzero(row >= 0))) for row in cand]
-    return min(_path_cost(cand, fs, contour, path, cost_norm)
+    return min(_path_cost(cand, fs, contour, path)
                for path in itertools.product(*ranges))
 
 
@@ -232,17 +232,6 @@ def test_viterbi_tie_breaks_toward_larger_amplitude():
     contour = F0Contour(np.full(10, 100.0), 0.005)
     cand = np.array([[160, -1], [560, 260]])
     assert viterbi_select(cand, fs, contour)[1] == 0
-
-
-def test_viterbi_squared_norm_changes_tradeoffs():
-    fs = 16000
-    contour = F0Contour(np.full(40, 100.0), 0.005)
-    cand = _toy_cand([[100], [240, 280], [420, 430]])
-    for norm in ("abs", "squared"):
-        path = viterbi_select(cand, fs, contour, cost_norm=norm)
-        cost = _path_cost(cand, fs, contour, path, norm)
-        best = _brute_force_cost(cand, fs, contour, norm)
-        assert cost == pytest.approx(best, abs=1e-9)
 
 
 def test_viterbi_no_valid_transition_raises():

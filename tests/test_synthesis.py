@@ -8,12 +8,12 @@ import gswf.synthesis
 from gswf import (ConfigError, FeatureStream, PipelineConfig, SegmentFeatures,
                   ValidationError, analyze, read_features, synthesize,
                   synthesize_min_phase, write_features)
-from gswf.analysis import Segment, encode_phase, segment_spans
+from gswf.analysis import encode_phase, fit_wings, segment_spans, window_rows
 from gswf.cli import run
-from gswf.dsp import wrap_phase
+from gswf.dsp import asymmetric_hann, wrap_phase
 from gswf.synthesis import (_generation_positions, build_segments, decode_phase,
                             overlap_add, window_envelope)
-from signals import harmonic_tone, speech_like
+from signals import harmonic_tone, low_pitch_onsets, speech_like
 
 
 def _interior_rmse(y, x, positions):
@@ -44,7 +44,7 @@ def test_window_envelope_is_unity_for_constant_period():
     period = 160
     positions = np.arange(480, 4000, period)
     spans = [(period, period)] * len(positions)
-    env = window_envelope(spans, positions, 4200)
+    env = window_envelope(spans, positions, 4200, 512)
     lo, hi = positions[0], positions[-1]
     assert np.max(np.abs(env[lo:hi + 1] - 1.0)) <= 1e-12
 
@@ -54,7 +54,7 @@ def test_window_envelope_is_unity_even_for_varying_period():
     rng = np.random.default_rng(42)
     positions = np.cumsum(rng.integers(110, 190, 25)) + 200
     spans = segment_spans(positions)
-    env = window_envelope(spans, positions, int(positions[-1] + 400))
+    env = window_envelope(spans, positions, int(positions[-1] + 400), 512)
     lo, hi = int(positions[0]), int(positions[-1])
     assert np.max(np.abs(env[lo:hi + 1] - 1.0)) <= 1e-12
 
@@ -68,7 +68,7 @@ def test_window_envelope_bounded_for_mismatched_spans():
         periods.append(int(np.clip(periods[-1] * rng.uniform(0.8, 1.25), 110, 190)))
     positions = np.cumsum(periods) + 300
     spans = [(p, p) for p in periods]  # symmetric wings, not gap-matched
-    env = window_envelope(spans, positions, int(positions[-1] + 400))
+    env = window_envelope(spans, positions, int(positions[-1] + 400), 512)
     lo, hi = int(positions[1]), int(positions[-2])
     assert np.all(env[lo:hi] >= 0.6) and np.all(env[lo:hi] <= 1.4)
 
@@ -130,12 +130,12 @@ def _features(gain=-2.0, k=257, voiced=True, log_mag=None, position=1000):
 
 def test_min_phase_flat_magnitude_is_windowed_impulse_at_pivot():
     f = _features(log_mag=np.zeros(257))
-    (seg,) = build_segments([f], [(100, 150)], min_phase=True)
-    assert len(seg.samples) == 251
-    peak = int(np.argmax(np.abs(seg.samples)))
-    assert peak == 100
-    assert seg.samples[100] == pytest.approx(1.0, abs=1e-9)
-    others = np.delete(seg.samples, 100)
+    (row,) = build_segments([f], [(100, 150)], min_phase=True)
+    assert row.shape == (512,)
+    peak = int(np.argmax(np.abs(row)))
+    assert peak == 256
+    assert row[256] == pytest.approx(1.0, abs=1e-9)
+    others = np.delete(row, 256)
     assert np.max(np.abs(others)) < 1e-9
 
 
@@ -149,9 +149,10 @@ def test_min_phase_on_parametric_stream_needs_config():
         synthesize_min_phase(_parametric_pair())
     y = synthesize_min_phase(_parametric_pair(), from_envelope=True)
     assert len(y.samples) == 1133 + 133 + 1
-    # the segment builder itself takes the envelope magnitude
-    (seg,) = build_segments([_features()], [(100, 100)], min_phase=True)
-    assert len(seg.samples) == 201
+    # the segment builder itself takes the envelope magnitude, windowed to
+    # the span's wings
+    (row,) = build_segments([_features()], [(100, 100)], min_phase=True)
+    assert np.any(row[156:357]) and not np.any(row[:156]) and not np.any(row[357:])
 
 
 def test_min_phase_config_error_comes_before_any_segment(monkeypatch):
@@ -170,11 +171,23 @@ def test_min_phase_config_error_comes_before_any_segment(monkeypatch):
     assert len(calls) == 1
 
 
-def test_build_segments_rejects_oversize():
-    feats = [_features(log_mag=np.zeros(257), position=p) for p in (1000, 1200)]
-    for min_phase in (False, True):
-        with pytest.raises(ValidationError, match="segment at 1200 needs 801 samples"):
-            build_segments(feats, [(100, 100), (400, 400)], min_phase)
+def test_build_segments_clips_oversize_spans():
+    # a span longer than the row holds is cut to the wings (256, 255) of a
+    # 512-sample row, and the parametric gain target is the kept length
+    assert fit_wings([(400, 400)], 512).tolist() == [[256, 255]]
+    for log_mag in (np.zeros(257), None):
+        feats = [_features(log_mag=log_mag, position=p) for p in (1000, 1200)]
+        for min_phase in (False, True):
+            rows = build_segments(feats, [(100, 100), (400, 400)], min_phase)
+            clipped = build_segments(feats, [(100, 100), (256, 255)], min_phase)
+            assert rows.shape == (2, 512)
+            assert rows[0].tobytes() == clipped[0].tobytes()
+            if log_mag is None or min_phase:
+                # the same row under the (400, 400) and the (256, 255) window
+                w400, w256 = window_rows([(400, 400), (256, 255)], 512)
+                assert np.allclose(rows[1] * w256, clipped[1] * w400, atol=1e-12)
+            else:
+                assert rows[1].tobytes() == clipped[1].tobytes()
 
 
 def test_segment_geometry_comes_from_the_features():
@@ -183,19 +196,20 @@ def test_segment_geometry_comes_from_the_features():
     for log_mag in (np.zeros(513), None):
         f = _features(k=513, log_mag=log_mag)
         for min_phase in (False, True):
-            (seg,) = build_segments([f], [(400, 400)], min_phase)
-            assert len(seg.samples) == 801
-            with pytest.raises(ValidationError):
-                build_segments([f], [(600, 600)], min_phase)
+            (row,) = build_segments([f], [(400, 400)], min_phase)
+            assert row.shape == (1024,)
+            if log_mag is None or min_phase:
+                assert np.any(row[112:913])
+                assert not np.any(row[:112]) and not np.any(row[913:])
 
 
 def test_parametric_segment_energy_tracks_gain():
     gains = (-3.0, -1.0, 0.5)
-    segs = build_segments([_features(gain=g) for g in gains], [(120, 120)] * 3)
-    for gain, seg in zip(gains, segs):
+    rows = build_segments([_features(gain=g) for g in gains], [(120, 120)] * 3)
+    for gain, row in zip(gains, rows):
         # grain energy before windowing matches exp(gain); the Hann costs
         # a bounded factor
-        rms = np.sqrt(np.mean(seg.samples ** 2))
+        rms = np.sqrt(np.mean(row[256 - 120:256 + 121] ** 2))
         assert 0.3 * np.exp(gain) < rms < 1.2 * np.exp(gain)
 
 
@@ -253,9 +267,12 @@ def test_parametric_lsp_error_names_the_segment(speech_streams, tmp_path, capsys
 # -------------------------------------------------------------- overlap-add
 
 def test_overlap_add_rejects_mismatched_lists():
-    seg = Segment(100, 10, 10, np.zeros(21), True)
+    rows = np.zeros((1, 64))
     with pytest.raises(ValidationError):
-        overlap_add([seg], np.array([100, 200]), 300)
+        overlap_add([rows], np.array([100, 200]), [(10, 10)] * 2, 300)
+    with pytest.raises(ValidationError):
+        overlap_add([rows], np.array([100]), [(10, 10)] * 2, 300)
+    overlap_add([rows], np.array([100]), [(10, 10)], 300)
 
 
 def test_overlap_add_reconstructs_windowed_grains():
@@ -266,11 +283,70 @@ def test_overlap_add_reconstructs_windowed_grains():
     from gswf.gci import GciTrack
     instants = np.arange(100, 1500, 137)
     track = GciTrack(instants, np.ones(len(instants), dtype=bool), 16000)
-    segs = extract_segments(Waveform(x, 16000), track)
-    pos = np.array([s.center for s in segs])
-    out = overlap_add(segs, pos, 1500)
+    rows = extract_segments(Waveform(x, 16000), track, PipelineConfig())
+    pos = instants[1:-1]
+    # two blocks of rows, added in order
+    out = overlap_add([rows[:3], rows[3:]], pos, segment_spans(instants)[1:-1], 1500)
     lo, hi = int(pos[1]), int(pos[-2])
     assert np.max(np.abs(out[lo:hi] - x[lo:hi])) < 1e-12
+
+
+def _old_start(n, fft_size, pivot):
+    # the removed dsp._buffer_start: a one-sample shift was tolerated
+    start = fft_size // 2 - pivot
+    clamped = min(max(start, 0), fft_size - n)
+    assert abs(clamped - start) <= 1
+    return clamped
+
+
+def test_synthesis_rows_match_the_old_slice_extraction(speech_streams, monkeypatch):
+    full, par = speech_streams
+    for positions in (full.positions, _generation_positions(full)):
+        spans = segment_spans(positions)[:gswf.synthesis.BLOCK]
+        for stream in (full, par):
+            feats = stream.segments[:gswf.synthesis.BLOCK]
+            for min_phase in (False, True):
+                rows = build_segments(feats, spans, min_phase)
+                # the old builder sliced each unwindowed buffer at the span
+                # and windowed the slice
+                with monkeypatch.context() as m:
+                    m.setattr(gswf.synthesis, "window_rows",
+                              lambda spans, fft_size: np.ones((len(spans), fft_size)))
+                    bufs = build_segments(feats, spans, min_phase)
+                rewindow = min_phase or stream.mode == "parametric"
+                for row, buf, (left, right) in zip(rows, bufs, spans):
+                    size = left + right + 1
+                    start = _old_start(size, 512, left)
+                    old = buf[start:start + size]
+                    if rewindow:
+                        old = old * asymmetric_hann(left, right)
+                    assert row[256 - left:256 + right + 1].tobytes() == old.tobytes()
+
+
+def test_last_gap_of_half_fft_synthesizes():
+    # analysis accepts a left wing of fft_size/2; the last segment mirrors it
+    # as its right wing, one more than a row holds, and is cut to the row
+    segs = [_features(position=p) for p in (1000, 1200, 1456)]
+    stream = FeatureStream(fs=16000, fft_size=512, mode="parametric", segments=segs)
+    for y in (synthesize(stream), synthesize_min_phase(stream, from_envelope=True)):
+        assert len(y.samples) == 1456 + 256 + 1 and np.all(np.isfinite(y.samples))
+
+
+@pytest.mark.parametrize("make", [speech_like, harmonic_tone,
+                                  lambda: low_pitch_onsets(seed=0)])
+def test_truncated_stream_resynthesizes(make):
+    # at fft_size 256 the wings of 120 Hz and lower periods are truncated;
+    # synthesis uses the same wings, so full mode still reconstructs
+    w, contour = make()
+    cfg = PipelineConfig(fft_size=256, oversize_segment="truncate")
+    with pytest.warns(UserWarning, match="truncat"):
+        stream = analyze(w, contour, cfg)
+    pos = stream.positions
+    assert np.any(fit_wings(segment_spans(pos), 256) != segment_spans(pos))
+    y = synthesize(stream).samples
+    lo, hi = int(pos[0]), int(pos[-1])
+    assert np.sqrt(np.mean((y[lo:hi] - w.samples[lo:hi]) ** 2)) < 1e-9
+    assert np.all(np.isfinite(synthesize_min_phase(stream).samples))
 
 
 # --------------------------------------------------------------- generation

@@ -16,9 +16,10 @@ parametric ``--min-phase-from-envelope``; ``metrics`` as text and
 resynthesis (analyzed again) against the input; the low-pitched input
 skips these, because analyzing its min-phase resynthesis fails on both
 sides (a voicing-edge pulse is missed).  Then ``roundtrip --list`` at
-``--jobs 2`` over speech and tone, and the library call
-``synthesize(read_features(...), positions="f0")`` on their feature files,
-written as a wav.
+``--jobs 2`` over speech and tone, and the library calls
+``synthesize(stream, positions="f0")`` and ``synthesize_min_phase(stream,
+from_envelope=True, positions="f0")`` on their feature files, each written
+as a wav.
 It prints each output file that differs (or exists on one side only) and
 each command that fails on either side, and exits 1 if there is any, else 0.
 Only the standard library is used here; the commands need numpy and scipy.
@@ -50,10 +51,12 @@ SYNTH_F0 = """
 import sys
 from gswf.featfile import read_features
 from gswf.signal_io import write_wav
-from gswf.synthesis import synthesize
+from gswf.synthesis import synthesize, synthesize_min_phase
 for path in sys.argv[1:]:
-    write_wav(path.replace(".gswf", ".f0pos.wav"),
-              synthesize(read_features(path), positions="f0"))
+    stream = read_features(path)
+    write_wav(path.replace(".gswf", ".f0pos.wav"), synthesize(stream, positions="f0"))
+    write_wav(path.replace(".gswf", ".f0pos_mp.wav"),
+              synthesize_min_phase(stream, from_envelope=True, positions="f0"))
 """
 NAMES = ("speech", "tone")
 LOW_PITCH = "lowpitch"
@@ -102,7 +105,7 @@ def run_tree(src: Path, inputs: Path, out_dir: Path) -> list:
     runs = [(" ".join(Path(a).name if a.startswith(str(inputs)) else a for a in argv),
              [sys.executable, "-m", "gswf.cli", *argv]) for argv in argvs]
     feats = [f"{name}.{mode}.gswf" for name in NAMES for mode in ("full", "par")]
-    runs.append(("synthesize(..., positions='f0')",
+    runs.append(("synthesize*(..., positions='f0')",
                  [sys.executable, "-c", SYNTH_F0, *feats]))
     codes = []
     for label, cmd in runs:
