@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import EPS_MAG, autocorr, lpc_predictors, lpc_to_lsp_batch, wrap_phase
+from .dsp import EPS_MAG, autocorr, lpc_predictors, reflection_to_lsp_batch, wrap_phase
 from .errors import RowError, ValidationError
 from .gci import UNVOICED_SHIFT_S, GciTrack, detect_gci
 from .signal_io import F0Contour, Waveform
@@ -193,7 +193,8 @@ def segments_to_features(rows: np.ndarray, centers, spans, voiced, fs: int,
                          mode: str) -> list:
     """Features of the cut_segments rows of (center, span) pairs, computed
     in one array pass: autocorrelations and gains of each row's wings, then
-    one Levinson recursion, one LSP conversion and the rfft of the stack."""
+    one Levinson recursion, one LSP conversion of its reflection
+    coefficients and the rfft of the stack."""
     if not len(rows):
         return []
     half = rows.shape[1] // 2
@@ -201,7 +202,7 @@ def segments_to_features(rows: np.ndarray, centers, spans, voiced, fs: int,
              for row, (wl, wr) in zip(rows, fit_wings(spans, rows.shape[1]))]
     r = np.array([autocorr(samples, LSP_ORDER) for samples in views])
     try:
-        lsp = lpc_to_lsp_batch(lpc_predictors(r, LSP_ORDER))
+        lsp = reflection_to_lsp_batch(lpc_predictors(r, LSP_ORDER)[1])
     except RowError as e:
         raise ValidationError(
             f"{e.reason} (segment at sample {centers[e.rows[0]]}; "

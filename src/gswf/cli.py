@@ -69,6 +69,12 @@ def _check_geometry(args: argparse.Namespace, path: str, stream) -> None:
                               f"{path}, which has {name} {stored}")
 
 
+def _check_mel_support(fft_size: int, fs: int) -> None:
+    if not mel_support(fft_size // 2 + 1, fs):
+        raise ConfigError(f"fft_size {fft_size} at fs {fs} Hz leaves a mel band of "
+                          f"the metrics without a spectral bin; raise fft_size")
+
+
 def _read_inputs(wav_path: str, f0_path: str, cfg: PipelineConfig):
     w = read_wav(wav_path)
     f0 = read_f0_ref(f0_path, cfg.frame_shift_s)
@@ -147,9 +153,7 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
                    cfg: PipelineConfig) -> None:
     stem = os.path.splitext(os.path.basename(wav_path))[0]
     w, f0 = _read_inputs(wav_path, f0_path, cfg)
-    if not mel_support(cfg.fft_size // 2 + 1, w.fs):
-        raise ConfigError(f"fft_size {cfg.fft_size} at fs {w.fs} Hz leaves a mel band of "
-                          f"the metrics without a spectral bin; raise fft_size")
+    _check_mel_support(cfg.fft_size, w.fs)
     os.makedirs(out_dir, exist_ok=True)
     stream = analyze(w, f0, cfg)
     write_features(os.path.join(out_dir, stem + ".gswf"), stream)
@@ -214,12 +218,13 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     _config_from_args(args)  # no setting applies, but a bad config file still exits 4
-    pred_wav = read_wav(args.pred_wav)
-    ref_wav = read_wav(args.ref_wav)
     pred_stream = read_features(args.pred_features)
     ref_stream = read_features(args.ref_features)
-    _check_geometry(args, args.pred_features, pred_stream)
-    _check_geometry(args, args.ref_features, ref_stream)
+    for path, stream in ((args.pred_features, pred_stream), (args.ref_features, ref_stream)):
+        _check_geometry(args, path, stream)
+        _check_mel_support(stream.fft_size, stream.fs)
+    pred_wav = read_wav(args.pred_wav)
+    ref_wav = read_wav(args.ref_wav)
     report = evaluate(pred_wav, ref_wav, pred_stream, ref_stream)
     text = report.to_json() if args.json else report.to_text()
     with open(args.out_report, "w", encoding="utf-8") as fh:

@@ -6,12 +6,10 @@ domain with a fixed floor so silence stays finite; phases live in (-pi, pi].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
 import scipy.signal
-from numpy.polynomial import chebyshev
+from scipy.linalg import lapack
 
 from .errors import RowError, ValidationError
 from .signal_io import Waveform
@@ -20,6 +18,7 @@ EPS_MAG = 1e-10    # magnitude floor before taking logs
 ENV_GUARD = 1e-12  # |A(e^jw)| guard in the LPC envelope
 TWO_PI = 2.0 * np.pi
 SILENT_R0 = 1e-20  # autocorrelation energy below which a frame is silence
+WHITE_NOISE = 1e-9  # r[0] lift of a Levinson rerun on a row that clamped
 MEL_BANDS = 40     # mel bands of the cepstra the metrics compare
 
 # ---------------------------------------------------------------------------
@@ -76,23 +75,6 @@ def inverse_spectrum(log_mag: np.ndarray, phase: np.ndarray, fft_size: int) -> n
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LpcModel:
-    order: int
-    a: np.ndarray      # prediction error polynomial, a[0] == 1
-    gain: float        # sqrt of the Levinson residual energy
-
-    def __post_init__(self) -> None:
-        self.a = np.asarray(self.a, dtype=np.float64)
-        if self.a.shape != (self.order + 1,):
-            raise ValidationError(
-                f"LPC order {self.order} needs {self.order + 1} coefficients, "
-                f"got {self.a.shape}"
-            )
-        if self.a[0] != 1.0:
-            raise ValidationError(f"a[0] must be 1, got {self.a[0]}")
-
-
 def autocorr(samples: np.ndarray, order: int) -> np.ndarray:
     """Autocorrelation lags 0..order of a frame; lags past its length are 0."""
     corr = np.correlate(samples, samples, "full")[len(samples) - 1:]
@@ -107,29 +89,19 @@ def _check_rows(bad: np.ndarray, reason: str) -> None:
         raise RowError(reason, np.flatnonzero(bad), len(bad))
 
 
-def lpc_from_autocorr_batch(r: np.ndarray, order: int) -> tuple:
-    """Levinson-Durbin recursion on the autocorrelation values r[:, 0..order]
-    of every row, as one recursion over the stack.
-
-    Reflection coefficients with magnitude >= 1 are clamped to +/-0.999 and
-    the row is flagged; every returned model is therefore minimum phase.
-    Returns (a, gain, clamped) with shapes (rows, order + 1), (rows,) and
-    (rows,); a RowError names failing rows."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.ndim != 2 or order < 1 or r.shape[1] < order + 1:
-        raise ValidationError(f"need r[0..{order}] autocorrelation values, got "
-                              f"shape {r.shape}")
-    _check_rows(r[:, 0] <= 0, "r[0] must be positive")
+def _levinson(r: np.ndarray, order: int) -> tuple:
+    # the recursion over the stack: (a, k, err, clamped, collapsed)
     n = len(r)
     # lags r[order..1] stored contiguously, so each row's inner product is
     # the same ddot call np.dot makes on a reversed slice (which it copies)
     rev = np.ascontiguousarray(r[:, order:0:-1])
     a = np.zeros((n, order + 1))
     a[:, 0] = 1.0
+    refl = np.empty((n, order))
     err = r[:, 0].copy()
     clamped = np.zeros(n, dtype=bool)
     collapsed = np.zeros(n, dtype=bool)
-    # a collapsed row turns to inf/nan on later steps; it is reported below
+    # a collapsed row turns to inf/nan on later steps; the caller reports it
     with np.errstate(divide="ignore", invalid="ignore"):
         for m in range(1, order + 1):
             dot = a[:, None, 1:m] @ rev[:, order - m + 1:order, None]
@@ -138,25 +110,55 @@ def lpc_from_autocorr_batch(r: np.ndarray, order: int) -> tuple:
             k = np.where(big, np.where(k > 0, 0.999, -0.999), k)
             clamped |= big
             a[:, 1:m] = a[:, 1:m] + k[:, None] * a[:, m - 1:0:-1]
-            a[:, m] = k
+            a[:, m] = refl[:, m - 1] = k
             err *= 1.0 - k * k
             collapsed |= err <= 0.0
+    return a, refl, err, clamped, collapsed
+
+
+def lpc_from_autocorr_batch(r: np.ndarray, order: int) -> tuple:
+    """Levinson-Durbin recursion on the autocorrelation values r[:, 0..order]
+    of every row, as one recursion over the stack.
+
+    A row whose recursion meets a reflection coefficient of magnitude >= 1
+    (a singular autocorrelation, or one float64 rounding made indefinite)
+    runs again alone with white-noise correction, r[0] * (1 + WHITE_NOISE)
+    (Kabal, ICASSP 2003); rows that do not clamp keep their bits.  A
+    coefficient that reaches magnitude 1 even then is clamped to +/-0.999.
+    Every returned k has magnitude < 1, but the rounded polynomial of a row
+    that clamps twice need not be minimum phase.  Returns (a, k, gain,
+    clamped) with shapes (rows, order + 1), (rows, order), (rows,) and
+    (rows,), clamped flagging the rows the first pass clamped; a RowError
+    names failing rows."""
+    r = np.asarray(r, dtype=np.float64)
+    if r.ndim != 2 or order < 1 or r.shape[1] < order + 1:
+        raise ValidationError(f"need r[0..{order}] autocorrelation values, got "
+                              f"shape {r.shape}")
+    _check_rows(r[:, 0] <= 0, "r[0] must be positive")
+    a, k, err, clamped, collapsed = _levinson(r, order)
+    if np.any(clamped):
+        redo = np.flatnonzero(clamped)
+        lifted = r[redo]
+        lifted[:, 0] *= 1.0 + WHITE_NOISE
+        a[redo], k[redo], err[redo], _, collapsed[redo] = _levinson(lifted, order)
     _check_rows(collapsed, "Levinson recursion collapsed: r is not positive definite")
-    return a, np.sqrt(err), clamped
+    return a, k, np.sqrt(err), clamped
 
 
-def lpc_predictors(r: np.ndarray, order: int) -> np.ndarray:
-    """Prediction error polynomials (rows, order + 1) of autocorrelation rows;
-    a row with r[0] <= SILENT_R0 (silence) gets the flat predictor 1."""
+def lpc_predictors(r: np.ndarray, order: int) -> tuple:
+    """Prediction error polynomials (rows, order + 1) and reflection
+    coefficients (rows, order) of autocorrelation rows; a row with
+    r[0] <= SILENT_R0 (silence) gets the flat predictor 1 and k = 0."""
     silent = r[:, 0] <= SILENT_R0
     flat = np.zeros(order + 1)
     flat[0] = 1.0
     # a unit impulse's autocorrelation stands in for silent rows in the
-    # recursion; their result is then replaced by the exact flat predictor
-    a = lpc_from_autocorr_batch(np.where(silent[:, None], flat, r[:, :order + 1]),
-                                order)[0]
+    # recursion, which gives k = 0; their polynomial, whose coefficients come
+    # out as -0.0, is replaced by the exact flat predictor
+    a, k, _, _ = lpc_from_autocorr_batch(
+        np.where(silent[:, None], flat, r[:, :order + 1]), order)
     a[silent] = flat
-    return a
+    return a, k
 
 
 def _inverse_filter_span(x: np.ndarray, a: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -184,7 +186,7 @@ def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
     win = np.hanning(frame_len)
     starts = np.arange(0, len(x) - frame_len + 1, shift)
     r = np.array([autocorr(x[s:s + frame_len] * win, order) for s in starts])
-    coefs = lpc_predictors(r, order)
+    coefs = lpc_predictors(r, order)[0]
     centers = starts + frame_len // 2
     # frame m filters [c[m-1], c[m+1]) once, the file edges standing in for
     # the outer frames' missing neighbours; the FIR output at a sample does
@@ -208,139 +210,6 @@ def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
 # ---------------------------------------------------------------------------
 # line spectral pairs
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class LspVector:
-    frequencies: np.ndarray  # strictly increasing, in (0, pi)
-
-    def __post_init__(self) -> None:
-        self.frequencies = np.asarray(self.frequencies, dtype=np.float64)
-        f = self.frequencies
-        if f.ndim != 1 or len(f) < 1:
-            raise ValidationError("LSP vector must hold at least one frequency")
-        if f[0] <= 0.0 or f[-1] >= np.pi or np.any(np.diff(f) <= 0):
-            raise ValidationError("LSP frequencies must be strictly increasing in (0, pi)")
-
-    @property
-    def order(self) -> int:
-        return len(self.frequencies)
-
-
-def _deconv_unit_root(poly: np.ndarray, root: float) -> np.ndarray:
-    # synthetic division of each row by (1 - root * z^-1) for root = +/-1
-    out = np.empty((len(poly), poly.shape[1] - 1), dtype=poly.dtype)
-    acc = np.zeros(len(poly), dtype=poly.dtype)
-    for i in range(out.shape[1]):
-        acc = poly[:, i] + root * acc
-        out[:, i] = acc
-    return out
-
-
-def _colleague(c: np.ndarray) -> np.ndarray:
-    # chebyshev.chebcompanion of each row of c (rows, n + 1), stacked
-    rows, n = c.shape[0], c.shape[1] - 1
-    if n == 1:
-        return (-c[:, :1] / c[:, 1:])[:, :, None]
-    mat = np.zeros((rows, n, n))
-    scl = np.array([1.] + [np.sqrt(.5)] * (n - 1))
-    flat = mat.reshape(rows, -1)
-    flat[:, 1::n + 1] = flat[:, n::n + 1] = np.r_[np.sqrt(.5), [1 / 2] * (n - 2)]
-    mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * .5
-    return mat
-
-
-def _roots_on_circle(g: np.ndarray) -> np.ndarray:
-    """Roots in (0, pi) of each row of a stack of symmetric polynomials of
-    even degree 2n, sorted per row: (rows, 2n + 1) -> (rows, n).
-
-    In x = cos w each polynomial is a Chebyshev series (Kabal &
-    Ramachandran, "The computation of line spectral frequencies using
-    Chebyshev polynomials", IEEE TASSP 1986), so its roots are the
-    eigenvalues of the series' colleague matrix (Good, "The colleague
-    matrix, a Chebyshev analogue of the companion matrix", Q. J. Math.
-    1961); one eigvals call takes the whole stack.  One Newton step,
-    evaluated in extended precision, polishes them."""
-    n = (g.shape[1] - 1) // 2
-    if n == 0:
-        return np.empty((len(g), 0))
-    # e^{jnw} G(e^{-jw}) = c[0] + sum_d 2 c[d] cos(dw) with c[d] = g[n-d]
-    c = np.empty((len(g), n + 1))
-    c[:, 0] = g[:, n]
-    c[:, 1:] = 2.0 * g[:, n - 1::-1]
-    x = np.linalg.eigvals(_colleague(c))
-    # a minimum-phase model puts every root in [-1, 1]; near-double roots
-    # split into complex pairs with small imaginary parts
-    off = np.abs(x.imag) > 1e-6
-    x = x.real.astype(np.longdouble)
-    series = c.T[:, :, None]  # coefficients first; each row's x on its own
-    slope = chebyshev.chebval(x, chebyshev.chebder(series), tensor=False)
-    x = x - (chebyshev.chebval(x, series, tensor=False)
-             / np.where(slope == 0.0, np.inf, slope))
-    # an eigenvalue of a root near 0 or pi can land ~1e-7 past +/-1, so the
-    # range is checked on the polished root; one exactly at +/-1 is valid
-    off |= np.abs(x) > 1.0 + 1e-9
-    bad = np.count_nonzero(off, axis=1)
-    if np.any(bad):
-        raise RowError(f"{bad[bad > 0][0]} of {n} line spectral roots lie off the "
-                       f"unit circle; model is not minimum phase",
-                       np.flatnonzero(bad), len(bad))
-    w = np.arccos(np.clip(x.astype(np.float64), -1.0, 1.0))
-    return np.sort(np.clip(w, 1e-12, np.pi - 1e-12), axis=1)
-
-
-def _refine_circle_roots(g: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Fit the roots to the deflated coefficients themselves.
-
-    The series Newton step answers 'where does the evaluated series vanish',
-    and that evaluation cancels catastrophically for models whose
-    coefficients dwarf the series values (crowded low-frequency poles).
-    Rebuilding from candidate roots has no such cancellation, so a short
-    Gauss-Newton pass on the rebuilt-minus-target coefficients recovers the
-    digits the series evaluation cannot see."""
-    n = len(roots)
-    if n == 0:
-        return np.asarray(roots, dtype=np.float64)
-    target = np.asarray(g, dtype=np.longdouble)
-    # stop two orders under the documented round-trip contract; pipeline
-    # models land near 1e-10 from the series roots alone and skip the fit
-    floor = max(1e-8, 1e-13 * float(np.max(np.abs(target))))
-
-    def rebuild(w):
-        resid = _poly_from_circle_roots(w) - target
-        return resid, float(np.max(np.abs(resid)))
-
-    w = np.array(roots, dtype=np.float64)
-    resid, err = rebuild(w)
-    best_err, best_w = err, w.copy()
-    for _ in range(6):
-        if err < floor:
-            break
-        # d/dw_i of the product: the other quadratics times 2 sin(w_i) z^-1
-        leave_one_out = np.broadcast_to(w, (n, n))[~np.eye(n, dtype=bool)]
-        others = _poly_from_circle_roots(leave_one_out.reshape(n, n - 1))
-        jac = np.zeros((2 * n + 1, n))
-        jac[1:-1] = 2.0 * np.sin(w) * others.T
-        # the jacobian condition reaches 1e12 for crowded roots; truncating
-        # weak directions keeps the noise they carry out of the step, and the
-        # residual those directions could fix is below the floor anyway
-        step, *_ = np.linalg.lstsq(jac, np.asarray(resid, dtype=np.float64),
-                                   rcond=1e-10)
-        if not np.all(np.isfinite(step)):
-            break
-        improved = False
-        for scale in (1.0, 0.5, 0.25, 0.125):
-            trial = np.clip(w - scale * step, 1e-12, np.pi - 1e-12)
-            resid_t, err_t = rebuild(trial)
-            if err_t < err:
-                w, resid, err = trial, resid_t, err_t
-                improved = True
-                break
-        if not improved:
-            break
-        if err < best_err:
-            best_err, best_w = err, w.copy()
-    return np.sort(best_w)
 
 
 def _nudge_increasing(freqs: np.ndarray, tol: float) -> np.ndarray:
@@ -376,54 +245,48 @@ def _nudge_rows(freqs: np.ndarray, tol: float) -> np.ndarray:
     return freqs
 
 
-def lpc_to_lsp(m: LpcModel) -> LspVector:
-    """Line spectral frequencies of a minimum-phase LPC model.
+def reflection_to_lsp_batch(k: np.ndarray) -> np.ndarray:
+    """Line spectral frequencies of the models with reflection coefficients
+    k (rows, p), |k| < 1: (rows, p), strictly increasing in (0, pi), the
+    sum polynomial's in the even slots.
 
-    The sum and difference polynomials are written as Chebyshev series in
-    cos w (Kabal & Ramachandran, IEEE TASSP 1986) and their roots taken from
-    the colleague matrix (Good, Q. J. Math. 1961); see _roots_on_circle.
-    Frequencies of the sum polynomial occupy the even vector slots and those
-    of the difference polynomial the odd slots; strict interlacing is
-    validated (pairs glued by rounding are split by one ulp)."""
-    return LspVector(lpc_to_lsp_batch(m.a[None, :])[0])
-
-
-def _fit_circle_roots(g: np.ndarray) -> np.ndarray:
-    # colleague-matrix roots of each row; a row whose rebuilt polynomial
-    # misses the residual floor of _refine_circle_roots is refitted alone
-    w = _roots_on_circle(g)
-    resid = np.abs(_poly_from_circle_roots(w) - g).max(axis=1).astype(np.float64)
-    scale = np.abs(g).max(axis=1).astype(np.float64)
-    for i in np.flatnonzero(~(resid < np.maximum(1e-8, 1e-13 * scale))):
-        w[i] = _refine_circle_roots(g[i], w[i])
-    return w
-
-
-def lpc_to_lsp_batch(a: np.ndarray) -> np.ndarray:
-    """lpc_to_lsp of every row of a (rows, p + 1) in one pass: two eigvals
-    calls (sum and difference family) for the whole stack.  Returns the
-    frequencies (rows, p); a RowError names the rows that fail."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValidationError("lpc_to_lsp_batch: need a (rows, p + 1) array")
-    rows, p = a.shape[0], a.shape[1] - 1
-    # the symmetric extension and its deflation run in extended precision;
-    # the series coefficients are the accuracy ceiling for every root
-    ext = np.zeros((rows, p + 2), dtype=np.longdouble)
-    ext[:, :-1] = a
-    psum = ext + ext[:, ::-1]
-    qdif = ext - ext[:, ::-1]
-    if p % 2 == 0:
-        psum = _deconv_unit_root(psum, -1.0)   # drop root at w = pi
-        qdif = _deconv_unit_root(qdif, 1.0)    # drop root at w = 0
-    else:
-        qdif = _deconv_unit_root(_deconv_unit_root(qdif, 1.0), -1.0)
-    psum = 0.5 * (psum + psum[:, ::-1])  # kill rounding asymmetry
-    qdif = 0.5 * (qdif + qdif[:, ::-1])
-    freqs = np.empty((rows, p))
-    freqs[:, 0::2] = _fit_circle_roots(psum)
-    freqs[:, 1::2] = _fit_circle_roots(qdif)
-    return _nudge_rows(freqs, 1e-9)
+    With k_{p+1} = +1 (sum polynomial) or -1 (difference polynomial),
+    alpha_j = -k_{j+1} and alpha_{-1} = -1, the zeros e^{+-i theta} of the
+    polynomial are the eigenvalues of the orthogonal CMV matrix LM of the
+    alphas, and L and M are symmetric involutions (Cantero, Moral &
+    Velazquez, Linear Algebra Appl. 362, 2003).  So (L + M)^2 = 2 + LM +
+    (LM)^T, and each eigenvalue mu of the tridiagonal L + M, diagonal
+    alpha_j - alpha_{j-1} (j = 0..p) and off-diagonal sqrt(1 - alpha_j^2)
+    (j < p), gives theta = 2 arccos(|mu| / 2).  One eigenvalue call per row
+    takes both polynomials as two blocks: sorted, their 2p + 2 angles are
+    one trivial zero at 0, each frequency twice (the pair's mean is kept)
+    and one trivial zero at pi.  Pairs glued by rounding are split by one
+    ulp; a RowError names the rows that fail."""
+    k = np.asarray(k, dtype=np.float64)
+    if k.ndim != 2 or k.shape[1] < 1:
+        raise ValidationError("reflection_to_lsp_batch: need a (rows, p) array")
+    _check_rows(~np.all(np.abs(k) < 1.0, axis=1),
+                "reflection coefficient of magnitude >= 1: model is not minimum phase")
+    rows, p = k.shape
+    # alpha_{-1..p} of the sum and the difference polynomial of each row
+    alpha = np.empty((rows, 2, p + 2))
+    alpha[:, :, 0] = -1.0
+    alpha[:, :, 1:-1] = -k[:, None, :]
+    alpha[:, :, -1] = [-1.0, 1.0]
+    diag = np.diff(alpha, axis=2).reshape(rows, -1)
+    # the off-diagonal after each block's last row is 0: it ends the block
+    off = np.zeros((rows, 2, p + 1))
+    off[:, :, :p] = np.sqrt((1.0 - k) * (1.0 + k))[:, None, :]
+    off = off.reshape(rows, -1)[:, :-1]
+    mu = np.empty_like(diag)
+    failed = np.zeros(rows, dtype=bool)
+    for i in range(rows):
+        mu[i], info = lapack.dsterf(diag[i], off[i])
+        failed[i] = info != 0
+    _check_rows(failed, "tridiagonal eigenvalue iteration did not converge")
+    theta = np.sort(2.0 * np.arccos(np.minimum(np.abs(mu) / 2.0, 1.0)), axis=1)
+    freqs = 0.5 * (theta[:, 1:-1:2] + theta[:, 2:-1:2])
+    return _nudge_rows(np.clip(freqs, 1e-12, np.pi - 1e-12), 1e-9)
 
 
 def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:
@@ -446,11 +309,6 @@ def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:
         nxt += buf[:, 2:n + 2]
         buf[:, 2:n + 2] = nxt
     return buf[:, 2:2 * k + 3].reshape(w.shape[:-1] + (2 * k + 1,))
-
-
-def lsp_to_lpc(v: LspVector) -> LpcModel:
-    """Rebuild the unit-gain LPC model from line spectral frequencies."""
-    return LpcModel(order=v.order, a=lsp_to_lpc_batch(v.frequencies[None, :])[0], gain=1.0)
 
 
 def lsp_to_lpc_batch(lsp: np.ndarray) -> np.ndarray:

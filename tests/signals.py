@@ -98,6 +98,18 @@ def random_stable_lpc(order, rng):
     return a
 
 
+def reflection_from_lpc(a):
+    """Reflection coefficients k_1..k_p of a prediction error polynomial
+    (a[0] = 1) by the step-down recursion, the inverse of Levinson's
+    step-up; the model is minimum phase when every |k| < 1."""
+    a = np.asarray(a, dtype=np.float64)
+    k = np.empty(len(a) - 1)
+    for m in range(len(a) - 1, 0, -1):
+        k[m - 1] = a[m]
+        a = (a[:m] - a[m] * a[m:0:-1]) / (1.0 - a[m] * a[m])
+    return k
+
+
 def low_pitch_onsets(fs=16000, f0=(110.0, 150.0), seed=0):
     """1.2 s of unvoiced lead-in, two low-pitched vowel stretches around a
     noise burst, and an unvoiced tail.  The contour marks each stretch

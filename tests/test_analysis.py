@@ -5,7 +5,8 @@ import gswf.analysis
 from gswf import PipelineConfig, ValidationError, Waveform, analyze
 from gswf.analysis import (GAIN_FLOOR, LSP_ORDER, cut_segments, encode_phase,
                            extract_segments, fit_wings, segments_to_features)
-from gswf.dsp import asymmetric_hann, autocorr, lpc_predictors, wrap_phase
+from gswf.dsp import (asymmetric_hann, autocorr, lpc_predictors, reflection_to_lsp_batch,
+                      wrap_phase)
 from gswf.gci import GciTrack, detect_gci
 from gswf.synthesis import decode_phase
 from gswf.gci import UNVOICED_SHIFT_S
@@ -230,20 +231,19 @@ def test_analyze_produces_consistent_stream():
         assert np.all(np.diff(seg.lsp) > 0)
 
 
-def test_analyze_finds_all_roots_in_two_eigvals_calls(monkeypatch):
-    # one batched call per LSP polynomial family, not one per segment
+def test_analyze_converts_all_segments_in_one_lsp_call(monkeypatch):
+    # one batched conversion of every segment's reflection coefficients
     calls = []
-    eigvals = np.linalg.eigvals
 
-    def counted(a):
-        calls.append(np.shape(a))
-        return eigvals(a)
+    def counted(k):
+        calls.append(np.shape(k))
+        return reflection_to_lsp_batch(k)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(gswf.analysis, "reflection_to_lsp_batch", counted)
     w, contour = speech_like()
     stream = analyze(w, contour, PipelineConfig())
     assert len(stream) > 100
-    assert 1 <= len(calls) <= 2
+    assert calls == [(len(stream), LSP_ORDER)]
 
 
 def test_analyze_error_names_the_failing_segment(monkeypatch):
@@ -253,10 +253,9 @@ def test_analyze_error_names_the_failing_segment(monkeypatch):
     bad = 37
 
     def spoiled(r, order):
-        a = lpc_predictors(r, order)
-        a[bad] = np.eye(1, order + 1)[0]
-        a[bad, 1] = -1.5  # zero at z = 1.5: not minimum phase
-        return a
+        a, k = lpc_predictors(r, order)
+        k[bad, 0] = -1.5  # zero at z = 1.5: not minimum phase
+        return a, k
 
     monkeypatch.setattr(gswf.analysis, "lpc_predictors", spoiled)
     with pytest.raises(ValidationError) as err:
@@ -264,7 +263,7 @@ def test_analyze_error_names_the_failing_segment(monkeypatch):
     msg = str(err.value)
     assert f"segment at sample {centers[bad]};" in msg
     assert f"1 of {len(centers)} segments fail" in msg
-    assert "off the unit circle" in msg and err.value.exit_code == 3
+    assert "magnitude >= 1" in msg and err.value.exit_code == 3
 
 
 def test_full_mode_stream_requires_log_mag():

@@ -406,6 +406,21 @@ def test_roundtrip_fft_size_below_the_mel_bands_exits_4_before_work(tmp_path, ca
     assert os.path.exists(os.path.join(out_dir, "hi.gswf"))
 
 
+def test_metrics_on_fft_size_below_the_mel_bands_exits_4_before_reading_wavs(tmp_path,
+                                                                            capsys):
+    # analyze accepts fft_size 128 at 16 kHz; metrics refuses its stream from
+    # the header, before it reads a wav or writes the report
+    wav, f0 = _write_inputs(tmp_path, "hi", *harmonic_tone(f0=300.0, dur=0.3))
+    feat, out = str(tmp_path / "hi.gswf"), str(tmp_path / "report.txt")
+    assert run(["analyze", wav, f0, feat, "--fft-size", "128"]) == 0
+    capsys.readouterr()
+    assert run(["metrics", wav, wav, feat, feat, out]) == 4
+    assert "fft_size 128 at fs 16000 Hz" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.wav")
+    assert run(["metrics", missing, missing, feat, feat, out]) == 4
+    assert not os.path.exists(out)
+
+
 def test_unstorable_lsp_order_exits_4_before_work(inputs, tmp_path, capsys):
     wav, f0 = inputs
     cfg_path = str(tmp_path / "order.cfg")

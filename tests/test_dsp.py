@@ -5,15 +5,14 @@ from scipy.linalg import solve_toeplitz
 
 from gswf import PipelineConfig, ValidationError, Waveform
 from gswf.analysis import LSP_ORDER, cut_segments, extract_segments, row_spectra
-from gswf.dsp import (LpcModel, LspVector, _poly_from_circle_roots, asymmetric_hann,
-                      autocorr, inverse_spectrum, lpc_envelope,
-                      lpc_from_autocorr_batch, lpc_predictors, lpc_residual, lpc_to_lsp,
-                      lpc_to_lsp_batch, lsp_to_lpc, lsp_to_lpc_batch, mel_cepstrum,
-                      mel_filterbank, mel_support, wrap_phase)
+from gswf.dsp import (_poly_from_circle_roots, asymmetric_hann, autocorr, inverse_spectrum,
+                      lpc_envelope, lpc_from_autocorr_batch, lpc_predictors, lpc_residual,
+                      lsp_to_lpc_batch, mel_cepstrum, mel_filterbank, mel_support,
+                      reflection_to_lsp_batch, wrap_phase)
 from gswf.errors import RowError
 from gswf.gci import detect_gci
 from gswf.synthesis import decode_phase
-from signals import harmonic_tone, random_stable_lpc, speech_like
+from signals import harmonic_tone, random_stable_lpc, reflection_from_lpc, speech_like
 
 
 # ---------------------------------------------------------------- wrapping
@@ -170,11 +169,12 @@ def test_inverse_spectrum_projects_dc_and_nyquist():
 # --------------------------------------------------------------------- LPC
 
 def test_levinson_frozen_small_cases():
-    (a,), (gain,), _ = lpc_from_autocorr_batch(np.array([[1.0, 0.5, 0.25]]), 2)
+    (a,), (k,), (gain,), _ = lpc_from_autocorr_batch(np.array([[1.0, 0.5, 0.25]]), 2)
     assert np.allclose(a, [1.0, -0.5, 0.0], atol=1e-15)
+    assert np.allclose(k, [-0.5, 0.0], atol=1e-15)
     assert gain == pytest.approx(np.sqrt(0.75))
-    (a1,), (gain1,), _ = lpc_from_autocorr_batch(np.array([[1.0, 0.9]]), 1)
-    assert np.allclose(a1, [1.0, -0.9])
+    (a1,), (k1,), (gain1,), _ = lpc_from_autocorr_batch(np.array([[1.0, 0.9]]), 1)
+    assert np.allclose(a1, [1.0, -0.9]) and np.allclose(k1, [-0.9])
     assert gain1 == pytest.approx(np.sqrt(1.0 - 0.81))
 
 
@@ -189,17 +189,41 @@ def test_levinson_matches_toeplitz_solve():
         from scipy.signal import lfilter
         h = lfilter([1.0], a_true, h)
         r = np.correlate(h, h, "full")[len(h) - 1:len(h) + order]
-        (a,), _, _ = lpc_from_autocorr_batch(r[None, :], order)
+        (a,), (k,), _, _ = lpc_from_autocorr_batch(r[None, :], order)
         solved = solve_toeplitz(r[:-1], -r[1:])
         assert np.allclose(a[1:], solved, atol=1e-6)
+        assert np.allclose(k, reflection_from_lpc(a_true), atol=1e-6)
         assert np.max(np.abs(np.roots(a))) < 1.0
 
 
 def test_levinson_clamps_marginal_models():
     # perfectly periodic autocorrelation drives |k| to 1
-    (a,), _, (clamped,) = lpc_from_autocorr_batch(np.array([[1.0, 1.0, 1.0]]), 2)
+    (a,), (k,), _, (clamped,) = lpc_from_autocorr_batch(np.array([[1.0, 1.0, 1.0]]), 2)
     assert clamped
+    assert np.all(np.abs(k) < 1.0)
     assert np.max(np.abs(np.roots(a))) < 1.0
+
+
+def test_white_noise_correction_recovers_a_clamped_row():
+    # the exact autocorrelation of a stable order-40 model that float64
+    # Levinson drives to |k| >= 1; the rerun with r[0] lifted by 1e-9 is a
+    # minimum-phase model whose line spectrum round-trips
+    rng = np.random.default_rng(30)
+    models = [random_stable_lpc(LSP_ORDER, rng) for _ in range(6)]
+    r = _ar_autocorr(models[5], LSP_ORDER)[None, :]
+    assert lpc_from_autocorr_batch(r, LSP_ORDER)[3][0]
+    (a,), k = lpc_predictors(r, LSP_ORDER)
+    assert np.max(np.abs(np.roots(a))) < 1.0
+    lsp = reflection_to_lsp_batch(k)
+    assert np.all(np.diff(lsp) > 0)
+    assert np.max(np.abs(lsp_to_lpc_batch(lsp)[0] - a)) < 1e-6 * np.max(np.abs(a))
+    # rows that do not clamp keep the first pass's bits
+    stack = np.concatenate([r, [_ar_autocorr(m, LSP_ORDER) for m in models[:5]]])
+    first = lpc_from_autocorr_batch(stack, LSP_ORDER)
+    assert list(first[3]) == [True] + [False] * 5
+    for i in range(1, 6):
+        one = lpc_from_autocorr_batch(stack[i:i + 1], LSP_ORDER)
+        assert all(_same_bits(x[i], y[0]) for x, y in zip(first, one))
 
 
 def test_lpc_residual_recovers_ar_excitation():
@@ -223,8 +247,8 @@ def _residual_two_filters_per_span(w, order, frame_s=0.025, shift_s=0.005):
     frame_len, shift = int(round(frame_s * fs)), int(round(shift_s * fs))
     win = np.hanning(frame_len)
     starts = np.arange(0, len(x) - frame_len + 1, shift)
-    coefs = lpc_predictors(np.array([autocorr(x[s:s + frame_len] * win, order)
-                                     for s in starts]), order)
+    coefs, _ = lpc_predictors(np.array([autocorr(x[s:s + frame_len] * win, order)
+                                        for s in starts]), order)
     centers = starts + frame_len // 2
 
     def span(a, start, stop):
@@ -254,23 +278,23 @@ def test_lpc_residual_equals_two_filters_per_span(length):
 
 # --------------------------------------------------------------------- LSP
 
+def _lsp(k):
+    return reflection_to_lsp_batch(np.asarray(k, dtype=np.float64)[None, :])[0]
+
+
 def test_lsp_flat_models_give_uniform_grid():
-    m2 = LpcModel(order=2, a=np.array([1.0, 0.0, 0.0]), gain=1.0)
-    assert np.allclose(lpc_to_lsp(m2).frequencies, [np.pi / 3, 2 * np.pi / 3],
-                       atol=1e-9)
-    m4 = LpcModel(order=4, a=np.array([1.0, 0.0, 0.0, 0.0, 0.0]), gain=1.0)
-    assert np.allclose(lpc_to_lsp(m4).frequencies,
-                       np.arange(1, 5) * np.pi / 5, atol=1e-9)
+    assert np.allclose(_lsp([0.0, 0.0]), [np.pi / 3, 2 * np.pi / 3], atol=1e-9)
+    assert np.allclose(_lsp(np.zeros(4)), np.arange(1, 5) * np.pi / 5, atol=1e-9)
 
 
 def test_lsp_single_pole_frozen():
-    m = LpcModel(order=1, a=np.array([1.0, -0.9]), gain=1.0)
-    assert np.allclose(lpc_to_lsp(m).frequencies, [np.arccos(0.9)], atol=1e-12)
+    # a = [1, -0.9]: k_1 = -0.9
+    assert np.allclose(_lsp([-0.9]), [np.arccos(0.9)], atol=1e-12)
 
 
 def test_lsp_rejects_non_minimum_phase():
-    with pytest.raises(ValidationError):
-        lpc_to_lsp(LpcModel(order=1, a=np.array([1.0, -1.5]), gain=1.0))
+    with pytest.raises(ValidationError, match="magnitude >= 1"):
+        _lsp([-1.5])
 
 
 def test_lsp_roundtrip_and_interlacing():
@@ -278,13 +302,12 @@ def test_lsp_roundtrip_and_interlacing():
     for _ in range(60):
         order = int(rng.choice([2, 4, 10, 16, 24, 40]))
         a = random_stable_lpc(order, rng)
-        lsp = lpc_to_lsp(LpcModel(order=order, a=a, gain=1.0))
-        f = lsp.frequencies
+        f = _lsp(reflection_from_lpc(a))
         assert np.all(f > 0) and np.all(f < np.pi)
         assert np.all(np.diff(f) > 0)
-        back = lsp_to_lpc(lsp)
-        assert np.max(np.abs(back.a - a)) < 1e-6
-        assert back.order == order
+        back = lsp_to_lpc_batch(f[None, :])[0]
+        assert np.max(np.abs(back - a)) < 1e-6
+        assert len(back) == order + 1
 
 
 def _lpc_from_reflection(k):
@@ -297,8 +320,8 @@ def _lpc_from_reflection(k):
 
 def test_lsp_accepts_frequencies_at_interval_edges():
     # reflection coefficients at Levinson's +/-0.999 clamp push line spectral
-    # frequencies to within ~1e-7 of 0 and pi, where the roots in x = cos w
-    # can round onto or just past +/-1; those models are still minimum phase
+    # frequencies to within ~1e-7 of 0 and pi; those models are still
+    # minimum phase
     rng = np.random.default_rng(2)
     edge = np.pi
     for order in (10, 24, 40):
@@ -306,29 +329,45 @@ def test_lsp_accepts_frequencies_at_interval_edges():
             k = rng.uniform(-0.9, 0.9, order)
             k[rng.choice(order, 3, replace=False)] = rng.choice([-0.999, 0.999], 3)
             a = _lpc_from_reflection(k)
-            lsp = lpc_to_lsp(LpcModel(order=order, a=a, gain=1.0))
-            f = lsp.frequencies
+            f = _lsp(k)
             assert np.all(f > 0) and np.all(f < np.pi)
             assert np.all(np.diff(f) > 0)
-            assert np.max(np.abs(lsp_to_lpc(lsp).a - a)) < 1e-6
+            assert np.max(np.abs(lsp_to_lpc_batch(f[None, :])[0] - a)) < 1e-6
             edge = min(edge, f[0], np.pi - f[-1])
     assert edge < 1e-6
+
+
+def test_lsp_converts_every_model_with_coefficients_near_one():
+    # 1080 models with 3, 4 or 6 reflection coefficients at +/-0.999, whose
+    # line spectral frequencies crowd within rounding of each other and of
+    # 0 and pi: every one converts from its k and round-trips
+    rng = np.random.default_rng(11)
+    for order in (10, 24, 40):
+        for n_edge in (3, 4, 6):
+            k = rng.uniform(-0.9, 0.9, (120, order))
+            for row in k:
+                row[rng.choice(order, n_edge, replace=False)] = rng.choice(
+                    [-0.999, 0.999], n_edge)
+            lsp = reflection_to_lsp_batch(k)
+            assert np.all(lsp > 0) and np.all(lsp < np.pi)
+            assert np.all(np.diff(lsp, axis=1) > 0)
+            for row, back in zip(k, lsp_to_lpc_batch(lsp)):
+                a = _lpc_from_reflection(row)
+                assert np.max(np.abs(back - a)) < 1e-6 * np.max(np.abs(a))
 
 
 def test_lsp_alternates_p_and_q_roots():
     # P roots (even slots) and Q roots (odd slots) interleave by construction;
     # verify against the polynomial factorizations directly
-    rng = np.random.default_rng(15)
-    a = random_stable_lpc(8, rng)
-    p = 8
-    rev = a[::-1]
-    P = np.concatenate([a, [0.0]]) + np.concatenate([[0.0], rev])
-    Q = np.concatenate([a, [0.0]]) - np.concatenate([[0.0], rev])
-    f = lpc_to_lsp(LpcModel(order=p, a=a, gain=1.0)).frequencies
-    for i, w in enumerate(f):
-        poly = P if i % 2 == 0 else Q
-        val = np.polyval(poly[::-1], np.exp(-1j * w))
-        assert abs(val) < 1e-8
+    for order in (7, 8):
+        a = random_stable_lpc(order, np.random.default_rng(15))
+        rev = a[::-1]
+        P = np.concatenate([a, [0.0]]) + np.concatenate([[0.0], rev])
+        Q = np.concatenate([a, [0.0]]) - np.concatenate([[0.0], rev])
+        for i, w in enumerate(_lsp(reflection_from_lpc(a))):
+            poly = P if i % 2 == 0 else Q
+            val = np.polyval(poly[::-1], np.exp(-1j * w))
+            assert abs(val) < 1e-8
 
 
 # ------------------------------------------------------------ batched rows
@@ -376,22 +415,20 @@ def test_levinson_rows_do_not_depend_on_the_batch():
     assert np.all(stack[:, 0] > 0) and len(stack) > 100
 
     def one_row(r):
-        a, gain, clamped = lpc_from_autocorr_batch(r[None, :], LSP_ORDER)
-        return a[0], gain[0], clamped[0]
+        return [x[0] for x in lpc_from_autocorr_batch(r[None, :], LSP_ORDER)]
 
     _check_composition(lambda r: lpc_from_autocorr_batch(r, LSP_ORDER), one_row, stack)
 
 
 def test_lsp_rows_do_not_depend_on_the_batch():
-    # criterion-7-style random stable order-40 models, then the predictors
-    # of speech_like() segments and the flat predictor
+    # criterion-7-style random stable order-40 models, then the reflection
+    # coefficients of speech_like() segments and of the flat predictor
     rng = np.random.default_rng(30)
-    models = [random_stable_lpc(LSP_ORDER, rng) for _ in range(12)]
-    stack = np.concatenate([models, lpc_predictors(_speech_autocorrs(), LSP_ORDER)])
-    assert np.array_equal(stack[-1], np.eye(1, LSP_ORDER + 1)[0])
-    _check_composition(lambda a: (lpc_to_lsp_batch(a),),
-                       lambda row: (lpc_to_lsp(LpcModel(LSP_ORDER, row, 1.0)).frequencies,),
-                       stack)
+    models = [reflection_from_lpc(random_stable_lpc(LSP_ORDER, rng)) for _ in range(12)]
+    stack = np.concatenate([models, lpc_predictors(_speech_autocorrs(), LSP_ORDER)[1]])
+    assert not np.any(stack[-1])
+    _check_composition(lambda k: (reflection_to_lsp_batch(k),),
+                       lambda row: (reflection_to_lsp_batch(row[None, :])[0],), stack)
 
 
 def _lsp_to_lpc_by_convolution(f):
@@ -409,24 +446,26 @@ def _lsp_to_lpc_by_convolution(f):
 def test_lsp_to_lpc_rows_match_the_convolution_chain():
     rng = np.random.default_rng(33)
     for order in (1, 2, 3, 7, 10, 40):
-        lsp = lpc_to_lsp_batch(np.array([random_stable_lpc(order, rng) for _ in range(6)]))
+        lsp = reflection_to_lsp_batch(np.array([reflection_from_lpc(random_stable_lpc(order, rng))
+                                                for _ in range(6)]))
         for row, f in zip(lsp_to_lpc_batch(lsp), lsp):
             assert _same_bits(row, _lsp_to_lpc_by_convolution(f))
     # the line spectra of speech_like() segments, one row and any sub-batch
-    stack = lpc_to_lsp_batch(lpc_predictors(_speech_autocorrs(), LSP_ORDER))
+    stack = reflection_to_lsp_batch(lpc_predictors(_speech_autocorrs(), LSP_ORDER)[1])
     _check_composition(lambda f: (lsp_to_lpc_batch(f),),
-                       lambda row: (lsp_to_lpc(LspVector(row)).a,), stack)
+                       lambda row: (lsp_to_lpc_batch(row[None, :])[0],), stack)
 
 
 def test_lsp_to_lpc_splits_glued_pairs_and_names_bad_rows():
     rng = np.random.default_rng(34)
-    lsp = lpc_to_lsp_batch(np.array([random_stable_lpc(10, rng) for _ in range(4)]))
+    lsp = reflection_to_lsp_batch(np.array([reflection_from_lpc(random_stable_lpc(10, rng))
+                                            for _ in range(4)]))
     glued = lsp.copy()
     glued[1, 4] = glued[1, 3] - 5e-5  # within float32 rounding of a tight pair
     split = glued[1].copy()
     split[4] = np.nextafter(split[3], np.inf)
     back = lsp_to_lpc_batch(glued)
-    assert _same_bits(back[1], lsp_to_lpc(LspVector(split)).a)
+    assert _same_bits(back[1], lsp_to_lpc_batch(split[None, :])[0])
     assert _same_bits(back[[0, 2, 3]], lsp_to_lpc_batch(lsp[[0, 2, 3]]))
     bad = lsp.copy()
     bad[2, 4] = bad[2, 3] - 1e-3
@@ -449,12 +488,6 @@ def test_spectrum_rows_match_single_segment_calls():
         assert _same_bits(one_mag, log_mag[i]) and _same_bits(one_phase, phase[i])
 
 
-def _clamped_model(order, rng):
-    k = rng.uniform(-0.9, 0.9, order)
-    k[rng.choice(order, 6, replace=False)] = rng.choice([-0.999, 0.999], 6)
-    return _lpc_from_reflection(k)
-
-
 def test_batch_errors_name_the_first_failing_row():
     good = np.tile(np.eye(1, 3)[0], (5, 1))
     # collapsed recursion: the clamped step underflows the residual energy
@@ -463,28 +496,12 @@ def test_batch_errors_name_the_first_failing_row():
     with pytest.raises(RowError, match=r"collapsed.*row 3; 1 of 5 rows") as err:
         lpc_from_autocorr_batch(r, 2)
     assert err.value.rows == [3] and err.value.exit_code == 3
-    # a zero outside the unit circle puts line spectral roots off it
-    a = lpc_predictors(_speech_autocorrs()[:6], LSP_ORDER)
-    a[4] = np.eye(1, LSP_ORDER + 1)[0]
-    a[4, 1] = -1.5
-    with pytest.raises(RowError, match=r"off the unit circle.*row 4; 1 of 6 rows"):
-        lpc_to_lsp_batch(a)
-    # crowded roots of clamped models that cannot be put in order
-    rng = np.random.default_rng(24)
-    for _ in range(200):
-        bad = _clamped_model(24, rng)
-        try:
-            lpc_to_lsp(LpcModel(24, bad, 1.0))
-        except ValidationError as e:
-            if "out of order" in str(e):
-                break
-    else:
-        pytest.fail("no clamped model with out-of-order frequencies")
-    stack = np.array([random_stable_lpc(24, rng) for _ in range(4)])
-    stack = np.insert(stack, 2, bad, axis=0)
-    with pytest.raises(RowError, match=r"out of order.*row 2; 1 of 5 rows") as err:
-        lpc_to_lsp_batch(stack)
-    assert err.value.rows == [2]
+    # a reflection coefficient of magnitude >= 1 is no minimum-phase model
+    k = lpc_predictors(_speech_autocorrs()[:6], LSP_ORDER)[1]
+    k[4, 7] = -1.0
+    with pytest.raises(RowError, match=r"magnitude >= 1.*row 4; 1 of 6 rows") as err:
+        reflection_to_lsp_batch(k)
+    assert err.value.rows == [4]
 
 
 # ---------------------------------------------------------------- envelope
