@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 import scipy.signal
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 
 from .errors import RowError, ValidationError
@@ -27,14 +28,24 @@ MEL_BANDS = 40     # mel bands of the cepstra the metrics compare
 
 
 def wrap_phase(x):
-    """Map angles into (-pi, pi].  Accepts scalars or arrays."""
+    """Map angles into (-pi, pi].  Accepts scalars or arrays.
+
+    Inputs inside (-2 pi, 2 pi), such as angles and their differences, take
+    one add: fmod is exact there, so x + 2 pi (x < 0) has np.mod's bits,
+    -0.0 mapping to +0.0 as in numpy's divmod.  Larger inputs, such as the
+    cumulative phases of synthesis, go through np.mod."""
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("wrap_phase: non-finite input")
-    out = np.mod(arr, TWO_PI, out=np.empty_like(arr))
-    np.subtract(out, TWO_PI, out=out, where=out > np.pi)
     if arr.ndim == 0:
-        return float(out)
+        return float(wrap_phase(arr.reshape(1))[0])
+    peak = max(arr.max(initial=0.0), -arr.min(initial=0.0))
+    if not np.isfinite(peak):
+        raise ValidationError("wrap_phase: non-finite input")
+    if peak < TWO_PI:
+        out = TWO_PI * (arr < 0)
+        out += arr
+    else:
+        out = np.mod(arr, TWO_PI)
+    out -= TWO_PI * (out > np.pi)
     return out
 
 
@@ -168,42 +179,76 @@ def _inverse_filter_span(x: np.ndarray, a: np.ndarray, start: int, stop: int) ->
     return out[start - ctx:]
 
 
+def _kernel_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # dot products along the last axis of broadcast (..., k) stacks, with
+    # the bits np.correlate's kernel loop (and so lfilter's FIR path) gives:
+    # numpy sums kernels of up to 11 taps in order from 0.0 and longer ones
+    # with ddot, which a (1, k) @ (k, 1) matmul calls too
+    if u.shape[-1] > 11:
+        return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+    out = np.zeros(np.broadcast_shapes(u.shape, v.shape)[:-1])
+    for j in range(u.shape[-1]):
+        out += u[..., j] * v[..., j]
+    return out
+
+
 def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
                  shift_s: float = 0.005) -> np.ndarray:
     """Inverse-filter a waveform with frame-wise LPC models.
 
     Models are fitted on Hann-windowed frames; the unwindowed signal is then
     filtered, cross-fading linearly between the filters of adjacent frames.
-    Output has the same length as the input."""
+    Output has the same length as the input.
+
+    The frame autocorrelations and the filtering between the first and last
+    frame centers are array passes over the frame stack and the sliding
+    windows of the signal, with the bits of one np.correlate per frame and
+    one lfilter call per frame."""
     x = w.samples
     fs = w.fs
     frame_len = int(round(frame_s * fs))
     shift = int(round(shift_s * fs))
     if frame_len <= order + 1:
         raise ValidationError(f"frame of {frame_len} samples too short for order {order}")
+    if shift < 1:
+        raise ValidationError(f"frame shift of {shift_s} s is under one sample")
     if len(x) < frame_len:
         raise ValidationError(f"signal shorter than one {frame_len}-sample frame")
-    win = np.hanning(frame_len)
-    starts = np.arange(0, len(x) - frame_len + 1, shift)
-    r = np.array([autocorr(x[s:s + frame_len] * win, order) for s in starts])
+    frames = sliding_window_view(x, frame_len)[::shift] * np.hanning(frame_len)
+    # lag 0 is np.correlate's kernel loop, the other lags its ddot ramps
+    r = np.empty((len(frames), order + 1))
+    r[:, 0] = _kernel_dots(frames, frames)
+    for lag in range(1, order + 1):
+        r[:, lag] = (frames[:, None, lag:] @ frames[:, :frame_len - lag, None])[:, 0, 0]
     coefs = lpc_predictors(r, order)[0]
-    centers = starts + frame_len // 2
-    # frame m filters [c[m-1], c[m+1]) once, the file edges standing in for
-    # the outer frames' missing neighbours; the FIR output at a sample does
-    # not depend on where the span starts once `order` samples of context
-    # lie before it, so these are the outputs a per-span filter would give
+    centers = np.arange(len(frames)) * shift + frame_len // 2
+    # span m = [c[m], c[m+1]) fades from frame m's filter (lo) to frame
+    # m+1's (hi); frame m's filter runs over [c[m-1], c[m+1]), the file
+    # edges standing in for the outer frames' missing neighbours.  Spans
+    # that start past sample `order` are one FIR pass over their windows;
+    # the edge spans and any span nearer the file start, where the lfilter
+    # call of a frame sums its first outputs differently, filter as that
+    # call does
     bounds = np.concatenate([[0], centers, [len(x)]])
-    outs = [_inverse_filter_span(x, a, bounds[m], bounds[m + 2])
-            for m, a in enumerate(coefs)]
     res = np.empty_like(x)
-    res[:centers[0]] = outs[0][:centers[0]]
-    res[centers[-1]:] = outs[-1][centers[-1] - bounds[-3]:]
-    for m in range(len(centers) - 1):
-        a0, b0 = centers[m], centers[m + 1]
-        lo = outs[m][a0 - bounds[m]:b0 - bounds[m]]
-        hi = outs[m + 1][:b0 - a0]
-        alpha = np.arange(b0 - a0) / (b0 - a0)
-        res[a0:b0] = (1.0 - alpha) * lo + alpha * hi
+    res[:centers[0]] = _inverse_filter_span(x, coefs[0], 0, bounds[2])[:centers[0]]
+    res[centers[-1]:] = _inverse_filter_span(x, coefs[-1], bounds[-3], len(x))[
+        centers[-1] - bounds[-3]:]
+    n_spans = len(centers) - 1
+    lo, hi = np.empty((n_spans, shift)), np.empty((n_spans, shift))
+    m0 = min(int(np.searchsorted(centers, order, side="right")), n_spans)
+    for m in range(m0):
+        lo[m] = _inverse_filter_span(x, coefs[m], bounds[m], bounds[m + 2])[
+            centers[m] - bounds[m]:]
+        hi[m] = _inverse_filter_span(x, coefs[m + 1], centers[m], bounds[m + 3])[:shift]
+    if m0 < n_spans:
+        windows = sliding_window_view(x[centers[m0] - order:centers[-1]], order + 1)
+        windows = windows.reshape(n_spans - m0, shift, order + 1)
+        rev = np.ascontiguousarray(coefs[:, None, ::-1])
+        lo[m0:] = _kernel_dots(windows, rev[m0:-1])
+        hi[m0:] = _kernel_dots(windows, rev[m0 + 1:])
+    alpha = np.arange(shift) / shift
+    res[centers[0]:centers[-1]] = ((1.0 - alpha) * lo + alpha * hi).ravel()
     return res
 
 

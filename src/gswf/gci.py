@@ -62,7 +62,8 @@ def mean_based_signal(w: Waveform, mean_period_samples: float) -> np.ndarray:
 def find_intervals(mean_signal: np.ndarray, voiced_regions) -> list:
     """[local minimum, next local maximum] pairs of the mean-based signal,
     one list over all voiced regions.  Intervals are inclusive, ordered and
-    non-overlapping."""
+    non-overlapping: of the strict extrema of each region in order, every
+    maximum whose predecessor is a minimum closes one."""
     out = []
     y = np.asarray(mean_signal, dtype=np.float64)
     for a, b in voiced_regions:
@@ -70,16 +71,12 @@ def find_intervals(mean_signal: np.ndarray, voiced_regions) -> list:
         if b - a < 3:
             continue
         seg = y[a:b]
-        inner = slice(1, -1)
-        is_min = (seg[inner] < seg[:-2]) & (seg[inner] < seg[2:])
-        is_max = (seg[inner] > seg[:-2]) & (seg[inner] > seg[2:])
-        pending_min = None
-        for i in range(1, b - a - 1):
-            if is_min[i - 1]:
-                pending_min = a + i
-            elif is_max[i - 1] and pending_min is not None:
-                out.append((pending_min, a + i))
-                pending_min = None
+        mid = seg[1:-1]
+        is_max = (mid > seg[:-2]) & (mid > seg[2:])
+        ext = np.flatnonzero(is_max | ((mid < seg[:-2]) & (mid < seg[2:])))
+        ext_max = is_max[ext]
+        close = ext_max[1:] & ~ext_max[:-1]
+        out.extend(zip((ext[:-1][close] + a + 1).tolist(), (ext[1:][close] + a + 1).tolist()))
     return out
 
 

@@ -25,6 +25,46 @@ def test_wrap_phase_frozen_values():
     assert wrap_phase(3 * np.pi) == pytest.approx(np.pi)
 
 
+def _wrap_phase_by_mod(x):
+    # reference: np.mod over the whole input, then the top half-turn down
+    x = np.asarray(x, dtype=np.float64)
+    out = np.mod(x, 2 * np.pi, out=np.empty_like(x))
+    np.subtract(out, 2 * np.pi, out=out, where=out > np.pi)
+    return out
+
+
+def test_wrap_phase_equals_mod_bit_for_bit():
+    rng = np.random.default_rng(12)
+    spec = rng.normal(size=(300, 257)) + 1j * rng.normal(size=(300, 257))
+    spec[:, :3] = [-1.0, 1.0, -0.0]  # angles pi, 0 and -0.0
+    angles = np.angle(spec)
+    two_pi = 2 * np.pi
+    edges = np.array([-0.0, 0.0, np.pi, -np.pi, np.nextafter(two_pi, 0),
+                      -np.nextafter(two_pi, 0), np.nextafter(np.pi, 4),
+                      np.nextafter(-np.pi, -4), 5e-324, -5e-324])
+    cases = [angles, np.diff(angles, axis=-1), angles[:, ::-1] - angles, edges,
+             # a peak of exactly 2 pi or more takes np.mod
+             np.append(edges, two_pi), np.append(edges, -two_pi),
+             rng.uniform(-50, 50, 1000)]
+    for x in cases:
+        assert wrap_phase(x).tobytes() == _wrap_phase_by_mod(x).tobytes()
+    assert not np.signbit(wrap_phase(np.array([-0.0]))[0])
+    assert not np.signbit(wrap_phase(-0.0))
+
+
+def test_wrap_phase_shapes_and_non_finite_input():
+    assert wrap_phase(np.zeros(0)).shape == (0,)
+    assert wrap_phase(np.zeros((2, 0))).shape == (2, 0)
+    for x in (0.5, -7.0):
+        out = wrap_phase(np.float64(x))
+        assert type(out) is float and out == _wrap_phase_by_mod(x)
+    # non-finite values raise whether the rest would take the add or np.mod
+    for x in ([0.5, np.nan], [50.0, np.nan], [0.5, np.inf], [50.0, -np.inf],
+              np.nan, -np.inf):
+        with pytest.raises(ValidationError):
+            wrap_phase(x)
+
+
 def test_wrap_phase_properties():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -239,6 +279,15 @@ def test_lpc_residual_recovers_ar_excitation():
     assert len(res) == 16000
 
 
+def test_lpc_residual_rejects_bad_geometry():
+    w = Waveform(np.ones(1000), 16000)
+    for kwargs in ({"order": 399}, {"order": 18, "shift_s": 1e-5}):
+        with pytest.raises(ValidationError):
+            lpc_residual(w, **kwargs)
+    with pytest.raises(ValidationError):
+        lpc_residual(Waveform(np.ones(399), 16000), order=18)
+
+
 def _residual_two_filters_per_span(w, order, frame_s=0.025, shift_s=0.005):
     # reference: each span between frame centers filtered by both of its
     # frames' models, each call with `order` samples of real left context
@@ -266,14 +315,33 @@ def _residual_two_filters_per_span(w, order, frame_s=0.025, shift_s=0.005):
     return res
 
 
-@pytest.mark.parametrize("length", [16000, 400, 403])
+@pytest.mark.parametrize("length", [16000, 400, 403, 480])
 def test_lpc_residual_equals_two_filters_per_span(length):
-    # one filter call per frame must give the per-span filters' bits,
-    # down to a single frame (400 samples) and a ragged tail
+    # the array pass must give the per-span filters' bits, down to a single
+    # frame (400 samples), two frames (480) and a ragged tail
     for w in (speech_like()[0], harmonic_tone()[0]):
         short = Waveform(w.samples[:length], w.fs)
         got = lpc_residual(short, order=18)
         assert got.tobytes() == _residual_two_filters_per_span(short, 18).tobytes()
+
+
+@pytest.mark.parametrize("fs", [8000, 22050])
+def test_lpc_residual_equals_two_filters_per_span_at_other_rates(fs):
+    # other frame, shift and order geometry; at 8 kHz the 11-tap filters
+    # take numpy's small-kernel loop instead of ddot
+    w = speech_like(fs=fs)[0]
+    order = int(fs / 1000) + 2  # the order GCI detection uses
+    got = lpc_residual(w, order)
+    assert got.tobytes() == _residual_two_filters_per_span(w, order).tobytes()
+
+
+def test_lpc_residual_spans_near_the_file_start():
+    # at 1 kHz the first frame center (12) lies within `order` samples of
+    # the file start, so its span filters with less context
+    x = np.random.default_rng(14).normal(size=600)
+    w = Waveform(x, 1000)
+    got = lpc_residual(w, order=16)
+    assert got.tobytes() == _residual_two_filters_per_span(w, 16).tobytes()
 
 
 # --------------------------------------------------------------------- LSP

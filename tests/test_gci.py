@@ -87,6 +87,36 @@ def test_find_intervals_respects_region_bounds():
         assert 100 <= a < b < 300
 
 
+def _intervals_by_scan(y, regions):
+    # reference: a per-sample scan that remembers the latest strict minimum
+    # and pairs it with the next strict maximum
+    out = []
+    for a, b in regions:
+        a, b = max(0, int(a)), min(len(y), int(b))
+        pending = None
+        for i in range(a + 1, b - 1):
+            if y[i] < y[i - 1] and y[i] < y[i + 1]:
+                pending = i
+            elif y[i] > y[i - 1] and y[i] > y[i + 1] and pending is not None:
+                out.append((pending, i))
+                pending = None
+    return out
+
+
+def test_find_intervals_equals_the_per_sample_scan():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        n = int(rng.integers(0, 120))
+        y = np.round(rng.normal(size=n), 1)  # rounding leaves plateaus
+        # regions clipped at both ends, shorter than 3 samples, several per call
+        regions = [(int(rng.integers(-10, n + 3)), int(rng.integers(-3, n + 10)))
+                   for _ in range(int(rng.integers(0, 4)))]
+        regions += [(n // 2, n // 2 + 2), (-5, n + 5)]
+        got = find_intervals(y, regions)
+        assert got == _intervals_by_scan(y, regions)
+        assert all(type(v) is int for pair in got for v in pair)
+
+
 # ---------------------------------------------------------------- candidates
 
 def test_select_candidates_top_m_frozen():

@@ -4,18 +4,20 @@
 
 BASE_SRC is the ``src`` directory of another checkout, for example of the
 parent commit unpacked with ``git archive``.  The script writes
-``speech_like()``, ``harmonic_tone()`` and ``low_pitch_onsets()`` from
-``tests/signals.py`` as PCM16 wavs with their F0 contours, then runs the
-same ``gswf`` commands once with this tree's ``src`` and once with BASE_SRC
-on PYTHONPATH.  Every input goes through ``gci``, ``analyze`` full and
-parametric, and ``roundtrip``.  Speech and tone also go through
+``speech_like()``, ``harmonic_tone()``, ``low_pitch_onsets()`` and
+``speech_like(fs=8000)`` and ``speech_like(fs=22050)`` (other frame, shift
+and LPC order geometry in GCI detection) from ``tests/signals.py`` as PCM16
+wavs with their F0 contours, then runs the same ``gswf`` commands once with
+this tree's ``src`` and once with BASE_SRC on PYTHONPATH.  Every input goes
+through ``gci``, ``analyze`` full and parametric, and ``roundtrip``.
+Speech and tone at 16 kHz also go through
 ``synthesize`` full, ``--min-phase``, parametric and parametric
 ``--min-phase --min-phase-from-envelope``; ``roundtrip`` full and
 parametric ``--min-phase-from-envelope``; ``metrics`` as text and
 ``--json``, on the input against itself and on the roundtrip's min-phase
-resynthesis (analyzed again) against the input; the low-pitched input
-skips these, because analyzing its min-phase resynthesis fails on both
-sides (a voicing-edge pulse is missed).  Then ``roundtrip --list`` at
+resynthesis (analyzed again) against the input.  The other inputs skip
+these; the low-pitched one because analyzing its min-phase resynthesis
+fails on both sides (a voicing-edge pulse is missed).  Then ``roundtrip --list`` at
 ``--jobs 2`` over speech and tone, and the library calls
 ``synthesize(stream, positions="f0")`` and ``synthesize_min_phase(stream,
 from_envelope=True, positions="f0")`` on their feature files, each written
@@ -42,7 +44,9 @@ import sys
 from gswf.signal_io import write_f0_ref, write_wav
 from signals import harmonic_tone, low_pitch_onsets, speech_like
 for name, (w, f0) in (("speech", speech_like()), ("tone", harmonic_tone()),
-                      ("lowpitch", low_pitch_onsets(seed=0))):
+                      ("lowpitch", low_pitch_onsets(seed=0)),
+                      ("speech8k", speech_like(fs=8000)),
+                      ("speech22k", speech_like(fs=22050))):
     write_wav(f"{sys.argv[1]}/{name}.wav", w)
     write_f0_ref(f"{sys.argv[1]}/{name}.f0", f0)
 """
@@ -59,7 +63,7 @@ for path in sys.argv[1:]:
               synthesize_min_phase(stream, from_envelope=True, positions="f0"))
 """
 NAMES = ("speech", "tone")
-LOW_PITCH = "lowpitch"
+ANALYSIS_ONLY = ("lowpitch", "speech8k", "speech22k")
 
 
 def commands(inputs: Path, name: str) -> list:
@@ -73,7 +77,7 @@ def commands(inputs: Path, name: str) -> list:
         ["analyze", wav, f0, out + "par.gswf", "--mode", "parametric"],
         ["roundtrip", wav, f0, out + "rt_full"],
     ]
-    if name == LOW_PITCH:
+    if name in ANALYSIS_ONLY:
         return analysis
     return analysis + [
         ["synthesize", out + "full.gswf", out + "full.wav"],
@@ -100,7 +104,7 @@ def run_tree(src: Path, inputs: Path, out_dir: Path) -> list:
     codes in command order."""
     out_dir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(src))
-    argvs = [argv for name in NAMES + (LOW_PITCH,) for argv in commands(inputs, name)]
+    argvs = [argv for name in NAMES + ANALYSIS_ONLY for argv in commands(inputs, name)]
     argvs.append(["roundtrip", "--list", str(inputs / "batch.list"), "--jobs", "2"])
     runs = [(" ".join(Path(a).name if a.startswith(str(inputs)) else a for a in argv),
              [sys.executable, "-m", "gswf.cli", *argv]) for argv in argvs]
