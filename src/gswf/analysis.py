@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import EPS_MAG, autocorr, lpc_predictors, reflection_to_lsp_batch, wrap_phase
+from .dsp import (EPS_MAG, autocorr, lpc_envelope, lpc_predictors, lsp_to_lpc_batch,
+                  reflection_to_lsp_batch, wrap_phase)
 from .errors import RowError, ValidationError
 from .gci import UNVOICED_SHIFT_S, GciTrack, detect_gci
 from .signal_io import F0Contour, Waveform
@@ -98,6 +99,26 @@ def fit_wings(spans, fft_size: int) -> np.ndarray:
                       [half, half - 1])
 
 
+def segment_log_mags(stream: FeatureStream, index, spans) -> np.ndarray:
+    """Log magnitudes (len(index), fft_size//2 + 1) of the stream's segments
+    at the row indices index, each with its (left, right) span: the stored
+    spectra in full mode; in parametric mode the LSP envelopes, shifted so
+    each segment carries exp(gain) RMS over its wings (fit_wings)."""
+    feats = [stream.segments[i] for i in index]
+    if stream.mode == "full":
+        return np.array([f.log_mag for f in feats])
+    try:
+        env = lpc_envelope(lsp_to_lpc_batch([f.lsp for f in feats]), stream.fft_size)
+    except RowError as e:
+        raise ValidationError(f"segment at {feats[e.rows[0]].position}: {e.reason}") from e
+    mag2 = np.exp(2.0 * env)
+    # Parseval: time-domain energy of a spectrum frame
+    energy = (mag2[:, 0] + 2.0 * np.sum(mag2[:, 1:-1], axis=1) + mag2[:, -1]) / stream.fft_size
+    n_samples = fit_wings(spans, stream.fft_size).sum(axis=1) + 1
+    target = np.exp(2.0 * np.array([f.gain for f in feats])) * n_samples
+    return env + (0.5 * (np.log(target) - np.log(np.maximum(energy, 1e-300))))[:, None]
+
+
 def window_rows(spans, fft_size: int) -> np.ndarray:
     """asymmetric_hann(left, right) of each (left, right) span as a row of
     an (n, fft_size) stack, its peak at index fft_size//2, over the span's
@@ -105,17 +126,18 @@ def window_rows(spans, fft_size: int) -> np.ndarray:
     spans = np.reshape(np.array(spans, dtype=np.int64), (-1, 2))
     if np.any(spans < 1):
         raise ValidationError(f"window half lengths must be >= 1, got {spans.min()}")
+    # at distance m from the instant, asymmetric_hann(n, .)'s rise and
+    # asymmetric_hann(., n)'s fall are both 0.5 - 0.5 cos(pi k / n) at
+    # k = n - m, term for term, and zero for k < 0, past the span: one row
+    # per distinct half length n, read outwards from the instant by each
+    # row's left span to its left and by its right span to its right
     half = fft_size // 2
-    rows = np.zeros((len(spans), fft_size))
-    # 0.5 - 0.5 cos(pi k / n) for k = 0..n: asymmetric_hann's rise over n
-    # samples, and read backwards from k = n - 1 its fall, term for term
-    ramps = {n: 0.5 - 0.5 * np.cos(np.pi * np.arange(n + 1) / n)
-             for n in np.unique(spans).tolist()}
-    for row, (left, right), (wl, wr) in zip(rows, spans.tolist(),
-                                            fit_wings(spans, fft_size).tolist()):
-        row[half - wl:half + 1] = ramps[left][left - wl:]
-        row[half + 1:half + wr + 1] = ramps[right][right - wr:right][::-1]
-    return rows
+    lengths, which = np.unique(spans, return_inverse=True)
+    which = which.reshape(-1, 2)
+    k = lengths[:, None] - np.arange(half + 1)
+    fall = 0.5 - 0.5 * np.cos(np.pi * k / lengths[:, None])
+    fall[k < 0] = 0.0
+    return np.concatenate([fall[which[:, 0], ::-1], fall[which[:, 1], 1:half]], axis=1)
 
 
 def cut_segments(w: Waveform, centers, spans, fft_size: int,

@@ -40,9 +40,6 @@ class PipelineConfig:
         if self.frame_shift_s <= 0:
             raise ConfigError("frame_shift_s must be positive")
 
-    def replace(self, **kwargs) -> "PipelineConfig":
-        return dataclasses.replace(self, **kwargs)
-
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 

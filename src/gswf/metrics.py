@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import FeatureStream, fit_wings, segment_spans
+from .analysis import FeatureStream, segment_log_mags, segment_spans
 from .dsp import mel_cepstrum, wrap_phase
 from .errors import ValidationError
-from .gci import GciTrack
 from .signal_io import Waveform
-from .synthesis import segment_log_mags
 
 DB = 10.0 / np.log(10.0)  # natural log to decibels
 
@@ -48,24 +46,26 @@ class MetricsReport:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def voicing_mask(track: GciTrack, total_len: int) -> np.ndarray:
-    """Sample-level voicing: each instant's flag extended over its two
-    adjacent half-periods (midpoints between instants; edges mirror)."""
-    inst = track.instants
-    mask = np.zeros(total_len, dtype=bool)
-    if len(inst) == 0:
-        return mask
-    if len(inst) == 1:
-        mask[:] = track.voiced[0]
-        return mask
+def voicing_mask(instants: np.ndarray, voiced: np.ndarray, total_len: int) -> np.ndarray:
+    """Sample-level voicing of strictly increasing instants: each instant's
+    flag extended over its two adjacent half-periods [lo, hi) (midpoints
+    between instants; edges mirror), a later instant's over an earlier's."""
+    inst = np.asarray(instants, dtype=np.int64)
+    voiced = np.asarray(voiced, dtype=bool)
+    if inst.shape != voiced.shape or np.any(np.diff(inst) <= 0):
+        raise ValidationError("need one voicing flag per instant, instants strictly increasing")
+    if len(inst) < 2:
+        return np.full(total_len, len(inst) == 1 and bool(voiced[0]))
     gaps = np.diff(inst)
-    left = np.concatenate([[gaps[0]], gaps])
-    right = np.concatenate([gaps, [gaps[-1]]])
-    lo = np.clip(np.round(inst - left / 2).astype(np.int64), 0, total_len)
-    hi = np.clip(np.round(inst + right / 2).astype(np.int64), 0, total_len)
-    for i in range(len(inst)):
-        mask[lo[i]:hi[i]] = track.voiced[i]
-    return mask
+    lo = np.clip(np.round(inst - np.concatenate([gaps[:1], gaps]) / 2).astype(np.int64),
+                 0, total_len)
+    hi = np.clip(np.round(inst + np.concatenate([gaps, gaps[-1:]]) / 2).astype(np.int64),
+                 0, total_len)
+    # lo and hi never decrease, so the last instant with lo <= t is the only
+    # one whose [lo, hi) can still hold sample t
+    t = np.arange(total_len)
+    last = np.searchsorted(lo, t, side="right") - 1
+    return (last >= 0) & (t < hi[last]) & voiced[last]
 
 
 def rmse_waveform(a: np.ndarray, b: np.ndarray, mask: np.ndarray):
@@ -124,63 +124,46 @@ def dpd(phase_a: np.ndarray, phase_b: np.ndarray, wrap: bool = True) -> float:
     return float(np.mean(np.sqrt(np.sum(d ** 2, axis=1))))
 
 
-def align_gci(pred_instants: np.ndarray, ref_instants: np.ndarray) -> list:
+def align_gci(pred_instants: np.ndarray, ref_instants: np.ndarray) -> tuple:
     """Pair predicted instants to nearest reference instants.
 
     Pairs farther than half the local reference period are dropped; each
-    reference instant is used at most once, closest pair first.  Returns
-    (pred_index, ref_index) pairs ordered by pred index."""
+    reference instant is used at most once, closest pair first (the lower
+    pred index on a tie).  Returns the (pred_index, ref_index) int64 arrays
+    of the pairs, ordered by pred index."""
     pred = np.asarray(pred_instants, dtype=np.int64)
     ref = np.asarray(ref_instants, dtype=np.int64)
     if len(pred) == 0 or len(ref) == 0:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     right = np.searchsorted(ref, pred)
-    nearest = np.empty(len(pred), dtype=np.int64)
-    for i, (p, j) in enumerate(zip(pred, right)):
-        lo = max(0, j - 1)
-        hi = min(len(ref) - 1, j)
-        nearest[i] = lo if abs(p - ref[lo]) <= abs(p - ref[hi]) else hi
+    lo = np.maximum(right - 1, 0)
+    hi = np.minimum(right, len(ref) - 1)
+    nearest = np.where(np.abs(pred - ref[lo]) <= np.abs(pred - ref[hi]), lo, hi)
     dist = np.abs(pred - ref[nearest])
     if len(ref) == 1:
         local = np.array([np.inf])
     else:
         gaps = np.diff(ref).astype(np.float64)
         local = (np.concatenate([[gaps[0]], gaps]) + np.concatenate([gaps, [gaps[-1]]])) / 2.0
-    order = sorted(range(len(pred)), key=lambda i: (dist[i], i))
-    used = np.zeros(len(ref), dtype=bool)
-    pairs = []
-    for i in order:
-        j = nearest[i]
-        if used[j] or dist[i] > local[j] / 2.0:
-            continue
-        used[j] = True
-        pairs.append((int(i), int(j)))
-    pairs.sort()
-    return pairs
+    # whether a pair passes the gate depends on its distance alone, so the
+    # greedy pass is the first gated pair per reference in (distance, index)
+    # order
+    gated = np.flatnonzero(dist <= local[nearest] / 2.0)
+    order = gated[np.lexsort((gated, dist[gated]))]
+    _, first = np.unique(nearest[order], return_index=True)
+    pred_idx = np.sort(order[first])
+    return pred_idx, nearest[pred_idx]
 
 
-def _aligned_frames(pred: FeatureStream, ref: FeatureStream, span=None):
-    pred_pos, ref_pos = pred.positions, ref.positions
-    pairs = align_gci(pred_pos, ref_pos)
-    if span is not None:
-        pairs = [(i, j) for i, j in pairs
-                 if span[0] < ref_pos[j] < span[1]]
-    voiced_pairs = [(i, j) for i, j in pairs if ref.segments[j].voiced]
+def _log_mags(stream: FeatureStream, pos: np.ndarray, index: np.ndarray) -> np.ndarray:
+    # each row as long as the wings synthesis gives it; a lone segment
+    # spans (1, 1)
+    spans = np.array(segment_spans(pos)) if len(pos) > 1 else np.ones((1, 2), dtype=np.int64)
+    return segment_log_mags(stream, index, spans[index])
 
-    def log_mags(stream, pos, rows):
-        # one batch over the voiced rows, each as long as the wings synthesis
-        # gives it; a lone segment spans (1, 1)
-        spans = segment_spans(pos) if len(pos) > 1 else [(1, 1)]
-        wings = fit_wings([spans[i] for i in rows], stream.fft_size)
-        return segment_log_mags([stream.segments[i] for i in rows], wings.sum(axis=1) + 1)
 
-    if not voiced_pairs:
-        return pairs, voiced_pairs, [], [], [], []
-    lm_p = log_mags(pred, pred_pos, [i for i, _ in voiced_pairs])
-    lm_r = log_mags(ref, ref_pos, [j for _, j in voiced_pairs])
-    ph_p = [pred.segments[i].phase_feature for i, _ in voiced_pairs]
-    ph_r = [ref.segments[j].phase_feature for _, j in voiced_pairs]
-    return pairs, voiced_pairs, lm_p, lm_r, ph_p, ph_r
+def _column(stream: FeatureStream, name: str, dtype=np.float64) -> np.ndarray:
+    return np.array([getattr(seg, name) for seg in stream.segments], dtype=dtype)
 
 
 def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
@@ -211,46 +194,46 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
         lo, hi = int(span[0]), int(span[1])
         if not 0 <= lo < hi <= n:
             raise ValidationError(f"span ({lo}, {hi}) outside waveform of {n} samples")
-    ref_track = GciTrack(ref_stream.positions,
-                         np.array([s.voiced for s in ref_stream.segments], dtype=bool),
-                         ref_stream.fs)
-    mask = voicing_mask(ref_track, n)
+    pred_pos, ref_pos = pred_stream.positions, ref_stream.positions
+    pred_voiced = _column(pred_stream, "voiced", bool)
+    ref_voiced = _column(ref_stream, "voiced", bool)
+    mask = voicing_mask(ref_pos, ref_voiced, n)
     rv, ru, ra, n_v, n_u = rmse_waveform(pred_wav.samples[lo:hi],
                                          ref_wav.samples[lo:hi], mask[lo:hi])
 
-    pairs, voiced_pairs, lm_p, lm_r, ph_p, ph_r = _aligned_frames(
-        pred_stream, ref_stream, span=None if span is None else (lo, hi))
-    if voiced_pairs:
+    pi, ri = align_gci(pred_pos, ref_pos)
+    if span is not None:
+        inside = (lo < ref_pos[ri]) & (ref_pos[ri] < hi)
+        pi, ri = pi[inside], ri[inside]
+    vp, vr = pi[ref_voiced[ri]], ri[ref_voiced[ri]]
+    if len(vr):
+        lm_p = _log_mags(pred_stream, pred_pos, vp)
+        lm_r = _log_mags(ref_stream, ref_pos, vr)
         lsd_val = lsd(lm_p, lm_r)
         mcd_val = mcd(mel_cepstrum(lm_p, pred_stream.fs), mel_cepstrum(lm_r, ref_stream.fs))
-        dpd_val = dpd(np.array(ph_p), np.array(ph_r))
+        dpd_val = dpd(_column(pred_stream, "phase_feature")[vp],
+                      _column(ref_stream, "phase_feature")[vr])
     else:
         lsd_val = mcd_val = dpd_val = 0.0
 
-    both_voiced = [(i, j) for i, j in pairs
-                   if pred_stream.segments[i].voiced and ref_stream.segments[j].voiced]
-    if both_voiced:
-        fp = np.array([np.exp(pred_stream.segments[i].log_f0) for i, _ in both_voiced])
-        fr = np.array([np.exp(ref_stream.segments[j].log_f0) for _, j in both_voiced])
+    both = pred_voiced[pi] & ref_voiced[ri]
+    if np.any(both):
+        fp = np.exp(_column(pred_stream, "log_f0")[pi[both]])
+        fr = np.exp(_column(ref_stream, "log_f0")[ri[both]])
         f0_rmse = float(np.sqrt(np.mean((fp - fr) ** 2)))
     else:
         f0_rmse = 0.0
-    if pairs:
-        mismatches = sum(1 for i, j in pairs
-                         if pred_stream.segments[i].voiced != ref_stream.segments[j].voiced)
-        vuv = mismatches / len(pairs)
-    else:
-        vuv = 0.0
+    vuv = float(np.mean(pred_voiced[pi] != ref_voiced[ri])) if len(pi) else 0.0
 
     counts = {
         "rmse_voiced": n_v,
         "rmse_unvoiced": n_u,
         "rmse": n_v + n_u,
-        "lsd": len(voiced_pairs),
-        "mcd": len(voiced_pairs),
-        "dpd": len(voiced_pairs),
-        "f0_rmse": len(both_voiced),
-        "vuv_error_rate": len(pairs),
+        "lsd": len(vr),
+        "mcd": len(vr),
+        "dpd": len(vr),
+        "f0_rmse": int(np.count_nonzero(both)),
+        "vuv_error_rate": len(pi),
     }
     return MetricsReport(rmse_voiced=rv, rmse_unvoiced=ru, rmse=ra, lsd=lsd_val,
                          mcd=mcd_val, dpd=dpd_val, f0_rmse=f0_rmse,

@@ -20,9 +20,10 @@ import logging
 
 import numpy as np
 
-from .analysis import FeatureStream, fit_wings, segment_spans, window_rows
-from .dsp import inverse_spectrum, lpc_envelope, lsp_to_lpc_batch, wrap_phase
-from .errors import ConfigError, RowError, ValidationError
+from .analysis import (FeatureStream, fit_wings, segment_log_mags, segment_spans,
+                       window_rows)
+from .dsp import inverse_spectrum, wrap_phase
+from .errors import ConfigError, ValidationError
 from .signal_io import Waveform
 
 log = logging.getLogger(__name__)
@@ -37,32 +38,14 @@ def decode_phase(phase_feature: np.ndarray) -> np.ndarray:
     return wrap_phase(np.cumsum(np.asarray(phase_feature, dtype=np.float64), axis=-1))
 
 
-def segment_log_mags(feats: list, n_samples: np.ndarray) -> np.ndarray:
-    """Log magnitudes (rows, fft_size//2 + 1) of segments of n_samples[i]
-    samples: the stored spectra in full mode; in parametric mode the LSP
-    envelopes, shifted so each reconstructed segment carries exp(gain) RMS."""
-    if feats[0].log_mag is not None:
-        return np.array([f.log_mag for f in feats])
-    fft_size = 2 * (len(feats[0].phase_feature) - 1)
-    try:
-        env = lpc_envelope(lsp_to_lpc_batch([f.lsp for f in feats]), fft_size)
-    except RowError as e:
-        raise ValidationError(f"segment at {feats[e.rows[0]].position}: {e.reason}") from e
-    mag2 = np.exp(2.0 * env)
-    # Parseval: time-domain energy of a spectrum frame
-    energy = (mag2[:, 0] + 2.0 * np.sum(mag2[:, 1:-1], axis=1) + mag2[:, -1]) / fft_size
-    target = np.exp(2.0 * np.array([f.gain for f in feats])) * n_samples
-    return env + (0.5 * (np.log(target) - np.log(np.maximum(energy, 1e-300))))[:, None]
-
-
-def build_segments(feats: list, spans, min_phase: bool = False) -> np.ndarray:
-    """The rows (len(feats), fft_size) of one block of feature entries with
-    their (left, right) spans, in one array pass, each with its instant at
-    index fft_size//2; overlap_add reads each row's wings (fit_wings).
-    min_phase keeps the magnitude and replaces the transmitted phase by the
-    minimum phase."""
-    fft_size = 2 * (len(feats[0].phase_feature) - 1)
-    log_mag = segment_log_mags(feats, fit_wings(spans, fft_size).sum(axis=1) + 1)
+def build_segments(stream: FeatureStream, index, spans, min_phase: bool = False) -> np.ndarray:
+    """The rows (len(index), fft_size) of the stream's segments at the row
+    indices index with their (left, right) spans, in one array pass, each
+    with its instant at index fft_size//2; overlap_add reads each row's
+    wings (fit_wings).  min_phase keeps the magnitude and replaces the
+    transmitted phase by the minimum phase."""
+    fft_size = stream.fft_size
+    log_mag = segment_log_mags(stream, index, spans)
     half = fft_size // 2
     if min_phase:
         # fold each real cepstrum onto its causal half; the minimum-phase
@@ -72,12 +55,12 @@ def build_segments(feats: list, spans, min_phase: bool = False) -> np.ndarray:
         cep[:, half + 1:] = 0.0
         rows = np.roll(np.fft.ifft(np.exp(np.fft.fft(cep))).real, half, axis=1)
     else:
-        rows = inverse_spectrum(log_mag, decode_phase([f.phase_feature for f in feats]),
-                                fft_size)
+        phase = decode_phase([stream.segments[i].phase_feature for i in index])
+        rows = inverse_spectrum(log_mag, phase, fft_size)
     # envelope magnitude discards the window shaping that full-mode spectra
     # carry, and the minimum-phase response is unwindowed and rings past the
     # segment span; both are re-windowed so the OLA normalization holds
-    if min_phase or feats[0].log_mag is None:
+    if min_phase or stream.mode == "parametric":
         rows *= window_rows(spans, fft_size)
     return rows
 
@@ -145,7 +128,8 @@ def _synthesize(stream: FeatureStream, positions: str, min_phase: bool) -> Wavef
     if len(pos) < 2:
         raise ValidationError("need at least 2 segments to synthesize")
     spans = np.array(segment_spans(pos))
-    blocks = (build_segments(stream.segments[lo:lo + BLOCK], spans[lo:lo + BLOCK], min_phase)
+    blocks = (build_segments(stream, range(lo, min(lo + BLOCK, len(pos))),
+                             spans[lo:lo + BLOCK], min_phase)
               for lo in range(0, len(pos), BLOCK))
     total_len = int(pos[-1] + spans[-1][1] + 1)
     out = overlap_add(blocks, pos, spans, total_len)

@@ -15,7 +15,7 @@ from gswf import F0Contour, PipelineConfig, analyze, synthesize, synthesize_min_
 from gswf.analysis import encode_phase
 from gswf.cli import run
 from gswf.dsp import lsp_to_lpc_batch, reflection_to_lsp_batch, wrap_phase
-from gswf.gci import GciTrack, detect_gci, viterbi_select
+from gswf.gci import detect_gci, viterbi_select
 from gswf.metrics import align_gci, dpd, lsd, mcd, rmse_waveform, voicing_mask
 from gswf.synthesis import decode_phase, window_envelope
 from signals import (harmonic_tone, pulse_train, random_stable_lpc, reflection_from_lpc,
@@ -140,9 +140,8 @@ def test_criterion_03_full_mode_round_trip(acceptance_log):
 
 def _voiced_rmse_pair(w, contour, cfg):
     stream = analyze(w, contour, cfg)
-    track = GciTrack(np.array([s.position for s in stream.segments]),
-                     np.array([s.voiced for s in stream.segments]), w.fs)
-    mask = voicing_mask(track, len(w.samples))
+    mask = voicing_mask(stream.positions, [s.voiced for s in stream.segments],
+                        len(w.samples))
     out = []
     for synth in (synthesize, synthesize_min_phase):
         y = synth(stream).samples
@@ -177,9 +176,9 @@ def test_criterion_05_gci_accuracy_on_ground_truth(acceptance_log):
         w, truth, contour = pulse_train(fs=16000, f0=120.0, dur=1.0)
         track = detect_gci(w, contour)
         voiced = track.instants[track.voiced]
-        pairs = align_gci(voiced, truth)
-        rate = len(pairs) / len(truth)
-        dev = np.array([abs(int(voiced[i]) - int(truth[j])) for i, j in pairs])
+        pi, ri = align_gci(voiced, truth)
+        rate = len(pi) / len(truth)
+        dev = np.abs(voiced[pi] - truth[ri])
         mad_ms = float(np.mean(dev)) / w.fs * 1000.0
         assert mad_ms < 0.25
         assert rate >= 0.98

@@ -4,7 +4,7 @@ import pytest
 import gswf.analysis
 from gswf import PipelineConfig, ValidationError, Waveform, analyze
 from gswf.analysis import (GAIN_FLOOR, LSP_ORDER, cut_segments, encode_phase,
-                           extract_segments, fit_wings, segments_to_features)
+                           extract_segments, fit_wings, segments_to_features, window_rows)
 from gswf.dsp import (asymmetric_hann, autocorr, lpc_predictors, reflection_to_lsp_batch,
                       wrap_phase)
 from gswf.gci import GciTrack, detect_gci
@@ -210,6 +210,25 @@ def test_wing_longer_than_half_fft_is_oversize():
     with pytest.raises(ValidationError):
         _features(x, 1000, 100, 256, PipelineConfig(fft_size=512))
     _features(x, 1000, 256, 255, PipelineConfig(fft_size=512))
+
+
+def test_window_rows_are_asymmetric_hann_over_the_wings():
+    rng = np.random.default_rng(26)
+    for fft_size in (128, 256, 512, 1024):
+        half = fft_size // 2
+        # short spans, spans that fill the row and spans longer than it
+        spans = np.concatenate([rng.integers(1, 6, (40, 2)),
+                                rng.integers(1, fft_size + 60, (200, 2)),
+                                [[half, half - 1], [half + 1, half]]])
+        rows = window_rows(spans, fft_size)
+        assert rows.shape == (len(spans), fft_size)
+        for row, (left, right), (wl, wr) in zip(rows, spans, fit_wings(spans, fft_size)):
+            win = asymmetric_hann(int(left), int(right))[left - wl:left + wr + 1]
+            assert row[half - wl:half + wr + 1].tobytes() == win.tobytes()
+            assert not row[:half - wl].any() and not row[half + wr + 1:].any()
+    assert window_rows(np.zeros((0, 2), dtype=np.int64), 128).shape == (0, 128)
+    with pytest.raises(ValidationError, match="half lengths"):
+        window_rows([(3, 0)], 128)
 
 
 # ------------------------------------------------------------------ analyze

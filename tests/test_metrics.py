@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from gswf import (FeatureStream, PipelineConfig, SegmentFeatures, ValidationError,
                   Waveform, analyze, evaluate, synthesize)
 from gswf.dsp import wrap_phase
-from gswf.gci import GciTrack
 from gswf.metrics import (DB, REPORT_KEYS, align_gci, dpd, lsd, mcd, rmse_waveform,
                           voicing_mask)
 from signals import harmonic_tone, speech_like
@@ -99,10 +99,27 @@ def test_rmse_empty_class_reports_zero():
     assert n_u == 0
 
 
+def _voicing_mask_loop(instants, voiced, total_len):
+    # the per-instant reference: later instants overwrite earlier ones
+    inst = np.asarray(instants)
+    mask = np.zeros(total_len, dtype=bool)
+    if len(inst) == 0:
+        return mask
+    if len(inst) == 1:
+        mask[:] = voiced[0]
+        return mask
+    gaps = np.diff(inst)
+    left = np.concatenate([[gaps[0]], gaps])
+    right = np.concatenate([gaps, [gaps[-1]]])
+    lo = np.clip(np.round(inst - left / 2).astype(np.int64), 0, total_len)
+    hi = np.clip(np.round(inst + right / 2).astype(np.int64), 0, total_len)
+    for i in range(len(inst)):
+        mask[lo[i]:hi[i]] = voiced[i]
+    return mask
+
+
 def test_voicing_mask_extends_over_half_periods():
-    track = GciTrack(np.array([100, 200, 300]),
-                     np.array([True, True, False]), 16000)
-    mask = voicing_mask(track, 400)
+    mask = voicing_mask(np.array([100, 200, 300]), np.array([True, True, False]), 400)
     # instant 100 covers [50, 150), instant 200 covers [150, 250),
     # unvoiced instant 300 covers [250, 350)
     assert mask[60] and mask[149] and mask[200] and mask[249]
@@ -110,27 +127,106 @@ def test_voicing_mask_extends_over_half_periods():
     assert not mask[0:50].any()
 
 
+def test_voicing_mask_matches_the_per_instant_loop():
+    rng = np.random.default_rng(58)
+    for trial in range(2000):
+        n = int(rng.integers(0, 9)) if trial < 1000 else int(rng.integers(9, 60))
+        # odd and even gaps, so midpoints round half to even both ways
+        inst = np.cumsum(rng.integers(1, 40, n)) + int(rng.integers(-30, 30))
+        voiced = rng.uniform(size=n) < 0.6
+        # lengths that cut the mask inside, at and past the last half-period
+        total = int(rng.integers(0, 40 * n + 60))
+        expected = _voicing_mask_loop(inst, voiced, total)
+        got = voicing_mask(inst, voiced, total)
+        assert got.dtype == bool and got.shape == (total,)
+        assert np.array_equal(got, expected), (inst, voiced, total)
+    for instants, flags in (([100, 200], [True]), ([100, 100], [True, True]),
+                            ([200, 100], [True, False])):
+        with pytest.raises(ValidationError):
+            voicing_mask(instants, flags, 400)
+    for n in (0, 1, 2):
+        inst = np.arange(1, n + 1) * 50
+        for flags in ([False] * n, [True] * n):
+            assert np.array_equal(voicing_mask(inst, flags, 200),
+                                  _voicing_mask_loop(inst, flags, 200))
+
+
 # -------------------------------------------------------------------- align
+
+def _align_gci_loop(pred_instants, ref_instants):
+    # the pair-by-pair reference: closest pair first, lower pred index on a
+    # tie, each reference instant at most once
+    pred = np.asarray(pred_instants, dtype=np.int64)
+    ref = np.asarray(ref_instants, dtype=np.int64)
+    if len(pred) == 0 or len(ref) == 0:
+        return []
+    right = np.searchsorted(ref, pred)
+    nearest = np.empty(len(pred), dtype=np.int64)
+    for i, (p, j) in enumerate(zip(pred, right)):
+        lo = max(0, j - 1)
+        hi = min(len(ref) - 1, j)
+        nearest[i] = lo if abs(p - ref[lo]) <= abs(p - ref[hi]) else hi
+    dist = np.abs(pred - ref[nearest])
+    if len(ref) == 1:
+        local = np.array([np.inf])
+    else:
+        gaps = np.diff(ref).astype(np.float64)
+        local = (np.concatenate([[gaps[0]], gaps]) + np.concatenate([gaps, [gaps[-1]]])) / 2.0
+    order = sorted(range(len(pred)), key=lambda i: (dist[i], i))
+    used = np.zeros(len(ref), dtype=bool)
+    pairs = []
+    for i in order:
+        j = nearest[i]
+        if used[j] or dist[i] > local[j] / 2.0:
+            continue
+        used[j] = True
+        pairs.append((int(i), int(j)))
+    pairs.sort()
+    return pairs
+
+
+def _pairs(pred_idx, ref_idx):
+    assert pred_idx.dtype == np.int64 and ref_idx.dtype == np.int64
+    return list(zip(pred_idx.tolist(), ref_idx.tolist()))
+
 
 def test_align_gci_exact_and_jittered():
     ref = np.array([100, 260, 420, 580])
-    pairs = align_gci(ref, ref)
-    assert pairs == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    assert _pairs(*align_gci(ref, ref)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
     pred = ref + np.array([3, -4, 5, 0])
-    assert align_gci(pred, ref) == [(0, 0), (1, 1), (2, 2), (3, 3)]
+    assert _pairs(*align_gci(pred, ref)) == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
 
 def test_align_gci_drops_far_and_duplicate_predictions():
     ref = np.array([100, 260, 420])
     pred = np.array([100, 104, 420, 1000])
-    pairs = align_gci(pred, ref)
     # 104 loses instant 100 to the closer 100; 1000 is beyond half a period
-    assert pairs == [(0, 0), (2, 2)]
+    assert _pairs(*align_gci(pred, ref)) == [(0, 0), (2, 2)]
 
 
 def test_align_gci_empty_inputs():
-    assert align_gci(np.array([]), np.array([100])) == []
-    assert align_gci(np.array([100]), np.array([])) == []
+    assert _pairs(*align_gci(np.array([]), np.array([100]))) == []
+    assert _pairs(*align_gci(np.array([100]), np.array([]))) == []
+
+
+def test_align_gci_matches_the_pair_by_pair_loop():
+    rng = np.random.default_rng(59)
+    for trial in range(3000):
+        n_ref = int(rng.integers(0, 4)) if trial < 600 else int(rng.integers(4, 30))
+        n_pred = int(rng.integers(0, 4)) if trial % 2 else int(rng.integers(0, 40))
+        # small gaps on a coarse grid make equal distances, to one reference
+        # and to both neighbors, common
+        ref = np.cumsum(rng.integers(1, 12, n_ref)) * 2
+        hi = int(ref[-1]) + 20 if n_ref else 40
+        pred = np.sort(rng.integers(-10, hi, n_pred))
+        if trial % 3 == 0:
+            pred = np.unique(pred)
+        assert _pairs(*align_gci(pred, ref)) == _align_gci_loop(pred, ref), (pred, ref)
+    # exact ties: two predictions one sample either side of a reference,
+    # and one prediction midway between two references
+    assert _pairs(*align_gci([99, 101], [100])) == [(0, 0)]
+    assert _pairs(*align_gci([150], [100, 200])) == [(0, 0)]
+    assert _pairs(*align_gci([150, 150], [100, 200])) == [(0, 0)]
 
 
 # ----------------------------------------------------------------- evaluate
@@ -200,7 +296,7 @@ def test_evaluate_checks_rates_and_lengths():
         evaluate(Waveform(w.samples[:-10], w.fs), w, stream, stream)
     with pytest.raises(ValidationError):
         evaluate(Waveform(w.samples, 8000), w, stream, stream)
-    wide = analyze(w, contour, cfg.replace(fft_size=1024))
+    wide = analyze(w, contour, dataclasses.replace(cfg, fft_size=1024))
     with pytest.raises(ValidationError, match="FFT sizes"):
         evaluate(w, w, wide, stream)
 

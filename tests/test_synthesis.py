@@ -128,9 +128,17 @@ def _features(gain=-2.0, k=257, voiced=True, log_mag=None, position=1000):
                            phase_feature=encode_phase(theta), log_mag=log_mag)
 
 
+def _stream(feats):
+    # a stream of the features, its header's geometry theirs
+    k = len(feats[0].phase_feature)
+    return FeatureStream(fs=16000, fft_size=2 * (k - 1),
+                         mode="parametric" if feats[0].log_mag is None else "full",
+                         segments=feats)
+
+
 def test_min_phase_flat_magnitude_is_windowed_impulse_at_pivot():
-    f = _features(log_mag=np.zeros(257))
-    (row,) = build_segments([f], [(100, 150)], min_phase=True)
+    stream = _stream([_features(log_mag=np.zeros(257))])
+    (row,) = build_segments(stream, [0], [(100, 150)], min_phase=True)
     assert row.shape == (512,)
     peak = int(np.argmax(np.abs(row)))
     assert peak == 256
@@ -151,7 +159,7 @@ def test_min_phase_on_parametric_stream_needs_config():
     assert len(y.samples) == 1133 + 133 + 1
     # the segment builder itself takes the envelope magnitude, windowed to
     # the span's wings
-    (row,) = build_segments([_features()], [(100, 100)], min_phase=True)
+    (row,) = build_segments(_stream([_features()]), [0], [(100, 100)], min_phase=True)
     assert np.any(row[156:357]) and not np.any(row[:156]) and not np.any(row[357:])
 
 
@@ -176,10 +184,10 @@ def test_build_segments_clips_oversize_spans():
     # 512-sample row, and the parametric gain target is the kept length
     assert fit_wings([(400, 400)], 512).tolist() == [[256, 255]]
     for log_mag in (np.zeros(257), None):
-        feats = [_features(log_mag=log_mag, position=p) for p in (1000, 1200)]
+        stream = _stream([_features(log_mag=log_mag, position=p) for p in (1000, 1200)])
         for min_phase in (False, True):
-            rows = build_segments(feats, [(100, 100), (400, 400)], min_phase)
-            clipped = build_segments(feats, [(100, 100), (256, 255)], min_phase)
+            rows = build_segments(stream, [0, 1], [(100, 100), (400, 400)], min_phase)
+            clipped = build_segments(stream, [0, 1], [(100, 100), (256, 255)], min_phase)
             assert rows.shape == (2, 512)
             assert rows[0].tobytes() == clipped[0].tobytes()
             if log_mag is None or min_phase:
@@ -192,11 +200,13 @@ def test_build_segments_clips_oversize_spans():
 
 def test_segment_geometry_comes_from_the_features():
     # 801 samples overflow the default fft_size 512 but fit the 1024-point
-    # spectrum the features carry; no config is consulted
+    # spectrum the features carry, which the stream header states; no
+    # config is consulted
     for log_mag in (np.zeros(513), None):
-        f = _features(k=513, log_mag=log_mag)
+        stream = _stream([_features(k=513, log_mag=log_mag)])
+        assert stream.fft_size == 1024
         for min_phase in (False, True):
-            (row,) = build_segments([f], [(400, 400)], min_phase)
+            (row,) = build_segments(stream, [0], [(400, 400)], min_phase)
             assert row.shape == (1024,)
             if log_mag is None or min_phase:
                 assert np.any(row[112:913])
@@ -205,7 +215,9 @@ def test_segment_geometry_comes_from_the_features():
 
 def test_parametric_segment_energy_tracks_gain():
     gains = (-3.0, -1.0, 0.5)
-    rows = build_segments([_features(gain=g) for g in gains], [(120, 120)] * 3)
+    stream = _stream([_features(gain=g, position=1000 + 240 * i)
+                      for i, g in enumerate(gains)])
+    rows = build_segments(stream, [0, 1, 2], [(120, 120)] * 3)
     for gain, row in zip(gains, rows):
         # grain energy before windowing matches exp(gain); the Hann costs
         # a bounded factor
@@ -304,15 +316,15 @@ def test_synthesis_rows_match_the_old_slice_extraction(speech_streams, monkeypat
     for positions in (full.positions, _generation_positions(full)):
         spans = segment_spans(positions)[:gswf.synthesis.BLOCK]
         for stream in (full, par):
-            feats = stream.segments[:gswf.synthesis.BLOCK]
+            index = range(gswf.synthesis.BLOCK)
             for min_phase in (False, True):
-                rows = build_segments(feats, spans, min_phase)
+                rows = build_segments(stream, index, spans, min_phase)
                 # the old builder sliced each unwindowed buffer at the span
                 # and windowed the slice
                 with monkeypatch.context() as m:
                     m.setattr(gswf.synthesis, "window_rows",
                               lambda spans, fft_size: np.ones((len(spans), fft_size)))
-                    bufs = build_segments(feats, spans, min_phase)
+                    bufs = build_segments(stream, index, spans, min_phase)
                 rewindow = min_phase or stream.mode == "parametric"
                 for row, buf, (left, right) in zip(rows, bufs, spans):
                     size = left + right + 1

@@ -15,7 +15,10 @@ Speech and tone at 16 kHz also go through
 ``--min-phase --min-phase-from-envelope``; ``roundtrip`` full and
 parametric ``--min-phase-from-envelope``; ``metrics`` as text and
 ``--json``, on the input against itself and on the roundtrip's min-phase
-resynthesis (analyzed again) against the input.  The other inputs skip
+resynthesis (analyzed again) against the input, and ``metrics`` on that
+resynthesis analyzed again with ``--mode parametric`` against the input's
+parametric stream, which scores LSP envelopes of instants aligned across
+two analyses.  The other inputs skip
 these; the low-pitched one because analyzing its min-phase resynthesis
 fails on both sides (a voicing-edge pulse is missed).  Then ``roundtrip --list`` at
 ``--jobs 2`` over speech and tone, and the library calls
@@ -88,7 +91,8 @@ def commands(inputs: Path, name: str) -> list:
         ["roundtrip", wav, f0, out + "rt_par", "--mode", "parametric",
          "--min-phase-from-envelope"],
         # metrics of the input against itself, and of the roundtrip's
-        # length-fitted min-phase resynthesis against the input
+        # length-fitted min-phase resynthesis against the input, in full
+        # and in parametric mode
         ["metrics", wav, wav, out + "full.gswf", out + "full.gswf", out + "same.txt"],
         ["analyze", f"{out}rt_full/{name}.minphase.wav", f0, out + "mp.gswf",
          "--mode", "full"],
@@ -96,6 +100,10 @@ def commands(inputs: Path, name: str) -> list:
          out + "full.gswf", out + "mp.txt"],
         ["metrics", f"{out}rt_full/{name}.minphase.wav", wav, out + "mp.gswf",
          out + "full.gswf", out + "mp.json", "--json"],
+        ["analyze", f"{out}rt_full/{name}.minphase.wav", f0, out + "mp_par.gswf",
+         "--mode", "parametric"],
+        ["metrics", f"{out}rt_full/{name}.minphase.wav", wav, out + "mp_par.gswf",
+         out + "par.gswf", out + "mp_par.txt"],
     ]
 
 
