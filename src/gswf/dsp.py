@@ -295,43 +295,51 @@ def reflection_to_lsp_batch(k: np.ndarray) -> np.ndarray:
     k (rows, p), |k| < 1: (rows, p), strictly increasing in (0, pi), the
     sum polynomial's in the even slots.
 
-    With k_{p+1} = +1 (sum polynomial) or -1 (difference polynomial),
-    alpha_j = -k_{j+1} and alpha_{-1} = -1, the zeros e^{+-i theta} of the
-    polynomial are the eigenvalues of the orthogonal CMV matrix LM of the
-    alphas, and L and M are symmetric involutions (Cantero, Moral &
-    Velazquez, Linear Algebra Appl. 362, 2003).  So (L + M)^2 = 2 + LM +
-    (LM)^T, and each eigenvalue mu of the tridiagonal L + M, diagonal
-    alpha_j - alpha_{j-1} (j = 0..p) and off-diagonal sqrt(1 - alpha_j^2)
-    (j < p), gives theta = 2 arccos(|mu| / 2).  One eigenvalue call per row
-    takes both polynomials as two blocks: sorted, their 2p + 2 angles are
-    one trivial zero at 0, each frequency twice (the pair's mean is kept)
-    and one trivial zero at pi.  Pairs glued by rounding are split by one
-    ulp; a RowError names the rows that fail."""
+    With k_{p+1} = +1 (sum polynomial) or -1 (difference polynomial), the
+    zeros e^{+-i theta} of the polynomial are the eigenvalues of the CMV
+    matrix LM, where L and M are block-diagonal reflections built from the
+    k_j (Cantero, Moral & Velazquez, Linear Algebra Appl. 362, 2003).  The
+    product of two reflections turns by twice the angles between their -1
+    eigenspaces, so cos(theta / 2) are the singular values of the matrix
+    B of inner products of those eigenvectors (Ammar, Gragg & Reichel,
+    Proc. 25th IEEE CDC, 1986).  With c_j = sqrt((1 - k_j) / 2) and s_j =
+    sqrt((1 + k_j) / 2) the eigenvectors form a chain whose links are g_j =
+    c_j s_{j+1} (j = 1..p, s_{p+1} = 1 for the sum and 0 for the
+    difference polynomial), and B is the bidiagonal of those links.  So
+    cos^2(theta / 2) are the eigenvalues of the ceil(p/2)-sized tridiagonal
+    B^T B: diagonal g_{2l-1}^2 + g_{2l}^2, off-diagonal g_{2l} g_{2l+1},
+    links past g_p zero.  One LAPACK dsterf call per row takes both
+    polynomials as two blocks; sorted, their 2 ceil(p/2) angles are the p
+    frequencies, and for odd p one exact zero of the difference block
+    (theta = pi, the trivial root at z = -1), which is dropped.  Pairs
+    glued by rounding are split by one ulp; a RowError names the rows
+    that fail."""
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[1] < 1:
         raise ValidationError("reflection_to_lsp_batch: need a (rows, p) array")
     _check_rows(~np.all(np.abs(k) < 1.0, axis=1),
                 "reflection coefficient of magnitude >= 1: model is not minimum phase")
     rows, p = k.shape
-    # alpha_{-1..p} of the sum and the difference polynomial of each row
-    alpha = np.empty((rows, 2, p + 2))
-    alpha[:, :, 0] = -1.0
-    alpha[:, :, 1:-1] = -k[:, None, :]
-    alpha[:, :, -1] = [-1.0, 1.0]
-    diag = np.diff(alpha, axis=2).reshape(rows, -1)
+    half = (p + 1) // 2
+    # links g_1..g_{2 half} of the sum and the difference polynomial of each
+    # row; the difference polynomial's last link and any past g_p are zero
+    c = np.sqrt((1.0 - k) / 2.0)
+    g = np.zeros((rows, 2, 2 * half))
+    g[:, :, :p - 1] = (c[:, :-1] * np.sqrt((1.0 + k[:, 1:]) / 2.0))[:, None, :]
+    g[:, 0, p - 1] = c[:, -1]
+    diag = (g[:, :, 0::2] ** 2 + g[:, :, 1::2] ** 2).reshape(rows, -1)
     # the off-diagonal after each block's last row is 0: it ends the block
-    off = np.zeros((rows, 2, p + 1))
-    off[:, :, :p] = np.sqrt((1.0 - k) * (1.0 + k))[:, None, :]
+    off = np.zeros((rows, 2, half))
+    off[:, :, :-1] = g[:, :, 1:-1:2] * g[:, :, 2::2]
     off = off.reshape(rows, -1)[:, :-1]
-    mu = np.empty_like(diag)
+    lam = np.empty_like(diag)
     failed = np.zeros(rows, dtype=bool)
     for i in range(rows):
-        mu[i], info = lapack.dsterf(diag[i], off[i])
+        lam[i], info = lapack.dsterf(diag[i], off[i])
         failed[i] = info != 0
     _check_rows(failed, "tridiagonal eigenvalue iteration did not converge")
-    theta = np.sort(2.0 * np.arccos(np.minimum(np.abs(mu) / 2.0, 1.0)), axis=1)
-    freqs = 0.5 * (theta[:, 1:-1:2] + theta[:, 2:-1:2])
-    return _nudge_rows(np.clip(freqs, 1e-12, np.pi - 1e-12), 1e-9)
+    theta = np.sort(2.0 * np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0))), axis=1)
+    return _nudge_rows(np.clip(theta[:, :p], 1e-12, np.pi - 1e-12), 1e-9)
 
 
 def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:

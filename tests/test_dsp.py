@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.fft import dct
-from scipy.linalg import solve_toeplitz
+from scipy.linalg import lapack, solve_toeplitz
 
 from gswf import PipelineConfig, ValidationError, Waveform
 from gswf.analysis import LSP_ORDER, cut_segments, extract_segments, row_spectra
@@ -497,6 +497,43 @@ def test_lsp_rows_do_not_depend_on_the_batch():
     assert not np.any(stack[-1])
     _check_composition(lambda k: (reflection_to_lsp_batch(k),),
                        lambda row: (reflection_to_lsp_batch(row[None, :])[0],), stack)
+
+
+def _lsp_doubled_reference(k):
+    """The full-size finder: the eigenvalues mu of the (p+1)-sized
+    tridiagonal L + M of each polynomial, diagonal alpha_j - alpha_{j-1}
+    and off-diagonal sqrt(1 - alpha_j^2), give theta = 2 arccos(|mu| / 2).
+    Sorted, the 2p + 2 angles are a trivial zero at 0, each frequency twice
+    and a trivial zero at pi; the mean of each pair is kept."""
+    rows, p = k.shape
+    alpha = np.empty((rows, 2, p + 2))
+    alpha[:, :, 0] = -1.0
+    alpha[:, :, 1:-1] = -k[:, None, :]
+    alpha[:, :, -1] = [-1.0, 1.0]
+    diag = np.diff(alpha, axis=2).reshape(rows, -1)
+    off = np.zeros((rows, 2, p + 1))
+    off[:, :, :p] = np.sqrt((1.0 - k) * (1.0 + k))[:, None, :]
+    off = off.reshape(rows, -1)[:, :-1]
+    mu = np.empty_like(diag)
+    for i in range(rows):
+        mu[i], info = lapack.dsterf(diag[i], off[i])
+        assert info == 0
+    theta = np.sort(2.0 * np.arccos(np.minimum(np.abs(mu) / 2.0, 1.0)), axis=1)
+    return 0.5 * (theta[:, 1:-1:2] + theta[:, 2:-1:2])
+
+
+def test_lsp_half_size_finder_matches_the_doubled_spectrum():
+    # the p/2-sized bidiagonal blocks against the (p+1)-sized L + M blocks
+    # on speech_like() segments, the flat predictor and random stable models
+    stacks = [lpc_predictors(_speech_autocorrs(), LSP_ORDER)[1]]
+    rng = np.random.default_rng(35)
+    for order in (1, 2, 3, 7, 8, 10, 40):
+        stacks.append(np.array([reflection_from_lpc(random_stable_lpc(order, rng))
+                                for _ in range(200)]))
+    for k in stacks:
+        got = reflection_to_lsp_batch(k)
+        assert got.shape == k.shape
+        assert np.max(np.abs(got - _lsp_doubled_reference(k))) < 1e-12, k.shape
 
 
 def _lsp_to_lpc_by_convolution(f):

@@ -27,17 +27,22 @@ from_envelope=True, positions="f0")`` on their feature files, each written
 as a wav.
 It prints each output file that differs (or exists on one side only) and
 each command that fails on either side, and exits 1 if there is any, else 0.
+A differing PCM16 wav is quantified by the number of samples that differ
+and the largest difference in LSB; a differing text file (reports, tracks)
+by the lines that differ.
 Only the standard library is used here; the commands need numpy and scipy.
 """
 
 from __future__ import annotations
 
 import argparse
+import array
 import filecmp
 import os
 import subprocess
 import sys
 import tempfile
+import wave
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +71,7 @@ for path in sys.argv[1:]:
               synthesize_min_phase(stream, from_envelope=True, positions="f0"))
 """
 NAMES = ("speech", "tone")
+MAX_LINES = 16  # differing text lines printed per file
 ANALYSIS_ONLY = ("lowpitch", "speech8k", "speech22k")
 
 
@@ -126,12 +132,61 @@ def run_tree(src: Path, inputs: Path, out_dir: Path) -> list:
     return codes
 
 
+def _pcm16(path: Path):
+    """(channels, rate, samples) of a PCM16 wav, or None for other files."""
+    try:
+        with wave.open(str(path), "rb") as fh:
+            if fh.getsampwidth() != 2:
+                return None
+            head = (fh.getnchannels(), fh.getframerate())
+            samples = array.array("h", fh.readframes(fh.getnframes()))
+    except (wave.Error, EOFError):
+        return None
+    if sys.byteorder == "big":
+        samples.byteswap()
+    return head + (samples,)
+
+
+def _text_lines(path: Path):
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        return None
+
+
+def describe(a: Path, b: Path) -> str:
+    """How file a (this tree) differs from file b (BASE_SRC)."""
+    if a.suffix == ".wav":
+        wa, wb = _pcm16(a), _pcm16(b)
+        if wa and wb and wa[:2] == wb[:2] and len(wa[2]) == len(wb[2]):
+            deltas = [abs(x - y) for x, y in zip(wa[2], wb[2]) if x != y]
+            if deltas:
+                return (f"{len(deltas)} of {len(wa[2])} samples differ, "
+                        f"by at most {max(deltas)} LSB")
+        elif wa and wb:
+            return (f"{wa[0]} ch, {wa[1]} Hz, {len(wa[2])} frames here; "
+                    f"{wb[0]} ch, {wb[1]} Hz, {len(wb[2])} frames in BASE_SRC")
+    elif a.suffix in (".txt", ".json"):
+        la, lb = _text_lines(a), _text_lines(b)
+        if la is not None and lb is not None:
+            pairs = [(i, x, y) for i, (x, y) in enumerate(zip(la, lb), start=1) if x != y]
+            head = f"{len(pairs)} lines differ"
+            if len(la) != len(lb):
+                head += f" ({len(la)} lines here, {len(lb)} in BASE_SRC)"
+            shown = [f"\n    line {i}: {x!r} here\n    line {i}: {y!r} in BASE_SRC"
+                     for i, x, y in pairs[:MAX_LINES]]
+            if len(pairs) > MAX_LINES:
+                shown.append(f"\n    ... and {len(pairs) - MAX_LINES} more")
+            return head + "".join(shown)
+    return "bytes differ"
+
+
 def differing(a: Path, b: Path) -> list:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     out = [f"{rel}: only in {'this tree' if rel in files_a else 'BASE_SRC'}"
            for rel in sorted(files_a ^ files_b)]
-    out += [f"{rel}: bytes differ" for rel in sorted(files_a & files_b)
+    out += [f"{rel}: {describe(a / rel, b / rel)}" for rel in sorted(files_a & files_b)
             if not filecmp.cmp(a / rel, b / rel, shallow=False)]
     return out
 
