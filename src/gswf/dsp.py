@@ -7,8 +7,6 @@ domain with a fixed floor so silence stays finite; phases live in (-pi, pi].
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
-import scipy.signal
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import lapack
 
@@ -173,15 +171,16 @@ def lpc_predictors(r: np.ndarray, order: int) -> tuple:
 
 
 def _inverse_filter_span(x: np.ndarray, a: np.ndarray, start: int, stop: int) -> np.ndarray:
-    # FIR-filter x[start:stop] through A(z) using real left context
+    # FIR-filter x[start:stop] through A(z) using real left context; the
+    # truncated full convolution is what scipy.signal.lfilter(a, [1.0], .)
+    # runs, so the bits are lfilter's
     ctx = max(0, start - (len(a) - 1))
-    out = scipy.signal.lfilter(a, [1.0], x[ctx:stop])
-    return out[start - ctx:]
+    return np.convolve(a, x[ctx:stop])[start - ctx:stop - ctx]
 
 
 def _kernel_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # dot products along the last axis of broadcast (..., k) stacks, with
-    # the bits np.correlate's kernel loop (and so lfilter's FIR path) gives:
+    # the bits np.correlate's kernel loop (and so np.convolve) gives:
     # numpy sums kernels of up to 11 taps in order from 0.0 and longer ones
     # with ddot, which a (1, k) @ (k, 1) matmul calls too
     if u.shape[-1] > 11:
@@ -203,7 +202,7 @@ def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
     The frame autocorrelations and the filtering between the first and last
     frame centers are array passes over the frame stack and the sliding
     windows of the signal, with the bits of one np.correlate per frame and
-    one lfilter call per frame."""
+    one FIR convolution per frame."""
     x = w.samples
     fs = w.fs
     frame_len = int(round(frame_s * fs))
@@ -226,9 +225,9 @@ def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
     # m+1's (hi); frame m's filter runs over [c[m-1], c[m+1]), the file
     # edges standing in for the outer frames' missing neighbours.  Spans
     # that start past sample `order` are one FIR pass over their windows;
-    # the edge spans and any span nearer the file start, where the lfilter
-    # call of a frame sums its first outputs differently, filter as that
-    # call does
+    # the edge spans and any span nearer the file start, where the
+    # convolution of a frame sums its first outputs differently, filter as
+    # that call does
     bounds = np.concatenate([[0], centers, [len(x)]])
     res = np.empty_like(x)
     res[:centers[0]] = _inverse_filter_span(x, coefs[0], 0, bounds[2])[:centers[0]]
@@ -450,4 +449,5 @@ def mel_cepstrum(log_mag: np.ndarray, fs: float, n_mels: int = MEL_BANDS,
     power = np.exp(2.0 * log_mag)
     bank = mel_filterbank(log_mag.shape[-1], fs, n_mels)
     band = np.log(np.maximum(power @ bank.T, EPS_MAG))
+    import scipy.fft  # here, not at module level: only scoring pays its import
     return scipy.fft.dct(band, type=2, norm="ortho", axis=-1)[..., :order + 1]

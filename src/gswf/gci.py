@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import skew
 
 from .config import PipelineConfig
 from .dsp import lpc_residual
@@ -172,6 +171,17 @@ def _frame_regions_to_samples(voiced: np.ndarray, shift: float, fs: int,
     return voiced_regions, unvoiced_regions
 
 
+def _skewness(x: np.ndarray) -> float:
+    # biased sample skewness m3 / m2^1.5 in the bits of scipy.stats.skew,
+    # NaN where m2 is within rounding of zero (constant input)
+    mean = np.mean(x)
+    d = x - mean
+    m2 = np.mean(d ** 2)
+    if m2 <= (np.finfo(np.float64).eps * mean) ** 2:
+        return np.nan
+    return np.mean(d ** 2 * d) / m2 ** 1.5
+
+
 def detect_gci(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None) -> GciTrack:
     """Full detection pass over one utterance."""
     cfg = cfg or PipelineConfig()
@@ -190,7 +200,7 @@ def detect_gci(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None
         mask = np.zeros(n, dtype=bool)
         for lo, hi in voiced_regions:
             mask[lo:hi] = True
-        if skew(residual[mask]) < 0:
+        if _skewness(residual[mask]) < 0:
             residual = -residual
         min_sep = max(1, int(round(CANDIDATE_MIN_SEP_S * fs)))
         for lo, hi in voiced_regions:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +93,31 @@ def test_analyze_mode_changes_file_size(inputs, tmp_path):
     assert run(["analyze", wav, f0, par, "--mode", "parametric"]) == 0
     n = len(read_features(par))
     assert os.path.getsize(full) - os.path.getsize(par) == n * 257 * 4
+
+
+_IMPORT_PROBE = """
+import sys
+heavy = ("scipy.signal", "scipy.stats", "scipy.fft")
+import gswf.cli
+print(*[m for m in heavy if m in sys.modules])
+code = gswf.cli.run(["analyze", *sys.argv[1:]])
+print(code, *[m for m in heavy[:2] if m in sys.modules])
+"""
+
+
+def test_cli_loads_no_scipy_signal_stats_or_fft(inputs, tmp_path):
+    # a fresh process pays for every module it imports: the CLI loads none
+    # of these at import, and analysis needs neither scipy.signal nor
+    # scipy.stats (scipy.fft is left to scoring)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    env.pop("GSWF_CONFIG", None)
+    wav, f0 = inputs
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, wav, f0,
+                           str(tmp_path / "tone.gswf")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["", "0"]
 
 
 def test_analyze_corrupt_wav(inputs, tmp_path, capsys):

@@ -5,9 +5,9 @@ from scipy.linalg import lapack, solve_toeplitz
 
 from gswf import PipelineConfig, ValidationError, Waveform
 from gswf.analysis import LSP_ORDER, cut_segments, extract_segments, row_spectra
-from gswf.dsp import (_poly_from_circle_roots, asymmetric_hann, autocorr, inverse_spectrum,
-                      lpc_envelope, lpc_from_autocorr_batch, lpc_predictors, lpc_residual,
-                      lsp_to_lpc_batch, mel_cepstrum, mel_filterbank, mel_support,
+from gswf.dsp import (_inverse_filter_span, _poly_from_circle_roots, asymmetric_hann, autocorr,
+                      inverse_spectrum, lpc_envelope, lpc_from_autocorr_batch, lpc_predictors,
+                      lpc_residual, lsp_to_lpc_batch, mel_cepstrum, mel_filterbank, mel_support,
                       reflection_to_lsp_batch, wrap_phase)
 from gswf.errors import RowError
 from gswf.gci import detect_gci
@@ -288,10 +288,17 @@ def test_lpc_residual_rejects_bad_geometry():
         lpc_residual(Waveform(np.ones(399), 16000), order=18)
 
 
+def _lfilter_span(x, a, start, stop):
+    # reference: scipy's FIR filter over x[start:stop] with len(a) - 1
+    # samples of real left context
+    from scipy.signal import lfilter
+    ctx = max(0, start - (len(a) - 1))
+    return lfilter(a, [1.0], x[ctx:stop])[start - ctx:]
+
+
 def _residual_two_filters_per_span(w, order, frame_s=0.025, shift_s=0.005):
     # reference: each span between frame centers filtered by both of its
     # frames' models, each call with `order` samples of real left context
-    import scipy.signal
     x, fs = w.samples, w.fs
     frame_len, shift = int(round(frame_s * fs)), int(round(shift_s * fs))
     win = np.hanning(frame_len)
@@ -299,19 +306,14 @@ def _residual_two_filters_per_span(w, order, frame_s=0.025, shift_s=0.005):
     coefs, _ = lpc_predictors(np.array([autocorr(x[s:s + frame_len] * win, order)
                                         for s in starts]), order)
     centers = starts + frame_len // 2
-
-    def span(a, start, stop):
-        ctx = max(0, start - order)
-        return scipy.signal.lfilter(a, [1.0], x[ctx:stop])[start - ctx:]
-
     res = np.empty_like(x)
-    res[:centers[0]] = span(coefs[0], 0, centers[0])
-    res[centers[-1]:] = span(coefs[-1], centers[-1], len(x))
+    res[:centers[0]] = _lfilter_span(x, coefs[0], 0, centers[0])
+    res[centers[-1]:] = _lfilter_span(x, coefs[-1], centers[-1], len(x))
     for m in range(len(centers) - 1):
         a0, b0 = centers[m], centers[m + 1]
         alpha = np.arange(b0 - a0) / (b0 - a0)
-        res[a0:b0] = ((1.0 - alpha) * span(coefs[m], a0, b0)
-                      + alpha * span(coefs[m + 1], a0, b0))
+        res[a0:b0] = ((1.0 - alpha) * _lfilter_span(x, coefs[m], a0, b0)
+                      + alpha * _lfilter_span(x, coefs[m + 1], a0, b0))
     return res
 
 
@@ -333,6 +335,22 @@ def test_lpc_residual_equals_two_filters_per_span_at_other_rates(fs):
     order = int(fs / 1000) + 2  # the order GCI detection uses
     got = lpc_residual(w, order)
     assert got.tobytes() == _residual_two_filters_per_span(w, order).tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 10, 18, 40])
+def test_inverse_filter_span_is_lfilter_bit_for_bit(order):
+    # spans at the file start (less context than the order), in the
+    # interior and at the end, some shorter than the filter and some whose
+    # slice is as long as it (where np.convolve's argument order shows); at
+    # order 10 the 11-tap kernel takes numpy's small-kernel loop, above it ddot
+    rng = np.random.default_rng(order)
+    x = rng.normal(size=2000) * 0.3
+    a = np.concatenate([[1.0], rng.normal(size=order) * 0.2])
+    spans = [(0, 1), (0, 5), (0, order + 1), (0, 400), (3, 90), (order, order + 2),
+             (777, 1100), (1000, 1001), (1500, 1503), (1950, 2000), (1999, 2000), (0, 2000)]
+    for start, stop in spans:
+        got = _inverse_filter_span(x, a, start, stop)
+        assert got.tobytes() == _lfilter_span(x, a, start, stop).tobytes(), (start, stop)
 
 
 def test_lpc_residual_spans_near_the_file_start():

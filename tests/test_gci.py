@@ -1,10 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from gswf import DetectionError, F0Contour, FormatError, ValidationError, Waveform
-from gswf.gci import (GciTrack, detect_gci, find_intervals, mean_based_signal,
+from gswf.gci import (GciTrack, _skewness, detect_gci, find_intervals, mean_based_signal,
                       merge_marks, read_gci_track, select_candidates, viterbi_select,
                       write_gci_track)
 from gswf.metrics import align_gci
@@ -295,6 +296,37 @@ def test_detect_gci_on_pulse_train_hits_known_instants():
     assert len(pi) / len(truth) >= 0.98
     dev = np.abs(voiced[pi] - truth[ri])
     assert np.mean(dev) / w.fs < 0.00025
+
+
+def _scipy_skew(x):
+    # reference; scipy warns of precision loss on nearly constant input
+    from scipy.stats import skew
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Precision loss", RuntimeWarning)
+        return skew(x)
+
+
+def test_skewness_is_scipy_stats_skew_bit_for_bit():
+    # the polarity test flips the residual on skewness < 0, so the sign,
+    # NaN included, must be scipy's: compare bits over random lengths,
+    # scales, offsets, coarsely rounded values and constant inputs
+    rng = np.random.default_rng(15)
+    cases = [np.zeros(7), np.full(300, -2.5), np.full(1, 3.0), np.array([1e3, 1e3 + 1e-12])]
+    for _ in range(3000):
+        n = int(rng.integers(1, 5001)) if rng.random() < 0.3 else int(rng.integers(1, 60))
+        x = rng.standard_gamma(rng.uniform(0.5, 5.0), size=n) * rng.choice([1.0, -1.0])
+        x *= 10.0 ** rng.uniform(-8.0, 3.0)
+        if rng.random() < 0.3:
+            x += rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 8.0)
+        if rng.random() < 0.3:
+            x = np.round(x, int(rng.integers(0, 4)))
+        cases.append(x)
+    nans = 0
+    for x in cases:
+        got, want = np.float64(_skewness(x)), np.float64(_scipy_skew(x))
+        assert got.tobytes() == want.tobytes(), (len(x), got, want)
+        nans += bool(np.isnan(want))
+    assert 4 <= nans < len(cases) // 2  # constant and rounded-flat inputs give NaN
 
 
 def test_detect_gci_handles_inverted_polarity():
