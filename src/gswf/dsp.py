@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lapack
 
 from .errors import RowError, ValidationError
 from .signal_io import Waveform
@@ -289,6 +288,14 @@ def _nudge_rows(freqs: np.ndarray, tol: float) -> np.ndarray:
     return freqs
 
 
+def _eigvalsh_fails(a: np.ndarray) -> bool:
+    try:
+        np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
 def reflection_to_lsp_batch(k: np.ndarray) -> np.ndarray:
     """Line spectral frequencies of the models with reflection coefficients
     k (rows, p), |k| < 1: (rows, p), strictly increasing in (0, pi), the
@@ -307,12 +314,14 @@ def reflection_to_lsp_batch(k: np.ndarray) -> np.ndarray:
     difference polynomial), and B is the bidiagonal of those links.  So
     cos^2(theta / 2) are the eigenvalues of the ceil(p/2)-sized tridiagonal
     B^T B: diagonal g_{2l-1}^2 + g_{2l}^2, off-diagonal g_{2l} g_{2l+1},
-    links past g_p zero.  One LAPACK dsterf call per row takes both
-    polynomials as two blocks; sorted, their 2 ceil(p/2) angles are the p
-    frequencies, and for odd p one exact zero of the difference block
-    (theta = pi, the trivial root at z = -1), which is dropped.  Pairs
-    glued by rounding are split by one ulp; a RowError names the rows
-    that fail."""
+    links past g_p zero.  One eigvalsh call takes both polynomials of
+    every row as a (rows, 2, ceil(p/2), ceil(p/2)) stack of dense blocks;
+    LAPACK's dsyevd leaves an already tridiagonal matrix as it is and calls
+    dsterf on it, so the eigenvalues are those of a per-block dsterf, bit
+    for bit.  Sorted, a row's 2 ceil(p/2) angles are the p frequencies,
+    and for odd p one exact zero of the difference block (theta = pi, the
+    trivial root at z = -1), which is dropped.  Pairs glued by rounding are
+    split by one ulp; a RowError names the rows that fail."""
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[1] < 1:
         raise ValidationError("reflection_to_lsp_batch: need a (rows, p) array")
@@ -326,17 +335,18 @@ def reflection_to_lsp_batch(k: np.ndarray) -> np.ndarray:
     g = np.zeros((rows, 2, 2 * half))
     g[:, :, :p - 1] = (c[:, :-1] * np.sqrt((1.0 + k[:, 1:]) / 2.0))[:, None, :]
     g[:, 0, p - 1] = c[:, -1]
-    diag = (g[:, :, 0::2] ** 2 + g[:, :, 1::2] ** 2).reshape(rows, -1)
-    # the off-diagonal after each block's last row is 0: it ends the block
-    off = np.zeros((rows, 2, half))
-    off[:, :, :-1] = g[:, :, 1:-1:2] * g[:, :, 2::2]
-    off = off.reshape(rows, -1)[:, :-1]
-    lam = np.empty_like(diag)
-    failed = np.zeros(rows, dtype=bool)
-    for i in range(rows):
-        lam[i], info = lapack.dsterf(diag[i], off[i])
-        failed[i] = info != 0
-    _check_rows(failed, "tridiagonal eigenvalue iteration did not converge")
+    blocks = np.zeros((rows, 2, half, half))
+    idx = np.arange(half)
+    blocks[:, :, idx, idx] = g[:, :, 0::2] ** 2 + g[:, :, 1::2] ** 2
+    blocks[:, :, idx[1:], idx[:-1]] = blocks[:, :, idx[:-1], idx[1:]] = (
+        g[:, :, 1:-1:2] * g[:, :, 2::2])
+    try:
+        lam = np.linalg.eigvalsh(blocks).reshape(rows, -1)
+    except np.linalg.LinAlgError:
+        # the stack fails as a whole: find the rows that fail on their own
+        _check_rows(np.array([_eigvalsh_fails(b) for b in blocks]),
+                    "tridiagonal eigenvalue iteration did not converge")
+        raise
     theta = np.sort(2.0 * np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0))), axis=1)
     return _nudge_rows(np.clip(theta[:, :p], 1e-12, np.pi - 1e-12), 1e-9)
 

@@ -97,27 +97,31 @@ def test_analyze_mode_changes_file_size(inputs, tmp_path):
 
 _IMPORT_PROBE = """
 import sys
-heavy = ("scipy.signal", "scipy.stats", "scipy.fft")
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 import gswf.cli
-print(*[m for m in heavy if m in sys.modules])
-code = gswf.cli.run(["analyze", *sys.argv[1:]])
-print(code, *[m for m in heavy[:2] if m in sys.modules])
+print(*scipy_modules())
+wav, f0, track, feat, out = sys.argv[1:]
+for argv in (["gci", wav, f0, track], ["analyze", wav, f0, feat],
+             ["synthesize", feat, out], ["synthesize", feat, out, "--min-phase"]):
+    print(gswf.cli.run(argv), *scipy_modules())
 """
 
 
-def test_cli_loads_no_scipy_signal_stats_or_fft(inputs, tmp_path):
-    # a fresh process pays for every module it imports: the CLI loads none
-    # of these at import, and analysis needs neither scipy.signal nor
-    # scipy.stats (scipy.fft is left to scoring)
+def test_cli_loads_no_scipy_until_it_scores(inputs, tmp_path):
+    # a fresh process pays for every module it imports: the CLI loads no
+    # scipy module at import, nor to detect instants, analyze or
+    # synthesize (scipy.fft is left to scoring)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     env.pop("GSWF_CONFIG", None)
     wav, f0 = inputs
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, wav, f0,
-                           str(tmp_path / "tone.gswf")],
+                           *(str(tmp_path / name) for name in
+                             ("tone.gci", "tone.gswf", "resynth.wav"))],
                           env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines() == ["", "0"]
+    assert done.stdout.splitlines() == ["", "0", "0", "0", "0"]
 
 
 def test_analyze_corrupt_wav(inputs, tmp_path, capsys):

@@ -5,10 +5,11 @@ from scipy.linalg import lapack, solve_toeplitz
 
 from gswf import PipelineConfig, ValidationError, Waveform
 from gswf.analysis import LSP_ORDER, cut_segments, extract_segments, row_spectra
-from gswf.dsp import (_inverse_filter_span, _poly_from_circle_roots, asymmetric_hann, autocorr,
-                      inverse_spectrum, lpc_envelope, lpc_from_autocorr_batch, lpc_predictors,
-                      lpc_residual, lsp_to_lpc_batch, mel_cepstrum, mel_filterbank, mel_support,
-                      reflection_to_lsp_batch, wrap_phase)
+from gswf.dsp import (_inverse_filter_span, _nudge_rows, _poly_from_circle_roots,
+                      asymmetric_hann, autocorr, inverse_spectrum, lpc_envelope,
+                      lpc_from_autocorr_batch, lpc_predictors, lpc_residual, lsp_to_lpc_batch,
+                      mel_cepstrum, mel_filterbank, mel_support, reflection_to_lsp_batch,
+                      wrap_phase)
 from gswf.errors import RowError
 from gswf.gci import detect_gci
 from gswf.synthesis import decode_phase
@@ -552,6 +553,70 @@ def test_lsp_half_size_finder_matches_the_doubled_spectrum():
         got = reflection_to_lsp_batch(k)
         assert got.shape == k.shape
         assert np.max(np.abs(got - _lsp_doubled_reference(k))) < 1e-12, k.shape
+
+
+def _lsp_dsterf_reference(k):
+    """The same half-size blocks, both of a row in one LAPACK dsterf call
+    (the zero off-diagonal between them splits the matrix), row by row."""
+    rows, p = k.shape
+    half = (p + 1) // 2
+    c = np.sqrt((1.0 - k) / 2.0)
+    g = np.zeros((rows, 2, 2 * half))
+    g[:, :, :p - 1] = (c[:, :-1] * np.sqrt((1.0 + k[:, 1:]) / 2.0))[:, None, :]
+    g[:, 0, p - 1] = c[:, -1]
+    diag = (g[:, :, 0::2] ** 2 + g[:, :, 1::2] ** 2).reshape(rows, -1)
+    off = np.zeros((rows, 2, half))
+    off[:, :, :-1] = g[:, :, 1:-1:2] * g[:, :, 2::2]
+    off = off.reshape(rows, -1)[:, :-1]
+    lam = np.empty_like(diag)
+    for i in range(rows):
+        lam[i], info = lapack.dsterf(diag[i], off[i])
+        assert info == 0
+    theta = np.sort(2.0 * np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0))), axis=1)
+    return _nudge_rows(np.clip(theta[:, :p], 1e-12, np.pi - 1e-12), 1e-9)
+
+
+def test_lsp_batched_eigvalsh_is_the_dsterf_finder_bit_for_bit():
+    # speech_like() segments with the flat predictor last, random stable
+    # models at orders 1-40, and order-40 rows with |k| up to 0.9999
+    speech = lpc_predictors(_speech_autocorrs(), LSP_ORDER)[1]
+    assert not np.any(speech[-1])
+    stacks = [speech]
+    rng = np.random.default_rng(36)
+    for order in range(1, LSP_ORDER + 1):
+        stacks.append(np.array([reflection_from_lpc(random_stable_lpc(order, rng))
+                                for _ in range(40)]))
+    stacks.append(rng.uniform(-0.9999, 0.9999, size=(500, LSP_ORDER)))
+    edge = rng.uniform(0.999, 0.9999, size=(100, LSP_ORDER))
+    stacks.append(edge * rng.choice([-1.0, 1.0], size=edge.shape))
+    for k in stacks:
+        assert _same_bits(reflection_to_lsp_batch(k), _lsp_dsterf_reference(k)), k.shape
+
+
+def test_lsp_eigenvalue_failure_names_the_rows(monkeypatch):
+    # LAPACK reports a non-converging stack as a whole; the rows named are
+    # the ones that fail on their own
+    rng = np.random.default_rng(37)
+    k = np.array([reflection_from_lpc(random_stable_lpc(10, rng)) for _ in range(6)])
+    eigvalsh, seen = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+    reflection_to_lsp_batch(k)
+    half = seen[0].shape[-1]
+    poisoned = seen[0][[1, 4]].reshape(-1, half, half)
+
+    def failing(a):
+        # fails on any stack that holds a block of rows 1 or 4
+        if any(np.array_equal(b, p) for b in a.reshape(-1, half, half) for p in poisoned):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(RowError, match=r"^tridiagonal eigenvalue iteration did not "
+                                       r"converge \(row 1; 2 of 6 rows fail\)$") as err:
+        reflection_to_lsp_batch(k)
+    assert err.value.rows == [1, 4]
+    assert _same_bits(reflection_to_lsp_batch(k[[0, 2, 3, 5]]),
+                      _lsp_dsterf_reference(k[[0, 2, 3, 5]]))
 
 
 def _lsp_to_lpc_by_convolution(f):

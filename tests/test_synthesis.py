@@ -279,12 +279,12 @@ def test_parametric_lsp_error_names_the_segment(speech_streams, tmp_path, capsys
 # -------------------------------------------------------------- overlap-add
 
 def test_overlap_add_rejects_mismatched_lists():
-    rows = np.zeros((1, 64))
+    block = np.zeros((1, 64)), window_rows([(10, 10)], 64)
     with pytest.raises(ValidationError):
-        overlap_add([rows], np.array([100, 200]), [(10, 10)] * 2, 300)
+        overlap_add([block], np.array([100, 200]), [(10, 10)] * 2, 300)
     with pytest.raises(ValidationError):
-        overlap_add([rows], np.array([100]), [(10, 10)] * 2, 300)
-    overlap_add([rows], np.array([100]), [(10, 10)], 300)
+        overlap_add([block], np.array([100]), [(10, 10)] * 2, 300)
+    overlap_add([block], np.array([100]), [(10, 10)], 300)
 
 
 def test_overlap_add_reconstructs_windowed_grains():
@@ -296,9 +296,10 @@ def test_overlap_add_reconstructs_windowed_grains():
     instants = np.arange(100, 1500, 137)
     track = GciTrack(instants, np.ones(len(instants), dtype=bool), 16000)
     rows = extract_segments(Waveform(x, 16000), track, PipelineConfig())
-    pos = instants[1:-1]
+    pos, spans = instants[1:-1], segment_spans(instants)[1:-1]
+    windows = window_rows(spans, rows.shape[1])
     # two blocks of rows, added in order
-    out = overlap_add([rows[:3], rows[3:]], pos, segment_spans(instants)[1:-1], 1500)
+    out = overlap_add([(rows[:3], windows[:3]), (rows[3:], windows[3:])], pos, spans, 1500)
     lo, hi = int(pos[1]), int(pos[-2])
     assert np.max(np.abs(out[lo:hi] - x[lo:hi])) < 1e-12
 
