@@ -31,6 +31,9 @@ LSP_ORDER = 40      # LSP values per segment; the feature file stores exactly th
 
 @dataclass
 class SegmentFeatures:
+    """One segment's features as a record: what FeatureStream.segments
+    builds from a stream row, and FeatureStream(segments=...) takes apart.
+    The library works on the stream's columns only."""
     position: int
     voiced: bool
     log_f0: float
@@ -48,46 +51,101 @@ class SegmentFeatures:
                 raise ValidationError("log_mag and phase_feature must have equal length")
 
 
-@dataclass
+@dataclass(init=False)
 class FeatureStream:
+    """The features of n segments, one array per field: positions (n,)
+    int64, strictly increasing; voiced (n,) bool; log_f0 and gain (n,);
+    lsp (n, L); phase (n, K) phase features (encode_phase) and, in full
+    mode, log_mag (n, K) natural-log magnitudes, with K = fft_size//2 + 1.
+    log_mag is None in parametric mode.
+
+    FeatureStream(fs, fft_size, mode, segments=records) takes the columns
+    from a list of SegmentFeatures records instead, and .segments builds
+    the records of the rows."""
     fs: int
     fft_size: int
     mode: str  # "parametric" or "full"
-    segments: list
+    positions: np.ndarray
+    voiced: np.ndarray
+    log_f0: np.ndarray
+    gain: np.ndarray
+    lsp: np.ndarray
+    phase: np.ndarray
+    log_mag: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, fs: int, fft_size: int, mode: str, positions=None, voiced=None,
+                 log_f0=None, gain=None, lsp=None, phase=None, log_mag=None, *,
+                 segments: list | None = None) -> None:
+        columns = (positions, voiced, log_f0, gain, lsp, phase, log_mag)
+        if segments is not None:
+            if any(c is not None for c in columns):
+                raise TypeError("FeatureStream takes columns or segments, not both")
+            columns = _record_columns(segments, fft_size, mode)
+        if any(c is None for c in columns[:6]):
+            raise TypeError("FeatureStream needs positions, voiced, log_f0, gain, lsp "
+                            "and phase")
+        self.fs, self.fft_size, self.mode = fs, fft_size, mode
+        self.positions = np.asarray(columns[0], dtype=np.int64)
+        self.voiced = np.asarray(columns[1], dtype=bool)
+        self.log_f0, self.gain, self.lsp, self.phase, self.log_mag = (
+            None if c is None else np.asarray(c, dtype=np.float64) for c in columns[2:])
+        self._check()
+
+    def _check(self) -> None:
         if self.mode not in ("parametric", "full"):
             raise ValidationError(f"unknown stream mode {self.mode!r}")
-        pos = self.positions
-        if len(pos) and np.any(np.diff(pos) <= 0):
+        if (self.log_mag is None) == (self.mode == "full"):
+            raise ValidationError(f"{self.mode}-mode stream has "
+                                  f"{'no' if self.log_mag is None else 'a'} log_mag")
+        n, n_bins = self.positions.size, self.fft_size // 2 + 1
+        lsp_order = self.lsp.shape[1] if self.lsp.ndim == 2 else LSP_ORDER
+        shapes = {"positions": (n,), "voiced": (n,), "log_f0": (n,), "gain": (n,),
+                  "lsp": (n, lsp_order), "phase": (n, n_bins), "log_mag": (n, n_bins)}
+        for name, shape in shapes.items():
+            got = getattr(self, name)
+            if got is not None and got.shape != shape:
+                raise ValidationError(f"stream {name} has shape {got.shape}, expected "
+                                      f"{shape} for {n} segments at fft_size {self.fft_size}")
+        if np.any(np.diff(self.positions) <= 0):
             raise ValidationError("segment positions must be strictly increasing")
-        n_bins = self.fft_size // 2 + 1
-        for seg in self.segments:
-            if len(seg.phase_feature) != n_bins:
-                raise ValidationError(
-                    f"segment at {seg.position}: expected {n_bins} phase values for "
-                    f"fft_size {self.fft_size}, got {len(seg.phase_feature)}"
-                )
-            if (seg.log_mag is None) == (self.mode == "full"):
-                raise ValidationError(
-                    f"{self.mode}-mode stream has {'no' if seg.log_mag is None else 'a'} "
-                    f"log_mag at position {seg.position}"
-                )
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self.positions)
 
     @property
-    def positions(self) -> np.ndarray:
-        return np.array([seg.position for seg in self.segments], dtype=np.int64)
+    def segments(self) -> list:
+        """The rows as SegmentFeatures records, built on each access."""
+        mags = [None] * len(self) if self.log_mag is None else self.log_mag
+        return [SegmentFeatures(position=p, voiced=v, log_f0=f, gain=g, lsp=lsp,
+                                phase_feature=phase, log_mag=mag)
+                for p, v, f, g, lsp, phase, mag in zip(
+                    self.positions.tolist(), self.voiced.tolist(), self.log_f0.tolist(),
+                    self.gain.tolist(), self.lsp, self.phase, mags)]
 
 
-def segment_spans(positions: np.ndarray) -> list:
-    """(left, right) spans from neighbor gaps; edges mirror their known side."""
+def _record_columns(segments: list, fft_size: int, mode: str) -> tuple:
+    """The columns of SegmentFeatures records, in FeatureStream's argument
+    order; log_mag is None in a parametric stream whose records have none."""
+    def stack(rows, width):
+        return np.array(rows, dtype=np.float64) if rows else np.zeros((0, width))
+
+    n_bins = fft_size // 2 + 1
+    mags = [s.log_mag for s in segments if s.log_mag is not None]
+    return ([s.position for s in segments], [s.voiced for s in segments],
+            [s.log_f0 for s in segments], [s.gain for s in segments],
+            stack([s.lsp for s in segments], LSP_ORDER),
+            stack([s.phase_feature for s in segments], n_bins),
+            stack(mags, n_bins) if mags or mode == "full" else None)
+
+
+def segment_spans(positions: np.ndarray) -> np.ndarray:
+    """(left, right) spans from neighbor gaps, an (n, 2) int64 array; edges
+    mirror their known side."""
     if len(positions) == 1:
         raise ValidationError("cannot infer spans from a single position")
-    gaps = np.diff(positions).tolist()
-    return list(zip(gaps[:1] + gaps, gaps + gaps[-1:]))
+    gaps = np.diff(np.asarray(positions, dtype=np.int64))
+    return np.stack([np.concatenate([gaps[:1], gaps]), np.concatenate([gaps, gaps[-1:]])],
+                    axis=1)
 
 
 def fit_wings(spans, fft_size: int) -> np.ndarray:
@@ -100,22 +158,23 @@ def fit_wings(spans, fft_size: int) -> np.ndarray:
 
 
 def segment_log_mags(stream: FeatureStream, index, spans) -> np.ndarray:
-    """Log magnitudes (len(index), fft_size//2 + 1) of the stream's segments
-    at the row indices index, each with its (left, right) span: the stored
-    spectra in full mode; in parametric mode the LSP envelopes, shifted so
-    each segment carries exp(gain) RMS over its wings (fit_wings)."""
-    feats = [stream.segments[i] for i in index]
+    """Log magnitudes (rows, fft_size//2 + 1) of the stream's rows at index,
+    a slice or an array of row indices, each with its (left, right) span:
+    the stored spectra in full mode; in parametric mode the LSP envelopes,
+    shifted so each segment carries exp(gain) RMS over its wings
+    (fit_wings)."""
     if stream.mode == "full":
-        return np.array([f.log_mag for f in feats])
+        return stream.log_mag[index]
     try:
-        env = lpc_envelope(lsp_to_lpc_batch([f.lsp for f in feats]), stream.fft_size)
+        env = lpc_envelope(lsp_to_lpc_batch(stream.lsp[index]), stream.fft_size)
     except RowError as e:
-        raise ValidationError(f"segment at {feats[e.rows[0]].position}: {e.reason}") from e
+        raise ValidationError(
+            f"segment at {stream.positions[index][e.rows[0]]}: {e.reason}") from e
     mag2 = np.exp(2.0 * env)
     # Parseval: time-domain energy of a spectrum frame
     energy = (mag2[:, 0] + 2.0 * np.sum(mag2[:, 1:-1], axis=1) + mag2[:, -1]) / stream.fft_size
     n_samples = fit_wings(spans, stream.fft_size).sum(axis=1) + 1
-    target = np.exp(2.0 * np.array([f.gain for f in feats])) * n_samples
+    target = np.exp(2.0 * stream.gain[index]) * n_samples
     return env + (0.5 * (np.log(target) - np.log(np.maximum(energy, 1e-300))))[:, None]
 
 
@@ -212,16 +271,15 @@ def row_spectra(rows: np.ndarray) -> tuple:
 
 
 def segments_to_features(rows: np.ndarray, centers, spans, voiced, fs: int,
-                         mode: str) -> list:
-    """Features of the cut_segments rows of (center, span) pairs, computed
-    in one array pass: autocorrelations and gains of each row's wings, then
-    one Levinson recursion, one LSP conversion of its reflection
-    coefficients and the rfft of the stack."""
-    if not len(rows):
-        return []
-    half = rows.shape[1] // 2
+                         mode: str) -> FeatureStream:
+    """The feature stream of the cut_segments rows of (center, span) pairs,
+    computed in one array pass: autocorrelations and gains of each row's
+    wings, then one Levinson recursion, one LSP conversion of its
+    reflection coefficients and the rfft of the stack."""
+    fft_size = rows.shape[1]
+    half = fft_size // 2
     views = [row[half - wl:half + wr + 1]
-             for row, (wl, wr) in zip(rows, fit_wings(spans, rows.shape[1]))]
+             for row, (wl, wr) in zip(rows, fit_wings(spans, fft_size))]
     r = np.array([autocorr(samples, LSP_ORDER) for samples in views])
     try:
         lsp = reflection_to_lsp_batch(lpc_predictors(r, LSP_ORDER)[1])
@@ -230,17 +288,14 @@ def segments_to_features(rows: np.ndarray, centers, spans, voiced, fs: int,
             f"{e.reason} (segment at sample {centers[e.rows[0]]}; "
             f"{len(e.rows)} of {e.n_rows} segments fail)") from e
     log_mag, phase = row_spectra(rows)
-    unvoiced_log_f0 = float(np.log(1.0 / UNVOICED_SHIFT_S))
-    return [SegmentFeatures(
-        position=int(center),
-        voiced=bool(flag),
-        log_f0=float(np.log(fs / int(right))) if flag else unvoiced_log_f0,
-        gain=float(np.log(max(float(np.sqrt(np.mean(samples ** 2))), GAIN_FLOOR))),
-        lsp=lsp[i],
-        phase_feature=phase[i],
-        log_mag=log_mag[i] if mode == "full" else None,
-    ) for i, (center, (_, right), flag, samples)
-        in enumerate(zip(centers, spans, voiced, views))]
+    voiced = np.asarray(voiced, dtype=bool)
+    right = np.reshape(np.array(spans, dtype=np.int64), (-1, 2))[:, 1]
+    log_f0 = np.where(voiced, np.log(fs / right), np.log(1.0 / UNVOICED_SHIFT_S))
+    # one np.mean per row: its pairwise sum depends on the row's length
+    rms = np.sqrt([np.mean(samples ** 2) for samples in views])
+    return FeatureStream(fs, fft_size, mode, centers, voiced, log_f0,
+                         np.log(np.maximum(rms, GAIN_FLOOR)), lsp, phase,
+                         log_mag if mode == "full" else None)
 
 
 def analyze(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None) -> FeatureStream:
@@ -249,7 +304,5 @@ def analyze(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None) -
     track = detect_gci(w, f0_ref, cfg)
     rows = extract_segments(w, track, cfg)
     inst = track.instants
-    return FeatureStream(fs=w.fs, fft_size=cfg.fft_size, mode=cfg.mode,
-                         segments=segments_to_features(
-                             rows, inst[1:-1], segment_spans(inst)[1:-1],
-                             track.voiced[1:-1], w.fs, cfg.mode))
+    return segments_to_features(rows, inst[1:-1], segment_spans(inst)[1:-1],
+                                track.voiced[1:-1], w.fs, cfg.mode)

@@ -137,16 +137,10 @@ def _measure_at_instants(out: Waveform, stream: FeatureStream) -> FeatureStream:
     if stream.mode == "full":
         # spectra and phases are all evaluate reads of a full-mode stream
         log_mag, phase = row_spectra(rows)
-        measured = [replace(seg, log_mag=m, phase_feature=p)
-                    for seg, m, p in zip(stream.segments, log_mag, phase)]
-    else:
-        # parametric magnitudes come from the LSP envelope and the gain
-        voiced = [seg.voiced for seg in stream.segments]
-        measured = [replace(seg, gain=f.gain, lsp=f.lsp, phase_feature=f.phase_feature)
-                    for seg, f in zip(stream.segments, segments_to_features(
-                        rows, pos, spans, voiced, out.fs, stream.mode))]
-    return FeatureStream(fs=stream.fs, fft_size=stream.fft_size, mode=stream.mode,
-                         segments=measured)
+        return replace(stream, log_mag=log_mag, phase=phase)
+    # parametric magnitudes come from the LSP envelope and the gain
+    f = segments_to_features(rows, pos, spans, stream.voiced, out.fs, stream.mode)
+    return replace(stream, gain=f.gain, lsp=f.lsp, phase=f.phase)
 
 
 def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,

@@ -361,16 +361,21 @@ def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:
     order np.convolve sums in, so one row equals the convolution chain."""
     w = np.asarray(w)
     rows, k = int(np.prod(w.shape[:-1])), w.shape[-1]
-    q = -2.0 * np.cos(w.astype(np.longdouble)).reshape(rows, k, 1)
-    # the coefficients sit after two zeros, with zeros after them too
-    buf = np.zeros((rows, 2 * k + 5), dtype=np.longdouble)
-    buf[:, 2] = 1.0
+    q = -2.0 * np.cos(w.astype(np.longdouble)).reshape(rows, k).T
+    # coefficient-major buffers, written in turn: the coefficients sit after
+    # two zeros, with zeros after them too
+    a, b = np.zeros((2, 2 * k + 5, rows), dtype=np.longdouble)
+    t = np.empty((2 * k + 3, rows), dtype=np.longdouble)
+    a[2] = 1.0
     for i in range(k):
         n = 2 * i + 3
-        nxt = buf[:, :n] + q[:, i] * buf[:, 1:n + 1]
-        nxt += buf[:, 2:n + 2]
-        buf[:, 2:n + 2] = nxt
-    return buf[:, 2:2 * k + 3].reshape(w.shape[:-1] + (2 * k + 1,))
+        np.multiply(q[i], a[1:n + 1], out=t[:n])
+        np.add(a[:n], t[:n], out=t[:n])
+        np.add(t[:n], a[2:n + 2], out=b[2:n + 2])
+        a, b = b, a
+    # row-major again: numpy sums a row of a transposed stack in another
+    # order, and segment_log_mags sums the envelopes' rows
+    return np.ascontiguousarray(a[2:2 * k + 3].T).reshape(w.shape[:-1] + (2 * k + 1,))
 
 
 def lsp_to_lpc_batch(lsp: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .analysis import LSP_ORDER, FeatureStream, SegmentFeatures
+from .analysis import LSP_ORDER, FeatureStream
 from .errors import FormatError
 
 MAGIC = b"GSWF"
@@ -29,9 +29,10 @@ _MODE_NAMES = {v: k for k, v in _MODES.items()}
 
 
 def _record(mode: str, fft_size: int) -> np.dtype:
-    """The packed little-endian record of one segment."""
+    """The packed little-endian record of one segment; its fields are the
+    stream's columns, in FeatureStream's argument order."""
     n_bins = fft_size // 2 + 1
-    fields = [("position", "<u8"), ("voiced", "u1"), ("log_f0", "<f4"), ("gain", "<f4"),
+    fields = [("positions", "<u8"), ("voiced", "u1"), ("log_f0", "<f4"), ("gain", "<f4"),
               ("lsp", "<f4", (LSP_ORDER,)), ("phase", "<f4", (n_bins,))]
     if mode == "full":
         fields.append(("log_mag", "<f4", (n_bins,)))
@@ -39,17 +40,12 @@ def _record(mode: str, fft_size: int) -> np.dtype:
 
 
 def write_features(path: str, stream: FeatureStream) -> None:
-    for seg in stream.segments:
-        if len(seg.lsp) != LSP_ORDER:
-            raise FormatError(
-                f"feature file stores exactly {LSP_ORDER} LSP values, "
-                f"stream has {len(seg.lsp)}"
-            )
-    full = stream.mode == "full"
-    records = np.array([(seg.position, seg.voiced, seg.log_f0, seg.gain, seg.lsp,
-                         seg.phase_feature) + ((seg.log_mag,) if full else ())
-                        for seg in stream.segments],
-                       dtype=_record(stream.mode, stream.fft_size))
+    if stream.lsp.shape[1] != LSP_ORDER:
+        raise FormatError(f"feature file stores exactly {LSP_ORDER} LSP values, "
+                          f"stream has {stream.lsp.shape[1]}")
+    records = np.empty(len(stream), dtype=_record(stream.mode, stream.fft_size))
+    for name in records.dtype.names:
+        records[name] = getattr(stream, name)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, stream.fs, stream.fft_size,
                               _MODES[stream.mode], len(records)))
@@ -84,11 +80,4 @@ def read_features(path: str) -> FeatureStream:
             f"offset {end}, the file has {len(data)} bytes"
         )
     rec = np.frombuffer(data, dtype=record, count=count, offset=_HEADER.size)
-    log_mag = rec["log_mag"].astype(np.float64) if mode == "full" else [None] * count
-    segments = [SegmentFeatures(position=p, voiced=bool(v), log_f0=f, gain=g, lsp=lsp,
-                                phase_feature=phase, log_mag=mag)
-                for p, v, f, g, lsp, phase, mag in zip(
-                    rec["position"].tolist(), rec["voiced"].tolist(), rec["log_f0"].tolist(),
-                    rec["gain"].tolist(), rec["lsp"].astype(np.float64),
-                    rec["phase"].astype(np.float64), log_mag)]
-    return FeatureStream(fs=int(fs), fft_size=int(fft_size), mode=mode, segments=segments)
+    return FeatureStream(int(fs), int(fft_size), mode, *(rec[name] for name in record.names))

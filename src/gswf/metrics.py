@@ -158,12 +158,8 @@ def align_gci(pred_instants: np.ndarray, ref_instants: np.ndarray) -> tuple:
 def _log_mags(stream: FeatureStream, pos: np.ndarray, index: np.ndarray) -> np.ndarray:
     # each row as long as the wings synthesis gives it; a lone segment
     # spans (1, 1)
-    spans = np.array(segment_spans(pos)) if len(pos) > 1 else np.ones((1, 2), dtype=np.int64)
+    spans = segment_spans(pos) if len(pos) > 1 else np.ones((1, 2), dtype=np.int64)
     return segment_log_mags(stream, index, spans[index])
-
-
-def _column(stream: FeatureStream, name: str, dtype=np.float64) -> np.ndarray:
-    return np.array([getattr(seg, name) for seg in stream.segments], dtype=dtype)
 
 
 def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
@@ -195,8 +191,7 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
         if not 0 <= lo < hi <= n:
             raise ValidationError(f"span ({lo}, {hi}) outside waveform of {n} samples")
     pred_pos, ref_pos = pred_stream.positions, ref_stream.positions
-    pred_voiced = _column(pred_stream, "voiced", bool)
-    ref_voiced = _column(ref_stream, "voiced", bool)
+    pred_voiced, ref_voiced = pred_stream.voiced, ref_stream.voiced
     mask = voicing_mask(ref_pos, ref_voiced, n)
     rv, ru, ra, n_v, n_u = rmse_waveform(pred_wav.samples[lo:hi],
                                          ref_wav.samples[lo:hi], mask[lo:hi])
@@ -211,15 +206,14 @@ def evaluate(pred_wav: Waveform, ref_wav: Waveform, pred_stream: FeatureStream,
         lm_r = _log_mags(ref_stream, ref_pos, vr)
         lsd_val = lsd(lm_p, lm_r)
         mcd_val = mcd(mel_cepstrum(lm_p, pred_stream.fs), mel_cepstrum(lm_r, ref_stream.fs))
-        dpd_val = dpd(_column(pred_stream, "phase_feature")[vp],
-                      _column(ref_stream, "phase_feature")[vr])
+        dpd_val = dpd(pred_stream.phase[vp], ref_stream.phase[vr])
     else:
         lsd_val = mcd_val = dpd_val = 0.0
 
     both = pred_voiced[pi] & ref_voiced[ri]
     if np.any(both):
-        fp = np.exp(_column(pred_stream, "log_f0")[pi[both]])
-        fr = np.exp(_column(ref_stream, "log_f0")[ri[both]])
+        fp = np.exp(pred_stream.log_f0[pi[both]])
+        fr = np.exp(ref_stream.log_f0[ri[both]])
         f0_rmse = float(np.sqrt(np.mean((fp - fr) ** 2)))
     else:
         f0_rmse = 0.0

@@ -40,12 +40,13 @@ def decode_phase(phase_feature: np.ndarray) -> np.ndarray:
 
 def build_segments(stream: FeatureStream, index, spans, min_phase: bool = False,
                    windows=None) -> np.ndarray:
-    """The rows (len(index), fft_size) of the stream's segments at the row
-    indices index with their (left, right) spans, in one array pass, each
-    with its instant at index fft_size//2; overlap_add reads each row's
-    wings (fit_wings).  min_phase keeps the magnitude and replaces the
-    transmitted phase by the minimum phase.  windows, if given, is
-    window_rows(spans, fft_size), which the caller has already built."""
+    """The rows (rows, fft_size) of the stream's rows at index, a slice or
+    an array of row indices, with their (left, right) spans, in one array
+    pass, each with its instant at index fft_size//2; overlap_add reads
+    each row's wings (fit_wings).  min_phase keeps the magnitude and
+    replaces the transmitted phase by the minimum phase.  windows, if
+    given, is window_rows(spans, fft_size), which the caller has already
+    built."""
     fft_size = stream.fft_size
     log_mag = segment_log_mags(stream, index, spans)
     half = fft_size // 2
@@ -57,7 +58,7 @@ def build_segments(stream: FeatureStream, index, spans, min_phase: bool = False,
         cep[:, half + 1:] = 0.0
         rows = np.roll(np.fft.ifft(np.exp(np.fft.fft(cep))).real, half, axis=1)
     else:
-        phase = decode_phase([stream.segments[i].phase_feature for i in index])
+        phase = decode_phase(stream.phase[index])
         rows = inverse_spectrum(log_mag, phase, fft_size)
     # envelope magnitude discards the window shaping that full-mode spectra
     # carry, and the minimum-phase response is unwindowed and rings past the
@@ -70,12 +71,14 @@ def build_segments(stream: FeatureStream, index, spans, min_phase: bool = False,
 def _add_wings(acc: np.ndarray, rows: np.ndarray, positions, spans) -> None:
     # each row's wings, added at its position in stream order
     half = rows.shape[1] // 2
-    wings = fit_wings(spans, rows.shape[1]).tolist()
-    for row, pos, (left, right) in zip(rows, positions, wings):
-        pos = int(pos)
-        lo, hi = max(0, pos - left), min(len(acc), pos + right + 1)
-        if hi > lo:
-            acc[lo:hi] += row[half + lo - pos:half + hi - pos]
+    wings = fit_wings(spans, rows.shape[1])
+    positions = np.asarray(positions, dtype=np.int64)
+    lo = np.maximum(positions - wings[:, 0], 0)
+    hi = np.minimum(positions + wings[:, 1] + 1, len(acc))
+    for row, a, b, start in zip(rows, lo.tolist(), hi.tolist(),
+                                (half + lo - positions).tolist()):
+        if b > a:
+            acc[a:b] += row[start:start + b - a]
 
 
 def window_envelope(spans, positions, total_len: int, fft_size: int) -> np.ndarray:
@@ -95,6 +98,8 @@ def overlap_add(blocks, positions, spans, total_len: int) -> np.ndarray:
     window_rows of their spans, whose wings make the envelope
     (window_envelope).  Samples where the envelope is below EPS_OLA are set
     to zero."""
+    if len(spans) != len(positions):
+        raise ValidationError("one position and one span per row required")
     acc, env = np.zeros(total_len), np.zeros(total_len)
     done = 0
     for rows, windows in blocks:
@@ -105,7 +110,7 @@ def overlap_add(blocks, positions, spans, total_len: int) -> np.ndarray:
         # free the block before the next one is built; holding it made
         # full-mode synthesis ~5% slower (allocation of the next block)
         del rows, windows
-    if not done or done != len(positions) or len(spans) != len(positions):
+    if not done or done != len(positions):
         raise ValidationError("one position and one span per row required")
     out = acc / np.maximum(env, EPS_OLA)
     # the few outermost samples have no meaningful window support; there the
@@ -119,12 +124,12 @@ def _generation_positions(stream: FeatureStream) -> np.ndarray:
     # one period of lead-in, then each segment's period sets the gap to the
     # next instant: positions round the float running sums p0, 2 p0, 2 p0 +
     # p1, ..., which keeps the long-run rate exact despite the rounding
-    periods = [stream.fs / float(np.exp(seg.log_f0)) for seg in stream.segments]
-    return np.round(np.cumsum(periods[:1] + periods[:-1])).astype(np.int64)
+    periods = stream.fs / np.exp(stream.log_f0)
+    return np.round(np.cumsum(np.concatenate([periods[:1], periods[:-1]]))).astype(np.int64)
 
 
 def _synthesize(stream: FeatureStream, positions: str, min_phase: bool) -> Waveform:
-    if not stream.segments:
+    if not len(stream):
         raise ValidationError("cannot synthesize from an empty stream")
     if positions == "stream":
         pos = stream.positions
@@ -134,10 +139,10 @@ def _synthesize(stream: FeatureStream, positions: str, min_phase: bool) -> Wavef
         raise ConfigError(f"positions must be 'stream' or 'f0', got {positions!r}")
     if len(pos) < 2:
         raise ValidationError("need at least 2 segments to synthesize")
-    spans = np.array(segment_spans(pos))
+    spans = segment_spans(pos)
     starts = range(0, len(pos), BLOCK)
     windows = (window_rows(spans[lo:lo + BLOCK], stream.fft_size) for lo in starts)
-    blocks = ((build_segments(stream, range(lo, lo + len(w)), spans[lo:lo + BLOCK],
+    blocks = ((build_segments(stream, slice(lo, lo + BLOCK), spans[lo:lo + BLOCK],
                               min_phase, w), w)
               for lo, w in zip(starts, windows))
     total_len = int(pos[-1] + spans[-1][1] + 1)

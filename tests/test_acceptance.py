@@ -140,8 +140,7 @@ def test_criterion_03_full_mode_round_trip(acceptance_log):
 
 def _voiced_rmse_pair(w, contour, cfg):
     stream = analyze(w, contour, cfg)
-    mask = voicing_mask(stream.positions, [s.voiced for s in stream.segments],
-                        len(w.samples))
+    mask = voicing_mask(stream.positions, stream.voiced, len(w.samples))
     out = []
     for synth in (synthesize, synthesize_min_phase):
         y = synth(stream).samples

@@ -151,20 +151,20 @@ def _features(x, center, left, right, cfg, voiced=True):
     rows = cut_segments(Waveform(x, 16000), [center], [(left, right)], cfg.fft_size,
                         cfg.oversize_segment)
     return rows, segments_to_features(rows, [center], [(left, right)], [voiced], 16000,
-                                      cfg.mode)[0]
+                                      cfg.mode)
 
 
 def test_segment_features_shapes_and_values():
     w, _ = harmonic_tone(dur=0.2)
     cfg = PipelineConfig(mode="full")
     rows, f = _features(w.samples, 800, 133, 133, cfg)
-    assert f.position == 800 and f.voiced
-    assert len(f.lsp) == LSP_ORDER
-    assert len(f.phase_feature) == cfg.fft_size // 2 + 1
-    assert f.log_mag is not None and len(f.log_mag) == 257
-    assert f.log_f0 == pytest.approx(np.log(16000 / 133))
+    assert f.positions.tolist() == [800] and f.voiced.tolist() == [True]
+    assert f.lsp.shape == (1, LSP_ORDER)
+    assert f.phase.shape == (1, cfg.fft_size // 2 + 1)
+    assert f.log_mag is not None and f.log_mag.shape == (1, 257)
+    assert f.log_f0[0] == pytest.approx(np.log(16000 / 133))
     rms = np.sqrt(np.mean(rows[0, 256 - 133:256 + 134] ** 2))
-    assert f.gain == pytest.approx(np.log(rms))
+    assert f.gain[0] == pytest.approx(np.log(rms))
 
 
 def test_segment_features_parametric_mode_drops_log_mag():
@@ -175,14 +175,14 @@ def test_segment_features_parametric_mode_drops_log_mag():
 
 def test_segment_features_unvoiced_log_f0_is_mark_rate():
     _, f = _features(np.zeros(1000), 500, 80, 80, PipelineConfig(), voiced=False)
-    assert f.log_f0 == pytest.approx(np.log(1.0 / UNVOICED_SHIFT_S))
-    assert f.gain == pytest.approx(np.log(GAIN_FLOOR))
+    assert f.log_f0[0] == pytest.approx(np.log(1.0 / UNVOICED_SHIFT_S))
+    assert f.gain[0] == pytest.approx(np.log(GAIN_FLOOR))
 
 
 def test_silent_segment_gets_uniform_lsp_grid():
     _, f = _features(np.zeros(1000), 500, 80, 80, PipelineConfig(), voiced=False)
     expect = np.arange(1, LSP_ORDER + 1) * np.pi / (LSP_ORDER + 1)
-    assert np.allclose(f.lsp, expect, atol=1e-9)
+    assert np.allclose(f.lsp[0], expect, atol=1e-9)
 
 
 def test_oversize_segment_error_and_truncate_modes():
@@ -194,10 +194,10 @@ def test_oversize_segment_error_and_truncate_modes():
     with pytest.warns(UserWarning, match=r"truncating segment at 1000 from "
                                          r"\(300, 300\) to \(256, 255\)"):
         rows, f = _features(x, 1000, 300, 300, cfg)
-    assert len(f.phase_feature) == 257
+    assert f.phase.shape == (1, 257)
     # log F0 keeps the period; the gain is the RMS of the samples kept
-    assert f.log_f0 == pytest.approx(np.log(16000 / 300))
-    assert f.gain == pytest.approx(np.log(np.sqrt(np.mean(rows[0] ** 2))))
+    assert f.log_f0[0] == pytest.approx(np.log(16000 / 300))
+    assert f.gain[0] == pytest.approx(np.log(np.sqrt(np.mean(rows[0] ** 2))))
 
 
 def test_wing_longer_than_half_fft_is_oversize():
@@ -244,10 +244,9 @@ def test_analyze_produces_consistent_stream():
     assert np.all(np.diff(pos) > 0)
     gaps = np.diff(pos)
     assert np.all(np.abs(gaps - 16000 / 120.0) < 4)
-    for seg in stream.segments:
-        assert seg.voiced
-        assert len(seg.lsp) == 40
-        assert np.all(np.diff(seg.lsp) > 0)
+    assert np.all(stream.voiced)
+    assert stream.lsp.shape == (len(stream), 40)
+    assert np.all(np.diff(stream.lsp, axis=1) > 0)
 
 
 def test_analyze_converts_all_segments_in_one_lsp_call(monkeypatch):
@@ -286,18 +285,24 @@ def test_analyze_error_names_the_failing_segment(monkeypatch):
 
 
 def test_full_mode_stream_requires_log_mag():
-    from gswf import FeatureStream, SegmentFeatures
+    from gswf import FeatureStream
 
-    def seg(k=257, log_mag=None):
-        return SegmentFeatures(position=100, voiced=True, log_f0=np.log(120.0), gain=-2.0,
-                               lsp=np.linspace(0.1, 3.0, 40), phase_feature=np.zeros(k),
-                               log_mag=log_mag)
+    def columns(n=1, k=257, log_mag=None, **change):
+        cols = dict(positions=100 + 133 * np.arange(n), voiced=np.ones(n, dtype=bool),
+                    log_f0=np.full(n, np.log(120.0)), gain=np.full(n, -2.0),
+                    lsp=np.tile(np.linspace(0.1, 3.0, 40), (n, 1)), phase=np.zeros((n, k)),
+                    log_mag=log_mag)
+        return {**cols, **change}
 
-    # full mode without log_mag, parametric mode with it, and phase vectors
-    # whose length disagrees with the header's fft_size
-    for mode, f in (("full", seg()),
-                    ("parametric", seg(log_mag=np.zeros(257))),
-                    ("parametric", seg(k=513)),
-                    ("full", seg(k=129, log_mag=np.zeros(129)))):
+    # full mode without log_mag, parametric mode with it, phase rows whose
+    # length disagrees with the header's fft_size, a column a row short and
+    # positions that do not increase
+    for mode, cols in (("full", columns()),
+                       ("parametric", columns(log_mag=np.zeros((1, 257)))),
+                       ("parametric", columns(k=513)),
+                       ("full", columns(k=129, log_mag=np.zeros((1, 129)))),
+                       ("parametric", columns(n=3, gain=np.zeros(2))),
+                       ("parametric", columns(n=2, positions=[100, 100]))):
         with pytest.raises(ValidationError):
-            FeatureStream(fs=16000, fft_size=512, mode=mode, segments=[f])
+            FeatureStream(16000, 512, mode, **cols)
+    FeatureStream(16000, 512, "full", **columns(n=2, log_mag=np.zeros((2, 257))))

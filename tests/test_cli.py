@@ -391,6 +391,33 @@ def test_roundtrip_analyzes_once_per_job(inputs, tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+def test_no_command_builds_per_segment_records(inputs, tmp_path, monkeypatch):
+    # every command works on the stream's columns; a SegmentFeatures record
+    # is a view that only scripts ask for
+    from gswf.analysis import SegmentFeatures
+
+    def refuse(self):
+        raise AssertionError("a command built a SegmentFeatures record")
+
+    monkeypatch.setattr(SegmentFeatures, "__post_init__", refuse)
+    wav, f0 = inputs
+    full, par, out = (str(tmp_path / name) for name in ("f.gswf", "p.gswf", "out.wav"))
+    rt = str(tmp_path / "rt")
+    for argv in (["analyze", wav, f0, full],
+                 ["analyze", "--mode", "parametric", wav, f0, par],
+                 ["synthesize", full, out],
+                 ["synthesize", "--min-phase", full, out],
+                 ["synthesize", par, out],
+                 ["synthesize", "--min-phase", "--min-phase-from-envelope", par, out],
+                 ["roundtrip", wav, f0, rt],
+                 ["roundtrip", "--mode", "parametric", "--min-phase-from-envelope", wav, f0,
+                  str(tmp_path / "rt_par")],
+                 ["metrics", os.path.join(rt, "tone.minphase.wav"), wav, full, full,
+                  str(tmp_path / "full.txt")],
+                 ["metrics", wav, wav, par, par, str(tmp_path / "par.txt")]):
+        assert run(argv) == 0, argv
+
+
 @pytest.mark.parametrize("seed", [0, 2])
 def test_roundtrip_of_low_pitch_onsets_exits_0(seed, tmp_path):
     # voicing leads each stretch's first pulse by a period at 110-150 Hz;

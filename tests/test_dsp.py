@@ -619,6 +619,37 @@ def test_lsp_eigenvalue_failure_names_the_rows(monkeypatch):
                       _lsp_dsterf_reference(k[[0, 2, 3, 5]]))
 
 
+def _poly_by_row_loop(w):
+    # reference: the row-major loop, one new array per factor; each
+    # coefficient sums p[j-2], then -2 cos(w_i) p[j-1], then p[j]
+    w = np.asarray(w)
+    rows, k = int(np.prod(w.shape[:-1])), w.shape[-1]
+    q = -2.0 * np.cos(w.astype(np.longdouble)).reshape(rows, k, 1)
+    buf = np.zeros((rows, 2 * k + 5), dtype=np.longdouble)
+    buf[:, 2] = 1.0
+    for i in range(k):
+        n = 2 * i + 3
+        nxt = buf[:, :n] + q[:, i] * buf[:, 1:n + 1]
+        nxt += buf[:, 2:n + 2]
+        buf[:, 2:n + 2] = nxt
+    return buf[:, 2:2 * k + 3].reshape(w.shape[:-1] + (2 * k + 1,))
+
+
+def test_circle_root_product_matches_the_row_loop():
+    rng = np.random.default_rng(35)
+    for k in range(25):
+        spread = np.sort(rng.uniform(0.0, np.pi, (2, 40, k)), axis=-1)
+        # clustered roots, where the products lose the most digits
+        cluster = rng.uniform(0.1, 3.0, (40, 1)) + rng.uniform(-1e-6, 1e-6, (40, k))
+        for w in (spread, cluster, cluster[0]):
+            got, ref = _poly_from_circle_roots(w), _poly_by_row_loop(w)
+            assert got.dtype == np.longdouble and got.shape == ref.shape
+            # equal values with equal signs: the same bits, whatever the
+            # padding bytes of the longdouble storage hold
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got),
+                                                               np.signbit(ref))
+
+
 def _lsp_to_lpc_by_convolution(f):
     # the np.convolve chain whose sums lsp_to_lpc_batch makes as shifted adds
     one, p = np.longdouble(1.0), len(f)

@@ -1,51 +1,53 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gswf import (FeatureStream, FormatError, PipelineConfig, SegmentFeatures,
-                  ValidationError, analyze, read_features, write_features)
+from gswf import (FeatureStream, FormatError, PipelineConfig, ValidationError, analyze,
+                  read_features, synthesize, write_features)
 from gswf.analysis import LSP_ORDER
+from gswf.cli import run
 from gswf.featfile import MAGIC
-from signals import harmonic_tone
+from gswf.signal_io import write_f0_ref, write_wav
+from signals import harmonic_tone, speech_like
 
 
 def _stream(mode="full", n=5, k=257, fs=16000, fft_size=512, seed=31):
     rng = np.random.default_rng(seed)
-    segs = []
-    pos = 100
-    for i in range(n):
-        segs.append(SegmentFeatures(
-            position=pos,
-            voiced=bool(i % 2 == 0),
-            log_f0=float(rng.uniform(4.0, 5.5)),
-            gain=float(rng.uniform(-5.0, 0.0)),
-            lsp=np.sort(rng.uniform(0.01, 3.1, LSP_ORDER)),
-            phase_feature=rng.uniform(-np.pi, np.pi, k),
-            log_mag=rng.normal(0.0, 1.0, k) if mode == "full" else None,
-        ))
-        pos += int(rng.integers(100, 200))
-    return FeatureStream(fs=fs, fft_size=fft_size, mode=mode, segments=segs)
+    return FeatureStream(
+        fs, fft_size, mode, positions=100 + np.cumsum(rng.integers(100, 200, n)),
+        voiced=np.arange(n) % 2 == 0, log_f0=rng.uniform(4.0, 5.5, n),
+        gain=rng.uniform(-5.0, 0.0, n),
+        lsp=np.sort(rng.uniform(0.01, 3.1, (n, LSP_ORDER)), axis=1),
+        phase=rng.uniform(-np.pi, np.pi, (n, k)),
+        log_mag=rng.normal(0.0, 1.0, (n, k)) if mode == "full" else None)
 
 
 @pytest.mark.parametrize("mode", ["parametric", "full"])
 def test_roundtrip_preserves_float32_values(tmp_path, mode):
-    stream = _stream(mode)
-    path = str(tmp_path / "s.gswf")
-    write_features(path, stream)
-    back = read_features(path)
-    assert back.fs == stream.fs
-    assert back.fft_size == stream.fft_size
-    assert back.mode == mode
-    assert len(back) == len(stream)
-    for a, b in zip(stream.segments, back.segments):
-        assert b.position == a.position and b.voiced == a.voiced
-        assert b.log_f0 == np.float32(a.log_f0)
-        assert b.gain == np.float32(a.gain)
-        assert np.array_equal(b.lsp, a.lsp.astype(np.float32))
-        assert np.array_equal(b.phase_feature, a.phase_feature.astype(np.float32))
-        if mode == "full":
-            assert np.array_equal(b.log_mag, a.log_mag.astype(np.float32))
+    # five segments, and none: an empty stream keeps its column shapes and
+    # is refused only when synthesized
+    for n in (5, 0):
+        stream = _stream(mode, n)
+        path = str(tmp_path / "s.gswf")
+        write_features(path, stream)
+        back = read_features(path)
+        assert (back.fs, back.fft_size, back.mode) == (stream.fs, stream.fft_size, mode)
+        assert len(back) == n
+        assert back.positions.dtype == np.int64 and back.voiced.dtype == bool
+        assert np.array_equal(back.positions, stream.positions)
+        assert np.array_equal(back.voiced, stream.voiced)
+        names = ("log_f0", "gain", "lsp", "phase") + (("log_mag",) if mode == "full" else ())
+        for name in names:
+            got, sent = getattr(back, name), getattr(stream, name)
+            assert got.dtype == np.float64 and got.shape == sent.shape, name
+            assert np.array_equal(got, sent.astype(np.float32)), name
+        assert back.lsp.shape == (n, LSP_ORDER) and back.phase.shape == (n, 257)
+        assert (back.log_mag is None) == (mode == "parametric")
+    with pytest.raises(ValidationError, match="cannot synthesize from an empty stream"):
+        synthesize(back)
+    assert run(["synthesize", path, str(tmp_path / "out.wav")]) == 3
 
 
 def test_file_is_bitwise_deterministic(tmp_path):
@@ -91,10 +93,8 @@ def test_trailing_bytes_rejected(tmp_path):
 
 
 def test_wrong_lsp_width_rejected_at_write(tmp_path):
-    seg = SegmentFeatures(position=10, voiced=True, log_f0=4.5, gain=-1.0,
-                          lsp=np.linspace(0.1, 3.0, 30),
-                          phase_feature=np.zeros(257))
-    stream = FeatureStream(fs=16000, fft_size=512, mode="parametric", segments=[seg])
+    stream = dataclasses.replace(_stream("parametric", n=1),
+                                 lsp=np.linspace(0.1, 3.0, 30)[None])
     with pytest.raises(FormatError):
         write_features(str(tmp_path / "w.gswf"), stream)
 
@@ -107,6 +107,28 @@ def test_analyzed_stream_survives_file_roundtrip(tmp_path):
     back = read_features(path)
     assert np.array_equal(back.positions, stream.positions)
     # float32 storage keeps phase features to ~1e-7
-    worst = max(np.max(np.abs(a.phase_feature - b.phase_feature))
-                for a, b in zip(stream.segments, back.segments))
+    worst = np.max(np.abs(back.phase - stream.phase))
     assert worst < 1e-6
+
+
+def test_record_view_rebuilds_what_parametric_analysis_writes(tmp_path):
+    # scripts outside the package still read SegmentFeatures records: a
+    # full stream's records without their magnitudes make the parametric
+    # stream, and the voiced records' positions are the voiced instants
+    w, contour = speech_like()
+    wav, f0 = str(tmp_path / "s.wav"), str(tmp_path / "s.f0")
+    write_wav(wav, w)
+    write_f0_ref(f0, contour)
+    full, par, rebuilt = (str(tmp_path / name) for name in ("f.gswf", "p.gswf", "r.gswf"))
+    assert run(["analyze", wav, f0, full]) == 0
+    assert run(["analyze", "--mode", "parametric", wav, f0, par]) == 0
+    stream = read_features(full)
+    records = [dataclasses.replace(s, log_mag=None) for s in stream.segments]
+    write_features(rebuilt, FeatureStream(fs=stream.fs, fft_size=stream.fft_size,
+                                          mode="parametric", segments=records))
+    assert Path(rebuilt).read_bytes() == Path(par).read_bytes()
+    with pytest.raises(ValidationError, match="log_mag"):
+        FeatureStream(fs=stream.fs, fft_size=stream.fft_size, mode="full", segments=records)
+    voiced = [s.position for s in stream.segments if s.voiced]
+    assert 0 < len(voiced) < len(stream)
+    assert voiced == stream.positions[stream.voiced].tolist()

@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from gswf import (FeatureStream, PipelineConfig, SegmentFeatures, ValidationError,
-                  Waveform, analyze, evaluate, synthesize)
+from gswf import (FeatureStream, PipelineConfig, ValidationError, Waveform, analyze,
+                  evaluate, synthesize)
 from gswf.dsp import wrap_phase
 from gswf.metrics import (DB, REPORT_KEYS, align_gci, dpd, lsd, mcd, rmse_waveform,
                           voicing_mask)
@@ -233,13 +233,10 @@ def test_align_gci_matches_the_pair_by_pair_loop():
 
 def _toy_stream(positions, voiced, f0s, fs=16000, seed=57):
     rng = np.random.default_rng(seed)
-    segs = []
-    for pos, v, f0 in zip(positions, voiced, f0s):
-        segs.append(SegmentFeatures(
-            position=int(pos), voiced=bool(v), log_f0=float(np.log(f0)),
-            gain=-2.0, lsp=np.sort(rng.uniform(0.05, 3.09, 40)),
-            phase_feature=rng.uniform(-1.0, 1.0, 257)))
-    return FeatureStream(fs=fs, fft_size=512, mode="parametric", segments=segs)
+    n = len(positions)
+    return FeatureStream(fs, 512, "parametric", positions, voiced, np.log(f0s),
+                         np.full(n, -2.0), np.sort(rng.uniform(0.05, 3.09, (n, 40)), axis=1),
+                         rng.uniform(-1.0, 1.0, (n, 257)))
 
 
 def test_evaluate_identity_is_all_zeros():

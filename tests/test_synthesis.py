@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import gswf.synthesis
-from gswf import (ConfigError, FeatureStream, PipelineConfig, SegmentFeatures,
-                  ValidationError, analyze, read_features, synthesize,
-                  synthesize_min_phase, write_features)
+from gswf import (ConfigError, FeatureStream, PipelineConfig, ValidationError, analyze,
+                  read_features, synthesize, synthesize_min_phase, write_features)
 from gswf.analysis import encode_phase, fit_wings, segment_spans, window_rows
 from gswf.cli import run
 from gswf.dsp import asymmetric_hann, wrap_phase
@@ -118,26 +117,22 @@ def test_min_phase_degrades_but_keeps_energy():
 
 # ----------------------------------------------------------------- segments
 
-def _features(gain=-2.0, k=257, voiced=True, log_mag=None, position=1000):
-    # zero phase would park the grain at circular-buffer index 0; the
-    # pivot convention expects the fft_size/2 delay ramp
+def _stream(positions=(1000,), gain=-2.0, k=257, full=False):
+    # voiced segments of flat LSPs at the positions, with fft_size 2 (k - 1)
+    # and zero log magnitudes if full; zero phase would park the grain at
+    # circular-buffer index 0, and the pivot convention expects the
+    # fft_size/2 delay ramp
+    n = len(positions)
     theta = wrap_phase(-np.pi * np.arange(k))
-    return SegmentFeatures(position=position, voiced=voiced,
-                           log_f0=float(np.log(120.0)), gain=gain,
-                           lsp=np.arange(1, 41) * np.pi / 41,
-                           phase_feature=encode_phase(theta), log_mag=log_mag)
-
-
-def _stream(feats):
-    # a stream of the features, its header's geometry theirs
-    k = len(feats[0].phase_feature)
-    return FeatureStream(fs=16000, fft_size=2 * (k - 1),
-                         mode="parametric" if feats[0].log_mag is None else "full",
-                         segments=feats)
+    return FeatureStream(16000, 2 * (k - 1), "full" if full else "parametric", positions,
+                         np.ones(n, dtype=bool), np.full(n, np.log(120.0)),
+                         np.zeros(n) + gain, np.tile(np.arange(1, 41) * np.pi / 41, (n, 1)),
+                         np.tile(encode_phase(theta), (n, 1)),
+                         np.zeros((n, k)) if full else None)
 
 
 def test_min_phase_flat_magnitude_is_windowed_impulse_at_pivot():
-    stream = _stream([_features(log_mag=np.zeros(257))])
+    stream = _stream(full=True)
     (row,) = build_segments(stream, [0], [(100, 150)], min_phase=True)
     assert row.shape == (512,)
     peak = int(np.argmax(np.abs(row)))
@@ -147,19 +142,14 @@ def test_min_phase_flat_magnitude_is_windowed_impulse_at_pivot():
     assert np.max(np.abs(others)) < 1e-9
 
 
-def _parametric_pair():
-    return FeatureStream(fs=16000, fft_size=512, mode="parametric",
-                         segments=[_features(position=1000), _features(position=1133)])
-
-
 def test_min_phase_on_parametric_stream_needs_config():
     with pytest.raises(ConfigError):
-        synthesize_min_phase(_parametric_pair())
-    y = synthesize_min_phase(_parametric_pair(), from_envelope=True)
+        synthesize_min_phase(_stream((1000, 1133)))
+    y = synthesize_min_phase(_stream((1000, 1133)), from_envelope=True)
     assert len(y.samples) == 1133 + 133 + 1
     # the segment builder itself takes the envelope magnitude, windowed to
     # the span's wings
-    (row,) = build_segments(_stream([_features()]), [0], [(100, 100)], min_phase=True)
+    (row,) = build_segments(_stream(), [0], [(100, 100)], min_phase=True)
     assert np.any(row[156:357]) and not np.any(row[:156]) and not np.any(row[357:])
 
 
@@ -173,9 +163,9 @@ def test_min_phase_config_error_comes_before_any_segment(monkeypatch):
 
     monkeypatch.setattr(gswf.synthesis, "build_segments", counted)
     with pytest.raises(ConfigError, match="min_phase_from_envelope"):
-        synthesize_min_phase(_parametric_pair())
+        synthesize_min_phase(_stream((1000, 1133)))
     assert calls == []
-    synthesize_min_phase(_parametric_pair(), from_envelope=True)
+    synthesize_min_phase(_stream((1000, 1133)), from_envelope=True)
     assert len(calls) == 1
 
 
@@ -183,14 +173,14 @@ def test_build_segments_clips_oversize_spans():
     # a span longer than the row holds is cut to the wings (256, 255) of a
     # 512-sample row, and the parametric gain target is the kept length
     assert fit_wings([(400, 400)], 512).tolist() == [[256, 255]]
-    for log_mag in (np.zeros(257), None):
-        stream = _stream([_features(log_mag=log_mag, position=p) for p in (1000, 1200)])
+    for full in (True, False):
+        stream = _stream((1000, 1200), full=full)
         for min_phase in (False, True):
             rows = build_segments(stream, [0, 1], [(100, 100), (400, 400)], min_phase)
             clipped = build_segments(stream, [0, 1], [(100, 100), (256, 255)], min_phase)
             assert rows.shape == (2, 512)
             assert rows[0].tobytes() == clipped[0].tobytes()
-            if log_mag is None or min_phase:
+            if not full or min_phase:
                 # the same row under the (400, 400) and the (256, 255) window
                 w400, w256 = window_rows([(400, 400), (256, 255)], 512)
                 assert np.allclose(rows[1] * w256, clipped[1] * w400, atol=1e-12)
@@ -202,21 +192,20 @@ def test_segment_geometry_comes_from_the_features():
     # 801 samples overflow the default fft_size 512 but fit the 1024-point
     # spectrum the features carry, which the stream header states; no
     # config is consulted
-    for log_mag in (np.zeros(513), None):
-        stream = _stream([_features(k=513, log_mag=log_mag)])
+    for full in (True, False):
+        stream = _stream(k=513, full=full)
         assert stream.fft_size == 1024
         for min_phase in (False, True):
             (row,) = build_segments(stream, [0], [(400, 400)], min_phase)
             assert row.shape == (1024,)
-            if log_mag is None or min_phase:
+            if not full or min_phase:
                 assert np.any(row[112:913])
                 assert not np.any(row[:112]) and not np.any(row[913:])
 
 
 def test_parametric_segment_energy_tracks_gain():
     gains = (-3.0, -1.0, 0.5)
-    stream = _stream([_features(gain=g, position=1000 + 240 * i)
-                      for i, g in enumerate(gains)])
+    stream = _stream(1000 + 240 * np.arange(3), gain=gains)
     rows = build_segments(stream, [0, 1, 2], [(120, 120)] * 3)
     for gain, row in zip(gains, rows):
         # grain energy before windowing matches exp(gain); the Hann costs
@@ -231,9 +220,7 @@ def speech_streams():
     magnitudes (parametric); 129 segments, so two default blocks."""
     w, contour = speech_like()
     full = analyze(w, contour, PipelineConfig(mode="full"))
-    par = FeatureStream(fs=full.fs, fft_size=full.fft_size, mode="parametric",
-                        segments=[dataclasses.replace(s, log_mag=None)
-                                  for s in full.segments])
+    par = dataclasses.replace(full, mode="parametric", log_mag=None)
     return full, par
 
 
@@ -258,22 +245,20 @@ def test_block_boundaries_are_invisible(speech_streams, monkeypatch):
 
 def test_parametric_lsp_error_names_the_segment(speech_streams, tmp_path, capsys):
     _, par = speech_streams
-    segments = list(par.segments)
-    bad = segments[70]
-    lsp = bad.lsp.copy()
-    lsp[5], lsp[6] = lsp[6], lsp[6] - 1e-3  # out of order by 1e-3
-    segments[70] = dataclasses.replace(bad, lsp=lsp)
-    stream = dataclasses.replace(par, segments=segments)
+    bad = par.positions[70]
+    lsp = par.lsp.copy()
+    lsp[70, 5], lsp[70, 6] = lsp[70, 6], lsp[70, 6] - 1e-3  # out of order by 1e-3
+    stream = dataclasses.replace(par, lsp=lsp)
     for synth in (synthesize, lambda s: synthesize_min_phase(s, from_envelope=True)):
         with pytest.raises(ValidationError,
-                           match=rf"segment at {bad.position}: line spectral "
+                           match=rf"segment at {bad}: line spectral "
                                  r"frequencies out of order by 1\.000e-03 at index 6"):
             synth(stream)
     feat = str(tmp_path / "bad.gswf")
     write_features(feat, stream)
-    assert read_features(feat).segments[70].position == bad.position
+    assert read_features(feat).positions[70] == bad
     assert run(["synthesize", feat, str(tmp_path / "out.wav")]) == 3
-    assert f"segment at {bad.position}" in capsys.readouterr().err
+    assert f"segment at {bad}" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- overlap-add
@@ -339,8 +324,7 @@ def test_synthesis_rows_match_the_old_slice_extraction(speech_streams, monkeypat
 def test_last_gap_of_half_fft_synthesizes():
     # analysis accepts a left wing of fft_size/2; the last segment mirrors it
     # as its right wing, one more than a row holds, and is cut to the row
-    segs = [_features(position=p) for p in (1000, 1200, 1456)]
-    stream = FeatureStream(fs=16000, fft_size=512, mode="parametric", segments=segs)
+    stream = _stream((1000, 1200, 1456))
     for y in (synthesize(stream), synthesize_min_phase(stream, from_envelope=True)):
         assert len(y.samples) == 1456 + 256 + 1 and np.all(np.isfinite(y.samples))
 
@@ -365,10 +349,7 @@ def test_truncated_stream_resynthesizes(make):
 # --------------------------------------------------------------- generation
 
 def test_generation_positions_follow_log_f0():
-    segs = [_features(position=0) for _ in range(10)]
-    stream = FeatureStream(fs=16000, fft_size=512, mode="parametric",
-                           segments=[])
-    stream.segments = segs  # positions in the file are ignored in f0 mode
+    stream = _stream(range(10))  # f0 mode ignores the stream's positions
     pos = _generation_positions(stream)
     period = 16000 / 120.0
     assert pos[0] == int(round(period))
@@ -389,27 +370,22 @@ def test_generation_mode_synthesizes_at_f0_spacing():
 
 
 def test_synthesize_validates_inputs():
-    stream = FeatureStream(fs=16000, fft_size=512, mode="parametric", segments=[])
     with pytest.raises(ValidationError):
-        synthesize(stream)
-    one = FeatureStream(fs=16000, fft_size=512, mode="parametric",
-                        segments=[_features()])
+        synthesize(_stream(()))
     with pytest.raises(ValidationError):
-        synthesize(one)
-    two = FeatureStream(fs=16000, fft_size=512, mode="parametric",
-                        segments=[_features(position=1000), _features(position=1133)])
+        synthesize(_stream())
+    two = _stream((1000, 1133))
     with pytest.raises(ConfigError):
         synthesize(two, positions="nonsense")
 
 
 def test_peak_overflow_clips_instead_of_rescaling(caplog):
     # a huge stored gain forces the parametric grain over full scale
-    segs = [_features(gain=3.0, position=1000 + 133 * i) for i in range(4)]
-    stream = FeatureStream(fs=16000, fft_size=512, mode="parametric", segments=segs)
+    stream = _stream(1000 + 133 * np.arange(4), gain=3.0)
     with caplog.at_level(logging.WARNING):
         y = synthesize(stream)
     assert np.max(np.abs(y.samples)) <= 1.0
     assert any("peak" in rec.message for rec in caplog.records)
     # every over-scale grain saturates at the rails; a global rescale would
     # leave exactly one sample at full scale and shrink everything else
-    assert np.count_nonzero(np.abs(y.samples) == 1.0) >= len(segs)
+    assert np.count_nonzero(np.abs(y.samples) == 1.0) >= len(stream)
