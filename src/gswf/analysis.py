@@ -179,17 +179,19 @@ def segment_log_mags(stream: FeatureStream, index, spans) -> np.ndarray:
 
 
 def window_rows(spans, fft_size: int) -> np.ndarray:
-    """asymmetric_hann(left, right) of each (left, right) span as a row of
-    an (n, fft_size) stack, its peak at index fft_size//2, over the span's
-    wings (fit_wings) and zero elsewhere."""
+    """The analysis window of each (left, right) span as a row of an
+    (n, fft_size) stack, its peak at index fft_size//2, over the span's
+    wings (fit_wings) and zero elsewhere.  At distance m from the instant
+    the window is 0.5 - 0.5 cos(pi (n - m) / n), with n = left before the
+    instant and n = right after it: a raised cosine rising from 0 at -left
+    to exactly 1 at the instant and falling to 0 at +right."""
     spans = np.reshape(np.array(spans, dtype=np.int64), (-1, 2))
     if np.any(spans < 1):
         raise ValidationError(f"window half lengths must be >= 1, got {spans.min()}")
-    # at distance m from the instant, asymmetric_hann(n, .)'s rise and
-    # asymmetric_hann(., n)'s fall are both 0.5 - 0.5 cos(pi k / n) at
-    # k = n - m, term for term, and zero for k < 0, past the span: one row
-    # per distinct half length n, read outwards from the instant by each
-    # row's left span to its left and by its right span to its right
+    # the window depends only on the half length n and the distance m: one
+    # row per distinct n, 0.5 - 0.5 cos(pi k / n) at k = n - m and zero for
+    # k < 0, past the span, read outwards from the instant by each row's
+    # left span to its left and by its right span to its right
     half = fft_size // 2
     lengths, which = np.unique(spans, return_inverse=True)
     which = which.reshape(-1, 2)

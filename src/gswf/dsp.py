@@ -1,10 +1,12 @@
-"""Signal-processing primitives: windows, spectra, LPC/LSP, mel cepstra.
+"""Signal-processing primitives: phases, spectra, LPC/LSP, mel cepstra.
 
 Everything operates on float64 arrays.  Magnitudes live in the natural-log
 domain with a fixed floor so silence stays finite; phases live in (-pi, pi].
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,7 +22,7 @@ WHITE_NOISE = 1e-9  # r[0] lift of a Levinson rerun on a row that clamped
 MEL_BANDS = 40     # mel bands of the cepstra the metrics compare
 
 # ---------------------------------------------------------------------------
-# phases and windows
+# phases
 # ---------------------------------------------------------------------------
 
 
@@ -44,19 +46,6 @@ def wrap_phase(x):
         out = np.mod(arr, TWO_PI)
     out -= TWO_PI * (out > np.pi)
     return out
-
-
-def asymmetric_hann(left: int, right: int) -> np.ndarray:
-    """Raised-cosine window rising over `left` samples and falling over
-    `right`, length left + right + 1.  Endpoints are exactly 0, the peak is
-    exactly 1 at index `left`."""
-    if left < 1 or right < 1:
-        raise ValidationError(f"window half lengths must be >= 1, got ({left}, {right})")
-    j = np.arange(left + 1)
-    rise = 0.5 - 0.5 * np.cos(np.pi * j / left)
-    i = np.arange(1, right + 1)
-    fall = 0.5 - 0.5 * np.cos(np.pi * (right - i) / right)
-    return np.concatenate([rise, fall])
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +441,45 @@ def mel_filterbank(n_bins: int, fs: float, n_mels: int) -> np.ndarray:
     return bank
 
 
+@functools.lru_cache(maxsize=16)
+def _mel_operator(n_bins: int, fs: float, n_mels: int, order: int) -> tuple:
+    # mel_filterbank as two weight rows, the even-numbered triangles in one
+    # and the odd-numbered in the other (a triangle ends where the next but
+    # one starts, so triangles of one parity never share a bin), the first
+    # bin of each triangle's support, and the (order + 1, n_mels)
+    # orthonormal DCT-II basis; built on the first score, read-only
+    bank = mel_filterbank(n_bins, fs, n_mels)
+    weights = np.stack([bank[0::2].sum(axis=0), bank[1::2].sum(axis=0)])
+    starts = np.argmax(bank > 0.0, axis=1)
+    k = np.arange(order + 1)[:, None]
+    basis = np.sqrt(2.0 / n_mels) * np.cos(np.pi * k * (2 * np.arange(n_mels) + 1) / (2 * n_mels))
+    basis[0] = np.sqrt(1.0 / n_mels)
+    ops = (weights, starts[0::2], starts[1::2], basis)
+    for a in ops:
+        a.flags.writeable = False
+    return ops
+
+
 def mel_cepstrum(log_mag: np.ndarray, fs: float, n_mels: int = MEL_BANDS,
                  order: int = 24) -> np.ndarray:
     """Mel cepstrum of natural-log magnitude spectra along the last axis:
-    filterbank on the linear power spectrum, log band energies, orthonormal
-    DCT-II, first order+1 coefficients (c[0] included).  A (frames, bins)
-    array gives one cepstrum per row from a single filterbank."""
+    mel_filterbank on the linear power spectrum, log band energies,
+    orthonormal DCT-II, first order+1 coefficients (c[0] included).  A
+    (frames, bins) array gives one cepstrum per row.
+
+    Every step runs in numpy's own loops, never BLAS (whose threaded gemm
+    leaves a worker spinning after the call) or scipy: each band sums its
+    triangle's bins with np.add.reduceat, one pass per triangle parity, and
+    the DCT is an einsum against a cosine basis.  The weights and the basis
+    are built once per (bins, fs, n_mels, order)."""
     log_mag = np.asarray(log_mag, dtype=np.float64)
     if order + 1 > n_mels:
         raise ValidationError(f"cepstral order {order} needs more than {n_mels} bands")
+    weights, even, odd, basis = _mel_operator(log_mag.shape[-1], float(fs), n_mels, order)
     power = np.exp(2.0 * log_mag)
-    bank = mel_filterbank(log_mag.shape[-1], fs, n_mels)
-    band = np.log(np.maximum(power @ bank.T, EPS_MAG))
-    import scipy.fft  # here, not at module level: only scoring pays its import
-    return scipy.fft.dct(band, type=2, norm="ortho", axis=-1)[..., :order + 1]
+    band = np.empty(log_mag.shape[:-1] + (n_mels,))
+    # a run from one start to the next of its parity holds the triangle's
+    # bins and zero-weight ones; the last run goes to the end
+    band[..., 0::2] = np.add.reduceat(power * weights[0], even, axis=-1)
+    band[..., 1::2] = np.add.reduceat(power * weights[1], odd, axis=-1)
+    return np.einsum("...m,km->...k", np.log(np.maximum(band, EPS_MAG)), basis)

@@ -8,9 +8,23 @@ GCI, round-trip and metric tests.
 import numpy as np
 from scipy.signal import lfilter
 
-from gswf import F0Contour, Waveform
+from gswf import F0Contour, ValidationError, Waveform
 
 FRAME_SHIFT = 0.005
+
+
+def asymmetric_hann(left, right):
+    """Raised-cosine window rising over `left` samples and falling over
+    `right`, length left + right + 1.  Endpoints are exactly 0, the peak is
+    exactly 1 at index `left`.  The reference for the rows of
+    analysis.window_rows, which must match it bit for bit."""
+    if left < 1 or right < 1:
+        raise ValidationError(f"window half lengths must be >= 1, got ({left}, {right})")
+    j = np.arange(left + 1)
+    rise = 0.5 - 0.5 * np.cos(np.pi * j / left)
+    i = np.arange(1, right + 1)
+    fall = 0.5 - 0.5 * np.cos(np.pi * (right - i) / right)
+    return np.concatenate([rise, fall])
 
 
 def contour_from_f0(f0_per_sample, fs, frame_shift_s=FRAME_SHIFT):

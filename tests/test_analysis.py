@@ -5,12 +5,11 @@ import gswf.analysis
 from gswf import PipelineConfig, ValidationError, Waveform, analyze
 from gswf.analysis import (GAIN_FLOOR, LSP_ORDER, cut_segments, encode_phase,
                            extract_segments, fit_wings, segments_to_features, window_rows)
-from gswf.dsp import (asymmetric_hann, autocorr, lpc_predictors, reflection_to_lsp_batch,
-                      wrap_phase)
+from gswf.dsp import autocorr, lpc_predictors, reflection_to_lsp_batch, wrap_phase
 from gswf.gci import GciTrack, detect_gci
 from gswf.synthesis import decode_phase
 from gswf.gci import UNVOICED_SHIFT_S
-from signals import harmonic_tone, speech_like
+from signals import asymmetric_hann, harmonic_tone, speech_like
 
 
 def _track(instants, fs=16000, voiced=None):

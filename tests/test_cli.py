@@ -101,17 +101,18 @@ def scipy_modules():
     return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 import gswf.cli
 print(*scipy_modules())
-wav, f0, track, feat, out = sys.argv[1:]
+wav, f0, track, feat, out, report, rt_dir = sys.argv[1:]
 for argv in (["gci", wav, f0, track], ["analyze", wav, f0, feat],
-             ["synthesize", feat, out], ["synthesize", feat, out, "--min-phase"]):
+             ["synthesize", feat, out], ["synthesize", feat, out, "--min-phase"],
+             ["metrics", wav, wav, feat, feat, report], ["roundtrip", wav, f0, rt_dir]):
     print(gswf.cli.run(argv), *scipy_modules())
 """
 
 
-def test_cli_loads_no_scipy_until_it_scores(inputs, tmp_path):
+def test_cli_loads_no_scipy_in_any_command(inputs, tmp_path):
     # a fresh process pays for every module it imports: the CLI loads no
-    # scipy module at import, nor to detect instants, analyze or
-    # synthesize (scipy.fft is left to scoring)
+    # scipy module at import, nor to detect instants, analyze, synthesize,
+    # score or run a roundtrip
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
@@ -119,9 +120,9 @@ def test_cli_loads_no_scipy_until_it_scores(inputs, tmp_path):
     wav, f0 = inputs
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, wav, f0,
                            *(str(tmp_path / name) for name in
-                             ("tone.gci", "tone.gswf", "resynth.wav"))],
+                             ("tone.gci", "tone.gswf", "resynth.wav", "report.txt", "rt"))],
                           env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines() == ["", "0", "0", "0", "0"]
+    assert done.stdout.splitlines() == ["", "0", "0", "0", "0", "0", "0"]
 
 
 def test_analyze_corrupt_wav(inputs, tmp_path, capsys):

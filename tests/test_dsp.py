@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 from scipy.fft import dct
@@ -5,15 +8,15 @@ from scipy.linalg import lapack, solve_toeplitz
 
 from gswf import PipelineConfig, ValidationError, Waveform
 from gswf.analysis import LSP_ORDER, cut_segments, extract_segments, row_spectra
-from gswf.dsp import (_inverse_filter_span, _nudge_rows, _poly_from_circle_roots,
-                      asymmetric_hann, autocorr, inverse_spectrum, lpc_envelope,
-                      lpc_from_autocorr_batch, lpc_predictors, lpc_residual, lsp_to_lpc_batch,
-                      mel_cepstrum, mel_filterbank, mel_support, reflection_to_lsp_batch,
-                      wrap_phase)
+from gswf.dsp import (_inverse_filter_span, _mel_operator, _nudge_rows, _poly_from_circle_roots,
+                      autocorr, inverse_spectrum, lpc_envelope, lpc_from_autocorr_batch,
+                      lpc_predictors, lpc_residual, lsp_to_lpc_batch, mel_cepstrum,
+                      mel_filterbank, mel_support, reflection_to_lsp_batch, wrap_phase)
 from gswf.errors import RowError
 from gswf.gci import detect_gci
 from gswf.synthesis import decode_phase
-from signals import harmonic_tone, random_stable_lpc, reflection_from_lpc, speech_like
+from signals import (asymmetric_hann, harmonic_tone, random_stable_lpc, reflection_from_lpc,
+                     speech_like)
 
 
 # ---------------------------------------------------------------- wrapping
@@ -810,3 +813,46 @@ def test_mel_cepstrum_matches_independent_oracle():
         bands[b] = np.log(np.maximum(np.dot(tri, power), 1e-10))
     expect = dct(bands, type=2, norm="ortho")[:25]
     assert np.allclose(got, expect, atol=1e-9)
+
+
+def _filterbank_product_cepstrum(log_mag, fs, n_mels=40, order=24):
+    # the formula mel_cepstrum replaced, kept as the reference: the dense
+    # filterbank as a matrix product, then scipy's orthonormal DCT-II
+    bank = mel_filterbank(log_mag.shape[-1], fs, n_mels)
+    band = np.log(np.maximum(np.exp(2.0 * log_mag) @ bank.T, 1e-10))
+    return dct(band, type=2, norm="ortho", axis=-1)[..., :order + 1]
+
+
+def test_mel_cepstrum_matches_the_filterbank_product_and_scipy_dct():
+    w, f0 = speech_like()
+    speech = row_spectra(extract_segments(w, detect_gci(w, f0, PipelineConfig()),
+                                          PipelineConfig()))[0]
+    rng = np.random.default_rng(40)
+    cases = [(speech, 16000)]
+    for fs, fft_size in ((8000, 256), (16000, 512), (22050, 1024), (48000, 2048)):
+        cases.append((rng.normal(0.0, 2.0, (200, fft_size // 2 + 1)), fs))
+    cases.append((speech[7], 16000))
+    for log_mag, fs in cases:
+        got = mel_cepstrum(log_mag, fs)
+        want = _filterbank_product_cepstrum(log_mag, fs)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+    # the weights and the DCT basis are built once and shared read-only
+    ops = _mel_operator(257, 16000.0, 40, 24)
+    assert _mel_operator(257, 16000.0, 40, 24) is ops
+    assert not any(a.flags.writeable for a in ops)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a spinning worker needs a second core")
+def test_mel_cepstrum_leaves_no_blas_worker_spinning():
+    # OpenBLAS runs a (300, 257) x (257, 40) gemm on two threads, and its
+    # worker then busy-waits on a core for ~0.1 s: the process's CPU time
+    # over a sleep after scoring shows such a spin
+    log_mag = np.random.default_rng(41).normal(0.0, 2.0, (300, 257))
+    time.sleep(0.2)  # a worker that an earlier test woke goes idle first
+    for _ in range(3):
+        mel_cepstrum(log_mag, 16000)
+    cpu, wall = time.process_time(), time.perf_counter()
+    time.sleep(0.1)
+    cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+    assert cpu < 0.3 * wall
