@@ -13,10 +13,12 @@ samples with its instant at index fft_size//2.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig
 from .dsp import (EPS_MAG, autocorr, lpc_envelope, lpc_predictors, lsp_to_lpc_batch,
@@ -178,6 +180,21 @@ def segment_log_mags(stream: FeatureStream, index, spans) -> np.ndarray:
     return env + (0.5 * (np.log(target) - np.log(np.maximum(energy, 1e-300))))[:, None]
 
 
+@functools.lru_cache(maxsize=16)
+def _falling_windows(fft_size: int) -> np.ndarray:
+    """Read-only (half + 1, half + 1) table, half = fft_size//2: row n holds
+    0.5 - 0.5 cos(pi k / n) at k = n - m for the distances m = 0..half from
+    the instant, zero past the span (k < 0); row 0 is unused."""
+    half = fft_size // 2
+    lengths = np.arange(1, half + 1)
+    k = lengths[:, None] - np.arange(half + 1)
+    table = np.zeros((half + 1, half + 1))
+    table[1:] = 0.5 - 0.5 * np.cos(np.pi * k / lengths[:, None])
+    table[1:][k < 0] = 0.0
+    table.flags.writeable = False
+    return table
+
+
 def window_rows(spans, fft_size: int) -> np.ndarray:
     """The analysis window of each (left, right) span as a row of an
     (n, fft_size) stack, its peak at index fft_size//2, over the span's
@@ -188,17 +205,21 @@ def window_rows(spans, fft_size: int) -> np.ndarray:
     spans = np.reshape(np.array(spans, dtype=np.int64), (-1, 2))
     if np.any(spans < 1):
         raise ValidationError(f"window half lengths must be >= 1, got {spans.min()}")
-    # the window depends only on the half length n and the distance m: one
-    # row per distinct n, 0.5 - 0.5 cos(pi k / n) at k = n - m and zero for
-    # k < 0, past the span, read outwards from the instant by each row's
-    # left span to its left and by its right span to its right
+    # each side is a row of the falling half-windows, read outwards from the
+    # instant: by the left span to its left and by the right span to its right
     half = fft_size // 2
-    lengths, which = np.unique(spans, return_inverse=True)
-    which = which.reshape(-1, 2)
-    k = lengths[:, None] - np.arange(half + 1)
-    fall = 0.5 - 0.5 * np.cos(np.pi * k / lengths[:, None])
-    fall[k < 0] = 0.0
-    return np.concatenate([fall[which[:, 0], ::-1], fall[which[:, 1], 1:half]], axis=1)
+    fall = _falling_windows(fft_size)
+    fitted = np.minimum(spans, half)
+    rows = np.concatenate([fall[fitted[:, 0], ::-1], fall[fitted[:, 1], 1:half]], axis=1)
+    # a span longer than the row reaches past the table; its sides are built here
+    row, side = np.nonzero(spans > half)
+    if len(row):
+        n = spans[row, side][:, None]
+        long = 0.5 - 0.5 * np.cos(np.pi * (n - np.arange(half + 1)) / n)
+        left = side == 0
+        rows[row[left], :half + 1] = long[left, ::-1]
+        rows[row[~left], half + 1:] = long[~left, 1:half]
+    return rows
 
 
 def cut_segments(w: Waveform, centers, spans, fft_size: int,
@@ -229,8 +250,15 @@ def cut_segments(w: Waveform, centers, spans, fft_size: int,
     rows = window_rows(spans, fft_size)
     half = fft_size // 2
     padded = np.concatenate([np.zeros(half), x, np.zeros(half)])
-    for row, c, (wl, wr) in zip(rows, centers, wings):
-        row[half - wl:half + wr + 1] *= padded[c + half - wl:c + half + wr + 1]
+    cols = np.arange(fft_size) - half
+    inside = (cols >= -wings[:, :1]) & (cols <= wings[:, 1:])
+    # the samples of 64 rows at a time, so the gathered copy stays one
+    # block; only the wings are multiplied, as outside them a row keeps
+    # window_rows' +0.0, where a product with a negative sample is -0.0
+    view = sliding_window_view(padded, fft_size)
+    for lo in range(0, len(rows), 64):
+        block = rows[lo:lo + 64]
+        np.multiply(block, view[centers[lo:lo + 64]], out=block, where=inside[lo:lo + 64])
     return rows
 
 

@@ -226,7 +226,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The gswf argument parser, built once per process: parsing leaves it
+    unchanged, so every run shares it."""
     parser = argparse.ArgumentParser(
         prog="gswf",
         description="Glottal-synchronous waveform analysis, resynthesis and evaluation")

@@ -10,6 +10,8 @@ constant-rate marks.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,19 +135,22 @@ def viterbi_select(positions: np.ndarray, fs: int, f0_ref: F0Contour) -> list:
     mid = 0.5 * (g0.astype(np.float64) + g1.astype(np.float64)) / fs
     frames = _nearest_frame(mid, f0_ref.frame_shift_s, len(f0_ref))
     dev = np.abs(f0_ref.values[frames] - f0)
-    trans = np.where(valid, dev, np.inf)
-    cost = np.where(cand[0] >= 0, 0.0, np.inf)
+    # the recursion runs on Python floats, whose addition is the same IEEE
+    # double addition as numpy's: trans[i][k] lists the costs into candidate
+    # k by predecessor, and list.index of the minimum takes the first on a
+    # tie, as np.argmin does
+    trans = np.where(valid, dev, np.inf).transpose(0, 2, 1).tolist()
+    cost = [0.0 if c >= 0 else math.inf for c in cand[0].tolist()]
     back = []
-    for i, t in enumerate(trans, start=1):
-        total = cost[:, None] + t
-        choice = np.argmin(total, axis=0)
-        cost = total[choice, np.arange(total.shape[1])]
-        if not np.any(np.isfinite(cost)):
+    for i, into in enumerate(trans, start=1):
+        totals = [list(map(operator.add, cost, col)) for col in into]
+        cost = list(map(min, totals))
+        if min(cost) == math.inf:
             raise DetectionError(f"no valid transition into interval {i}")
-        back.append(choice)
-    path = [int(np.argmin(cost))]
+        back.append(list(map(list.index, totals, cost)))
+    path = [cost.index(min(cost))]
     for choice in reversed(back):
-        path.append(int(choice[path[-1]]))
+        path.append(choice[path[-1]])
     path.reverse()
     return path
 

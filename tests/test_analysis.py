@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -228,6 +232,48 @@ def test_window_rows_are_asymmetric_hann_over_the_wings():
     assert window_rows(np.zeros((0, 2), dtype=np.int64), 128).shape == (0, 128)
     with pytest.raises(ValidationError, match="half lengths"):
         window_rows([(3, 0)], 128)
+
+
+def test_window_rows_past_the_row_and_empty_at_every_fft_size():
+    rng = np.random.default_rng(27)
+    for fft_size in (128, 256, 512, 1024, 2048):
+        half = fft_size // 2
+        # one side or both longer than the whole row
+        spans = np.concatenate([rng.integers(fft_size + 1, 3 * fft_size, (6, 2)),
+                                [[fft_size + 1, 3], [2, 5 * fft_size]]])
+        rows = window_rows(spans, fft_size)
+        for row, (left, right), (wl, wr) in zip(rows, spans, fit_wings(spans, fft_size)):
+            win = asymmetric_hann(int(left), int(right))[left - wl:left + wr + 1]
+            assert row[half - wl:half + wr + 1].tobytes() == win.tobytes()
+            assert not row[:half - wl].any() and not row[half + wr + 1:].any()
+        assert window_rows(np.zeros((0, 2), dtype=np.int64), fft_size).shape == (0, fft_size)
+
+
+def test_window_table_is_read_only_and_built_once_per_fft_size():
+    spans = [(3, 7), (200, 255), (256, 12)]
+    first = window_rows(spans, 512)
+    table = gswf.analysis._falling_windows(512)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[1, 0] = 2.0
+    with pytest.MonkeyPatch.context() as mp:
+        def refuse(*args, **kwargs):
+            raise AssertionError("window_rows rebuilt a window")
+        mp.setattr(np, "cos", refuse)
+        mp.setattr(np, "unique", refuse)
+        assert window_rows(spans, 512).tobytes() == first.tobytes()
+
+
+def test_importing_the_cli_builds_no_window_table():
+    # the table is built on first use: a fresh process pays nothing for it
+    # at import
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gswf.analysis.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import gswf.cli, gswf.analysis as a; "
+            "print(a._falling_windows.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "0"
 
 
 # ------------------------------------------------------------------ analyze

@@ -125,6 +125,27 @@ def test_cli_loads_no_scipy_in_any_command(inputs, tmp_path):
     assert done.stdout.splitlines() == ["", "0", "0", "0", "0", "0", "0"]
 
 
+def test_runs_in_one_process_leak_no_state(inputs, tmp_path):
+    # the parser is shared by every run of a process: a flag of one run
+    # must not carry over into the next
+    wav, f0 = inputs
+    feat = str(tmp_path / "tone.gswf")
+    assert run(["analyze", wav, f0, feat]) == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("GSWF_CONFIG", None)
+    out = {}
+    for name, flags in (("mp", ["--min-phase"]), ("plain", [])):
+        shared, alone = str(tmp_path / f"{name}.wav"), str(tmp_path / f"{name}.alone.wav")
+        assert run(["synthesize", feat, shared, *flags]) == 0
+        subprocess.run([sys.executable, "-m", "gswf.cli", "synthesize", feat, alone, *flags],
+                       env=env, check=True)
+        with open(shared, "rb") as a, open(alone, "rb") as b:
+            out[name] = a.read()
+            assert out[name] == b.read(), name
+    assert out["mp"] != out["plain"]
+
+
 def test_analyze_corrupt_wav(inputs, tmp_path, capsys):
     _, f0 = inputs
     bad = str(tmp_path / "bad.wav")

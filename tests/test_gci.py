@@ -286,6 +286,89 @@ def test_viterbi_never_picks_padding():
     assert viterbi_select(np.empty((0, 5), dtype=np.int64), fs, contour) == []
 
 
+def _viterbi_numpy(positions, fs, f0_ref):
+    # the recursion as one numpy step per interval: the reference whose
+    # paths and errors viterbi_select must keep
+    from gswf.gci import _nearest_frame
+    cand = np.asarray(positions, dtype=np.int64)
+    if not len(cand):
+        return []
+    g0, g1 = cand[:-1, :, None], cand[1:, None, :]
+    gap = g1 - g0
+    valid = (gap > 0) & (g0 >= 0) & (g1 >= 0)
+    f0 = fs / np.where(valid, gap, 1)
+    mid = 0.5 * (g0.astype(np.float64) + g1.astype(np.float64)) / fs
+    frames = _nearest_frame(mid, f0_ref.frame_shift_s, len(f0_ref))
+    dev = np.abs(f0_ref.values[frames] - f0)
+    trans = np.where(valid, dev, np.inf)
+    cost = np.where(cand[0] >= 0, 0.0, np.inf)
+    back = []
+    for i, t in enumerate(trans, start=1):
+        total = cost[:, None] + t
+        choice = np.argmin(total, axis=0)
+        cost = total[choice, np.arange(total.shape[1])]
+        if not np.any(np.isfinite(cost)):
+            raise DetectionError(f"no valid transition into interval {i}")
+        back.append(choice)
+    path = [int(np.argmin(cost))]
+    for choice in reversed(back):
+        path.append(int(choice[path[-1]]))
+    path.reverse()
+    return path
+
+
+def _same_as_reference(cand, fs, contour):
+    """Assert that viterbi_select returns the reference's path or raises
+    its error message; True if the reference raised."""
+    try:
+        want = _viterbi_numpy(cand, fs, contour)
+    except DetectionError as e:
+        with pytest.raises(DetectionError) as got:
+            viterbi_select(cand, fs, contour)
+        assert str(got.value) == str(e)
+        return True
+    assert viterbi_select(cand, fs, contour) == want
+    return False
+
+
+def test_viterbi_matches_the_numpy_recursion_on_random_candidates():
+    rng = np.random.default_rng(31)
+    fs = 16000
+    raised = 0
+    for case in range(600):
+        n_iv, m = int(rng.integers(1, 14)), case % 5 + 1
+        step = int(rng.choice([20, 40, 80]))
+        # positions on a coarse grid, so gaps repeat and costs tie exactly;
+        # the cursor sometimes steps back, leaving only non-positive gaps
+        cursor = 4 * step
+        cand = np.full((n_iv, m), -1, dtype=np.int64)
+        for row in cand:
+            cursor += step * (-3 if rng.random() < 0.03 else int(rng.integers(2, 6)))
+            k = int(rng.integers(0 if rng.random() < 0.02 else 1, m + 1))
+            row[:k] = cursor + step * rng.integers(-2, 3, k)
+        contour = F0Contour(rng.choice([0.0, 100.0, 160.0, 200.0, 400.0], 40), 0.005)
+        raised += _same_as_reference(cand, fs, contour)
+    assert 0 < raised < 300
+
+
+def test_viterbi_matches_the_numpy_recursion_on_real_candidates():
+    import gswf.gci
+    from signals import low_pitch_onsets
+    seen = []
+
+    def spy(cand, fs, contour):
+        seen.append((cand, fs, contour))
+        return viterbi_select(cand, fs, contour)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gswf.gci, "viterbi_select", spy)
+        for w, contour in (speech_like(), low_pitch_onsets()):
+            detect_gci(w, contour)
+    assert sum(len(cand) for cand, _, _ in seen) > 100
+    for args in seen:
+        assert not _same_as_reference(*args)
+
+
 # ------------------------------------------------------------- full detector
 
 def test_detect_gci_on_pulse_train_hits_known_instants():

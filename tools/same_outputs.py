@@ -1,36 +1,25 @@
-"""Check that two gswf source trees write byte-identical output files.
+"""Check that gswf writes the same output files as another tree or as
+the committed manifest.
 
     python3 tools/same_outputs.py BASE_SRC [--keep DIR]
+    python3 tools/same_outputs.py --write-manifest
 
-BASE_SRC is the ``src`` directory of another checkout, for example of the
-parent commit unpacked with ``git archive``.  The script writes
-``speech_like()``, ``harmonic_tone()``, ``low_pitch_onsets()`` and
-``speech_like(fs=8000)`` and ``speech_like(fs=22050)`` (other frame, shift
-and LPC order geometry in GCI detection) from ``tests/signals.py`` as PCM16
-wavs with their F0 contours, then runs the same ``gswf`` commands once with
-this tree's ``src`` and once with BASE_SRC on PYTHONPATH.  Every input goes
-through ``gci``, ``analyze`` full and parametric, and ``roundtrip``.
-Speech and tone at 16 kHz also go through
-``synthesize`` full, ``--min-phase``, parametric and parametric
-``--min-phase --min-phase-from-envelope``; ``roundtrip`` full and
-parametric ``--min-phase-from-envelope``; ``metrics`` as text and
-``--json``, on the input against itself and on the roundtrip's min-phase
-resynthesis (analyzed again) against the input, and ``metrics`` on that
-resynthesis analyzed again with ``--mode parametric`` against the input's
-parametric stream, which scores LSP envelopes of instants aligned across
-two analyses.  The other inputs skip
-these; the low-pitched one because analyzing its min-phase resynthesis
-fails on both sides (a voicing-edge pulse is missed).  Then ``roundtrip --list`` at
-``--jobs 2`` over speech and tone, and the library calls
-``synthesize(stream, positions="f0")`` and ``synthesize_min_phase(stream,
-from_envelope=True, positions="f0")`` on their feature files, each written
-as a wav.
-It prints each output file that differs (or exists on one side only) and
-each command that fails on either side, and exits 1 if there is any, else 0.
-A differing PCM16 wav is quantified by the number of samples that differ
-and the largest difference in LSB; a differing text file (reports, tracks)
-by the lines that differ.
-Only the standard library is used here; the commands need numpy and scipy.
+The inputs and commands are those of ``tests/output_cases.py``.  With
+BASE_SRC, the ``src`` directory of another checkout (for example of the
+parent commit unpacked with ``git archive``), the script writes the inputs,
+then runs every command once with this tree's ``src`` and once with
+BASE_SRC on PYTHONPATH, each in a fresh process.  It prints each output
+file that differs (or exists on one side only) and each command that fails
+on either side, and exits 1 if there is any, else 0.  A differing PCM16 wav
+is quantified by the number of samples that differ and the largest
+difference in LSB; a differing text file (reports, tracks) by the lines
+that differ.  This mode uses only the standard library; the commands need
+numpy.
+
+``--write-manifest`` runs the commands in-process with this tree's ``src``
+and rewrites ``tests/data/outputs.sha256``, the digests that
+``tests/test_outputs.py`` checks.  A change that alters outputs on purpose
+commits the new manifest; its diff lists the changed files.
 """
 
 from __future__ import annotations
@@ -46,85 +35,24 @@ import wave
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
 
-WRITE_INPUTS = """
-import sys
-from gswf.signal_io import write_f0_ref, write_wav
-from signals import harmonic_tone, low_pitch_onsets, speech_like
-for name, (w, f0) in (("speech", speech_like()), ("tone", harmonic_tone()),
-                      ("lowpitch", low_pitch_onsets(seed=0)),
-                      ("speech8k", speech_like(fs=8000)),
-                      ("speech22k", speech_like(fs=22050))):
-    write_wav(f"{sys.argv[1]}/{name}.wav", w)
-    write_f0_ref(f"{sys.argv[1]}/{name}.f0", f0)
-"""
+import output_cases  # noqa: E402  (tests/ is on the path only from here)
 
-SYNTH_F0 = """
-import sys
-from gswf.featfile import read_features
-from gswf.signal_io import write_wav
-from gswf.synthesis import synthesize, synthesize_min_phase
-for path in sys.argv[1:]:
-    stream = read_features(path)
-    write_wav(path.replace(".gswf", ".f0pos.wav"), synthesize(stream, positions="f0"))
-    write_wav(path.replace(".gswf", ".f0pos_mp.wav"),
-              synthesize_min_phase(stream, from_envelope=True, positions="f0"))
-"""
-NAMES = ("speech", "tone")
 MAX_LINES = 16  # differing text lines printed per file
-ANALYSIS_ONLY = ("lowpitch", "speech8k", "speech22k")
-
-
-def commands(inputs: Path, name: str) -> list:
-    """gswf argument lists for one input; outputs are relative to the run
-    directory."""
-    wav, f0 = str(inputs / f"{name}.wav"), str(inputs / f"{name}.f0")
-    out = name + "."
-    analysis = [
-        ["gci", wav, f0, out + "gci.txt"],
-        ["analyze", wav, f0, out + "full.gswf", "--mode", "full"],
-        ["analyze", wav, f0, out + "par.gswf", "--mode", "parametric"],
-        ["roundtrip", wav, f0, out + "rt_full"],
-    ]
-    if name in ANALYSIS_ONLY:
-        return analysis
-    return analysis + [
-        ["synthesize", out + "full.gswf", out + "full.wav"],
-        ["synthesize", out + "full.gswf", out + "full_mp.wav", "--min-phase"],
-        ["synthesize", out + "par.gswf", out + "par.wav"],
-        ["synthesize", out + "par.gswf", out + "par_mp.wav", "--min-phase",
-         "--min-phase-from-envelope"],
-        ["roundtrip", wav, f0, out + "rt_par", "--mode", "parametric",
-         "--min-phase-from-envelope"],
-        # metrics of the input against itself, and of the roundtrip's
-        # length-fitted min-phase resynthesis against the input, in full
-        # and in parametric mode
-        ["metrics", wav, wav, out + "full.gswf", out + "full.gswf", out + "same.txt"],
-        ["analyze", f"{out}rt_full/{name}.minphase.wav", f0, out + "mp.gswf",
-         "--mode", "full"],
-        ["metrics", f"{out}rt_full/{name}.minphase.wav", wav, out + "mp.gswf",
-         out + "full.gswf", out + "mp.txt"],
-        ["metrics", f"{out}rt_full/{name}.minphase.wav", wav, out + "mp.gswf",
-         out + "full.gswf", out + "mp.json", "--json"],
-        ["analyze", f"{out}rt_full/{name}.minphase.wav", f0, out + "mp_par.gswf",
-         "--mode", "parametric"],
-        ["metrics", f"{out}rt_full/{name}.minphase.wav", wav, out + "mp_par.gswf",
-         out + "par.gswf", out + "mp_par.txt"],
-    ]
+MANIFEST = ROOT / "tests" / "data" / "outputs.sha256"
 
 
 def run_tree(src: Path, inputs: Path, out_dir: Path) -> list:
-    """Run every command with `src` first on PYTHONPATH; returns the exit
-    codes in command order."""
+    """Run every command with `src` first on PYTHONPATH; returns the
+    (label, exit code) of each in command order."""
     out_dir.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(src))
-    argvs = [argv for name in NAMES + ANALYSIS_ONLY for argv in commands(inputs, name)]
-    argvs.append(["roundtrip", "--list", str(inputs / "batch.list"), "--jobs", "2"])
-    runs = [(" ".join(Path(a).name if a.startswith(str(inputs)) else a for a in argv),
-             [sys.executable, "-m", "gswf.cli", *argv]) for argv in argvs]
-    feats = [f"{name}.{mode}.gswf" for name in NAMES for mode in ("full", "par")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]))
+    runs = [(output_cases.label(argv, inputs), [sys.executable, "-m", "gswf.cli", *argv])
+            for argv in output_cases.cli_argvs(inputs)]
     runs.append(("synthesize*(..., positions='f0')",
-                 [sys.executable, "-c", SYNTH_F0, *feats]))
+                 [sys.executable, "-c", "import sys, output_cases; "
+                  "output_cases.synthesize_f0(sys.argv[1:])", *output_cases.F0_FEATURES]))
     codes = []
     for label, cmd in runs:
         proc = subprocess.run(cmd, cwd=out_dir, env=env, capture_output=True, text=True)
@@ -191,11 +119,35 @@ def differing(a: Path, b: Path) -> list:
     return out
 
 
+def write_manifest() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        failed = output_cases.run_in_process(tmp)
+        for label, code in failed:
+            print(f"{label}: exit {code}")
+        if failed:
+            print("manifest not written")
+            return 1
+        files = output_cases.digests(Path(tmp) / "run")
+    output_cases.write_manifest(MANIFEST, files)
+    print(f"{len(files)} output files: {MANIFEST.relative_to(ROOT)} written")
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("base_src", type=Path, help="src directory of the other tree")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base_src", type=Path, nargs="?",
+                        help="src directory of the other tree")
     parser.add_argument("--keep", type=Path, help="write the outputs here and keep them")
+    parser.add_argument("--write-manifest", action="store_true",
+                        help=f"rewrite {MANIFEST.relative_to(ROOT)} from this tree")
     args = parser.parse_args(argv)
+    if args.write_manifest:
+        if args.base_src or args.keep:
+            parser.error("--write-manifest takes no BASE_SRC or --keep")
+        return write_manifest()
+    if args.base_src is None:
+        parser.error("BASE_SRC or --write-manifest is required")
     base = args.base_src.resolve()
     if not (base / "gswf" / "cli.py").is_file():
         parser.error(f"{base} holds no gswf package")
@@ -205,11 +157,9 @@ def main(argv=None) -> int:
         inputs.mkdir(parents=True)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
                                                             str(ROOT / "tests")]))
-        subprocess.run([sys.executable, "-c", WRITE_INPUTS, str(inputs)],
+        subprocess.run([sys.executable, "-c", "import sys, output_cases; "
+                        "output_cases.write_inputs(sys.argv[1])", str(inputs)],
                        env=env, check=True)
-        # paths relative to the run directories, which sit next to `inputs`
-        (inputs / "batch.list").write_text("".join(
-            f"../inputs/{name}.wav ../inputs/{name}.f0 batch/{name}\n" for name in NAMES))
         codes_here = run_tree(ROOT / "src", inputs, work / "here")
         codes_base = run_tree(base, inputs, work / "base")
         # a command that fails on both sides leaves nothing to compare
