@@ -28,7 +28,8 @@ from .gci import UNVOICED_SHIFT_S, GciTrack, detect_gci
 from .signal_io import F0Contour, Waveform
 
 GAIN_FLOOR = 1e-10  # RMS floor so silent segments keep a finite log gain
-LSP_ORDER = 40      # LSP values per segment; the feature file stores exactly this many
+LSP_ORDER = 40      # LSP values per segment
+BLOCK = 64          # rows per array pass; rows never mix, so it changes no bit
 
 
 @dataclass
@@ -57,7 +58,7 @@ class SegmentFeatures:
 class FeatureStream:
     """The features of n segments, one array per field: positions (n,)
     int64, strictly increasing; voiced (n,) bool; log_f0 and gain (n,);
-    lsp (n, L); phase (n, K) phase features (encode_phase) and, in full
+    lsp (n, LSP_ORDER); phase (n, K) phase features (encode_phase) and, in full
     mode, log_mag (n, K) natural-log magnitudes, with K = fft_size//2 + 1.
     log_mag is None in parametric mode.
 
@@ -100,9 +101,8 @@ class FeatureStream:
             raise ValidationError(f"{self.mode}-mode stream has "
                                   f"{'no' if self.log_mag is None else 'a'} log_mag")
         n, n_bins = self.positions.size, self.fft_size // 2 + 1
-        lsp_order = self.lsp.shape[1] if self.lsp.ndim == 2 else LSP_ORDER
         shapes = {"positions": (n,), "voiced": (n,), "log_f0": (n,), "gain": (n,),
-                  "lsp": (n, lsp_order), "phase": (n, n_bins), "log_mag": (n, n_bins)}
+                  "lsp": (n, LSP_ORDER), "phase": (n, n_bins), "log_mag": (n, n_bins)}
         for name, shape in shapes.items():
             got = getattr(self, name)
             if got is not None and got.shape != shape:
@@ -222,55 +222,54 @@ def window_rows(spans, fft_size: int) -> np.ndarray:
     return rows
 
 
-def cut_segments(w: Waveform, centers, spans, fft_size: int,
-                 oversize: str | None = None) -> np.ndarray:
+def cut_segments(w: Waveform, centers, spans, fft_size: int) -> np.ndarray:
     """The segment layout: one row of an (n, fft_size) stack per center,
     holding the samples of w around it times window_rows of its (left,
     right) span, the center at index fft_size//2 and zero outside the wings
-    and outside w.  A span longer than the wings is an error when oversize
-    is "error", truncated with a warning when it is "truncate", and
-    truncated quietly when it is None, the layout of a stream whose
-    analysis already applied the policy."""
+    (fit_wings) and outside w."""
     x = w.samples
     centers = np.asarray(centers, dtype=np.int64)
     if np.any((centers < 0) | (centers >= len(x))):
         raise ValidationError("instants outside waveform bounds")
     spans = np.reshape(np.array(spans, dtype=np.int64), (-1, 2))
     wings = fit_wings(spans, fft_size)
-    if oversize:
-        for i in np.flatnonzero(np.any(wings != spans, axis=1)):
-            (left, right), (wl, wr) = spans[i], wings[i]
-            if oversize != "truncate":
-                raise ValidationError(
-                    f"segment at {centers[i]} spans ({left}, {right}) samples around "
-                    f"the instant, more than fft_size {fft_size} can hold; "
-                    f"lower the pitch range or raise fft_size")
-            warnings.warn(f"truncating segment at {centers[i]} from ({left}, {right}) "
-                          f"to ({wl}, {wr})", stacklevel=3)
     rows = window_rows(spans, fft_size)
     half = fft_size // 2
     padded = np.concatenate([np.zeros(half), x, np.zeros(half)])
     cols = np.arange(fft_size) - half
     inside = (cols >= -wings[:, :1]) & (cols <= wings[:, 1:])
-    # the samples of 64 rows at a time, so the gathered copy stays one
+    # the samples of BLOCK rows at a time, so the gathered copy stays one
     # block; only the wings are multiplied, as outside them a row keeps
     # window_rows' +0.0, where a product with a negative sample is -0.0
     view = sliding_window_view(padded, fft_size)
-    for lo in range(0, len(rows), 64):
-        block = rows[lo:lo + 64]
-        np.multiply(block, view[centers[lo:lo + 64]], out=block, where=inside[lo:lo + 64])
+    for lo in range(0, len(rows), BLOCK):
+        block = rows[lo:lo + BLOCK]
+        np.multiply(block, view[centers[lo:lo + BLOCK]], out=block,
+                    where=inside[lo:lo + BLOCK])
     return rows
 
 
 def extract_segments(w: Waveform, track: GciTrack, cfg: PipelineConfig) -> np.ndarray:
-    """The cut_segments rows of the interior instants."""
+    """The cut_segments rows of the interior instants.  A span longer than
+    the wings (fit_wings) is an error when cfg.oversize_segment is "error";
+    when it is "truncate" the row keeps the wings, with a warning."""
     inst = track.instants
     if len(inst) < 3:
         raise ValidationError(f"need at least 3 instants to form segments, got {len(inst)}")
     if inst[0] < 0 or inst[-1] >= len(w.samples):
         raise ValidationError("instants outside waveform bounds")
-    return cut_segments(w, inst[1:-1], segment_spans(inst)[1:-1], cfg.fft_size,
-                        cfg.oversize_segment)
+    centers, spans = inst[1:-1], segment_spans(inst)[1:-1]
+    wings = fit_wings(spans, cfg.fft_size)
+    for i in np.flatnonzero(np.any(wings != spans, axis=1)):
+        (left, right), (wl, wr) = spans[i], wings[i]
+        if cfg.oversize_segment != "truncate":
+            raise ValidationError(
+                f"segment at {centers[i]} spans ({left}, {right}) samples around "
+                f"the instant, more than fft_size {cfg.fft_size} can hold; "
+                f"lower the pitch range or raise fft_size")
+        warnings.warn(f"truncating segment at {centers[i]} from ({left}, {right}) "
+                      f"to ({wl}, {wr})", stacklevel=2)
+    return cut_segments(w, centers, spans, cfg.fft_size)
 
 
 def encode_phase(phase: np.ndarray) -> np.ndarray:
@@ -286,15 +285,15 @@ def encode_phase(phase: np.ndarray) -> np.ndarray:
 def row_spectra(rows: np.ndarray) -> tuple:
     """Natural-log magnitude and phase feature (encode_phase) of the rfft of
     each row: (log_mag, phase_feature), each (rows, fft_size//2 + 1).  The
-    rfft and the encoding take 64 rows at a time, so their temporaries stay
-    one block however long the stack; rows never mix, so the block changes
-    no bit."""
+    rfft and the encoding take BLOCK rows at a time, so their temporaries
+    stay one block however long the stack; rows never mix, so the block
+    changes no bit."""
     log_mag = np.empty((len(rows), rows.shape[1] // 2 + 1))
     feature = np.empty_like(log_mag)
-    for lo in range(0, len(rows), 64):
-        spec = np.fft.rfft(rows[lo:lo + 64])
-        np.abs(spec, out=log_mag[lo:lo + 64])
-        feature[lo:lo + 64] = encode_phase(wrap_phase(np.angle(spec)))
+    for lo in range(0, len(rows), BLOCK):
+        spec = np.fft.rfft(rows[lo:lo + BLOCK])
+        np.abs(spec, out=log_mag[lo:lo + BLOCK])
+        feature[lo:lo + BLOCK] = encode_phase(wrap_phase(np.angle(spec)))
     log_mag += EPS_MAG
     np.log(log_mag, out=log_mag)
     return log_mag, feature
@@ -331,7 +330,7 @@ def segments_to_features(rows: np.ndarray, centers, spans, voiced, fs: int,
 def analyze(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None) -> FeatureStream:
     """Waveform to feature stream: GCI detection, segmentation, features."""
     cfg = cfg or PipelineConfig()
-    track = detect_gci(w, f0_ref, cfg)
+    track = detect_gci(w, f0_ref)
     rows = extract_segments(w, track, cfg)
     inst = track.instants
     return segments_to_features(rows, inst[1:-1], segment_spans(inst)[1:-1],

@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .synthesis import synthesize, synthesize_min_phase
 
 DURATION_TOLERANCE = 0.10
 
-_OVERRIDE_FIELDS = ("fft_size", "mode", "f0_min", "f0_max", "frame_shift_s")
-
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file (key = value lines)")
@@ -42,18 +40,14 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f0-max", type=float, dest="f0_max")
     parser.add_argument("--frame-shift", type=float, dest="frame_shift_s",
                         help="reference F0 frame shift in seconds")
-    parser.add_argument("--min-phase-from-envelope", action="store_true",
+    parser.add_argument("--min-phase-from-envelope", action="store_true", default=None,
                         dest="min_phase_from_envelope")
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {}
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "min_phase_from_envelope", False):
-        overrides["min_phase_from_envelope"] = True
+    # each config field whose flag was given; a flag left out reads None
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                 if getattr(args, f.name, None) is not None}
     path = args.config or os.environ.get("GSWF_CONFIG")
     if path:
         return load_config(path, overrides)
@@ -93,7 +87,7 @@ def _read_inputs(wav_path: str, f0_path: str, cfg: PipelineConfig):
 def cmd_gci(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     w, f0 = _read_inputs(args.in_wav, args.f0_ref, cfg)
-    track = detect_gci(w, f0, cfg)
+    track = detect_gci(w, f0)
     write_gci_track(args.out_track, track)
     return 0
 
@@ -143,14 +137,20 @@ def _measure_at_instants(out: Waveform, stream: FeatureStream) -> FeatureStream:
     return replace(stream, gain=f.gain, lsp=f.lsp, phase=f.phase)
 
 
+def _output_base(wav_path: str, out_dir: str) -> str:
+    # a roundtrip's outputs are this path plus .gswf, .full.wav, .minphase.wav
+    # and .report.txt
+    return os.path.join(out_dir, os.path.splitext(os.path.basename(wav_path))[0])
+
+
 def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
                    cfg: PipelineConfig) -> None:
-    stem = os.path.splitext(os.path.basename(wav_path))[0]
+    base = _output_base(wav_path, out_dir)
     w, f0 = _read_inputs(wav_path, f0_path, cfg)
     _check_mel_support(cfg.fft_size, w.fs)
     os.makedirs(out_dir, exist_ok=True)
     stream = analyze(w, f0, cfg)
-    write_features(os.path.join(out_dir, stem + ".gswf"), stream)
+    write_features(base + ".gswf", stream)
     # the span the stream reconstructs; evaluate leaves out the segments
     # centred on its ends, whose windows reach the unreconstructed edges
     span = (int(stream.positions[0]), int(stream.positions[-1]))
@@ -159,10 +159,10 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
                                   from_envelope=cfg.min_phase_from_envelope)
     for label, synth in (("full", synthesize), ("minphase", min_phase)):
         out = _fit_length(synth(stream), len(w.samples))
-        write_wav(os.path.join(out_dir, f"{stem}.{label}.wav"), out)
+        write_wav(f"{base}.{label}.wav", out)
         report = evaluate(out, w, _measure_at_instants(out, stream), stream, span=span)
         reports.append((label, report))
-    with open(os.path.join(out_dir, stem + ".report.txt"), "w", encoding="utf-8") as fh:
+    with open(base + ".report.txt", "w", encoding="utf-8") as fh:
         for label, report in reports:
             for line in report.to_text().splitlines():
                 fh.write(f"{label}.{line}\n")
@@ -175,6 +175,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
                           "for its minimum-phase resynthesis")
     if args.list:
         jobs = []
+        first_line = {}  # output base -> the manifest line that writes it
         with open(args.list, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -185,6 +186,12 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
                     raise ValidationError(
                         f"{args.list}:{lineno}: expected 'wav f0 outdir', got {line!r}"
                     )
+                base = os.path.abspath(_output_base(parts[0], parts[2]))
+                if base in first_line:
+                    raise ValidationError(
+                        f"{args.list}: lines {first_line[base]} and {lineno} both write "
+                        f"{base}.*; give them different out dirs or wav names")
+                first_line[base] = lineno
                 jobs.append(tuple(parts))
 
         def run_one(job):

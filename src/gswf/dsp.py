@@ -20,6 +20,9 @@ TWO_PI = 2.0 * np.pi
 SILENT_R0 = 1e-20  # autocorrelation energy below which a frame is silence
 WHITE_NOISE = 1e-9  # r[0] lift of a Levinson rerun on a row that clamped
 MEL_BANDS = 40     # mel bands of the cepstra the metrics compare
+MEL_ORDER = 24     # cepstral coefficients c[1..MEL_ORDER] after c[0]
+RESIDUAL_FRAME_S = 0.025  # LPC frame of lpc_residual
+RESIDUAL_SHIFT_S = 0.005  # hop between lpc_residual's frames
 
 # ---------------------------------------------------------------------------
 # phases
@@ -179,13 +182,13 @@ def _kernel_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
-                 shift_s: float = 0.005) -> np.ndarray:
+def lpc_residual(w: Waveform, order: int) -> np.ndarray:
     """Inverse-filter a waveform with frame-wise LPC models.
 
-    Models are fitted on Hann-windowed frames; the unwindowed signal is then
-    filtered, cross-fading linearly between the filters of adjacent frames.
-    Output has the same length as the input.
+    Models are fitted on Hann-windowed frames of RESIDUAL_FRAME_S, one every
+    RESIDUAL_SHIFT_S; the unwindowed signal is then filtered, cross-fading
+    linearly between the filters of adjacent frames.  Output has the same
+    length as the input.
 
     The frame autocorrelations and the filtering between the first and last
     frame centers are array passes over the frame stack and the sliding
@@ -193,12 +196,12 @@ def lpc_residual(w: Waveform, order: int, frame_s: float = 0.025,
     one FIR convolution per frame."""
     x = w.samples
     fs = w.fs
-    frame_len = int(round(frame_s * fs))
-    shift = int(round(shift_s * fs))
+    frame_len = int(round(RESIDUAL_FRAME_S * fs))
+    shift = int(round(RESIDUAL_SHIFT_S * fs))
     if frame_len <= order + 1:
         raise ValidationError(f"frame of {frame_len} samples too short for order {order}")
     if shift < 1:
-        raise ValidationError(f"frame shift of {shift_s} s is under one sample")
+        raise ValidationError(f"residual frame shift is under one sample at {fs} Hz")
     if len(x) < frame_len:
         raise ValidationError(f"signal shorter than one {frame_len}-sample frame")
     frames = sliding_window_view(x, frame_len)[::shift] * np.hanning(frame_len)
@@ -409,75 +412,75 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
 
-def _mel_edges(fs: float, n_mels: int) -> np.ndarray:
-    return _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(fs / 2.0)), n_mels + 2))
+def _mel_edges(fs: float) -> np.ndarray:
+    return _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(fs / 2.0)), MEL_BANDS + 2))
 
 
-def mel_support(n_bins: int, fs: float, n_mels: int = MEL_BANDS) -> bool:
-    """Whether every band of mel_filterbank(n_bins, fs, n_mels) holds a bin.
-    The first band is the narrowest, since mel spacing widens with
-    frequency, so it decides: it must hold the first bin above DC."""
-    return fs / 2.0 / (n_bins - 1) < _mel_edges(fs, n_mels)[2]
+def mel_support(n_bins: int, fs: float) -> bool:
+    """Whether every band of mel_filterbank(n_bins, fs) holds a bin.  The
+    first band is the narrowest, since mel spacing widens with frequency,
+    so it decides: it must hold the first bin above DC."""
+    return fs / 2.0 / (n_bins - 1) < _mel_edges(fs)[2]
 
 
-def mel_filterbank(n_bins: int, fs: float, n_mels: int) -> np.ndarray:
-    """Triangular filters on a mel-spaced grid over [0, fs/2], each row
-    normalized to unit sum so a flat spectrum yields equal band energies."""
+def mel_filterbank(n_bins: int, fs: float) -> np.ndarray:
+    """MEL_BANDS triangular filters on a mel-spaced grid over [0, fs/2],
+    each row normalized to unit sum so a flat spectrum yields equal band
+    energies."""
     if n_bins < 2:
         raise ValidationError("need at least 2 spectral bins")
     f = np.linspace(0.0, fs / 2.0, n_bins)
-    edges = _mel_edges(fs, n_mels)
-    bank = np.zeros((n_mels, n_bins))
-    for b in range(n_mels):
+    edges = _mel_edges(fs)
+    bank = np.zeros((MEL_BANDS, n_bins))
+    for b in range(MEL_BANDS):
         lo, mid, hi = edges[b], edges[b + 1], edges[b + 2]
         tri = np.minimum((f - lo) / (mid - lo), (hi - f) / (hi - mid))
         tri = np.maximum(tri, 0.0)
         total = tri.sum()
         if total <= 0.0:
             raise ValidationError(
-                f"mel band {b} has no spectral support; lower n_mels or raise n_bins"
+                f"mel band {b} has no spectral support at fs {fs:g} Hz and "
+                f"fft_size {2 * (n_bins - 1)}; raise fft_size"
             )
         bank[b] = tri / total
     return bank
 
 
 @functools.lru_cache(maxsize=16)
-def _mel_operator(n_bins: int, fs: float, n_mels: int, order: int) -> tuple:
+def _mel_operator(n_bins: int, fs: float) -> tuple:
     # mel_filterbank as two weight rows, the even-numbered triangles in one
     # and the odd-numbered in the other (a triangle ends where the next but
     # one starts, so triangles of one parity never share a bin), the first
-    # bin of each triangle's support, and the (order + 1, n_mels)
+    # bin of each triangle's support, and the (MEL_ORDER + 1, MEL_BANDS)
     # orthonormal DCT-II basis; built on the first score, read-only
-    bank = mel_filterbank(n_bins, fs, n_mels)
+    bank = mel_filterbank(n_bins, fs)
     weights = np.stack([bank[0::2].sum(axis=0), bank[1::2].sum(axis=0)])
     starts = np.argmax(bank > 0.0, axis=1)
-    k = np.arange(order + 1)[:, None]
-    basis = np.sqrt(2.0 / n_mels) * np.cos(np.pi * k * (2 * np.arange(n_mels) + 1) / (2 * n_mels))
-    basis[0] = np.sqrt(1.0 / n_mels)
+    k = np.arange(MEL_ORDER + 1)[:, None]
+    m = np.arange(MEL_BANDS)
+    basis = np.sqrt(2.0 / MEL_BANDS) * np.cos(np.pi * k * (2 * m + 1) / (2 * MEL_BANDS))
+    basis[0] = np.sqrt(1.0 / MEL_BANDS)
     ops = (weights, starts[0::2], starts[1::2], basis)
     for a in ops:
         a.flags.writeable = False
     return ops
 
 
-def mel_cepstrum(log_mag: np.ndarray, fs: float, n_mels: int = MEL_BANDS,
-                 order: int = 24) -> np.ndarray:
+def mel_cepstrum(log_mag: np.ndarray, fs: float) -> np.ndarray:
     """Mel cepstrum of natural-log magnitude spectra along the last axis:
     mel_filterbank on the linear power spectrum, log band energies,
-    orthonormal DCT-II, first order+1 coefficients (c[0] included).  A
-    (frames, bins) array gives one cepstrum per row.
+    orthonormal DCT-II, first MEL_ORDER + 1 coefficients (c[0] included).
+    A (frames, bins) array gives one cepstrum per row.
 
     Every step runs in numpy's own loops, never BLAS (whose threaded gemm
     leaves a worker spinning after the call) or scipy: each band sums its
     triangle's bins with np.add.reduceat, one pass per triangle parity, and
     the DCT is an einsum against a cosine basis.  The weights and the basis
-    are built once per (bins, fs, n_mels, order)."""
+    are built once per (bins, fs)."""
     log_mag = np.asarray(log_mag, dtype=np.float64)
-    if order + 1 > n_mels:
-        raise ValidationError(f"cepstral order {order} needs more than {n_mels} bands")
-    weights, even, odd, basis = _mel_operator(log_mag.shape[-1], float(fs), n_mels, order)
+    weights, even, odd, basis = _mel_operator(log_mag.shape[-1], float(fs))
     power = np.exp(2.0 * log_mag)
-    band = np.empty(log_mag.shape[:-1] + (n_mels,))
+    band = np.empty(log_mag.shape[:-1] + (MEL_BANDS,))
     # a run from one start to the next of its parity holds the triangle's
     # bins and zero-weight ones; the last run goes to the end
     band[..., 0::2] = np.add.reduceat(power * weights[0], even, axis=-1)

@@ -8,8 +8,7 @@ Little-endian layout, version 1:
              | lsp L x f32 | phase_feature K x f32
              | log_mag K x f32          (full mode only)
 
-with K = fft_size/2 + 1 and L = analysis.LSP_ORDER; streams with any
-other LSP order do not serialize.
+with K = fft_size/2 + 1 and L = analysis.LSP_ORDER.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ def _record(mode: str, fft_size: int) -> np.dtype:
 
 
 def write_features(path: str, stream: FeatureStream) -> None:
-    if stream.lsp.shape[1] != LSP_ORDER:
-        raise FormatError(f"feature file stores exactly {LSP_ORDER} LSP values, "
-                          f"stream has {stream.lsp.shape[1]}")
     records = np.empty(len(stream), dtype=_record(stream.mode, stream.fft_size))
     for name in records.dtype.names:
         records[name] = getattr(stream, name)

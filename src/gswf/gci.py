@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
 from .dsp import lpc_residual
 from .errors import DetectionError, FormatError, ValidationError
 from .signal_io import F0Contour, Waveform
@@ -187,9 +186,8 @@ def _skewness(x: np.ndarray) -> float:
     return np.mean(d ** 2 * d) / m2 ** 1.5
 
 
-def detect_gci(w: Waveform, f0_ref: F0Contour, cfg: PipelineConfig | None = None) -> GciTrack:
+def detect_gci(w: Waveform, f0_ref: F0Contour) -> GciTrack:
     """Full detection pass over one utterance."""
-    cfg = cfg or PipelineConfig()
     fs = w.fs
     n = len(w.samples)
     step = max(1, int(round(UNVOICED_SHIFT_S * fs)))

@@ -111,16 +111,16 @@ def mcd(cep_a: np.ndarray, cep_b: np.ndarray) -> float:
     return float(np.mean(DB * np.sqrt(2.0 * np.sum(d ** 2, axis=1))))
 
 
-def dpd(phase_a: np.ndarray, phase_b: np.ndarray, wrap: bool = True) -> float:
+def dpd(phase_a: np.ndarray, phase_b: np.ndarray) -> float:
     """Phase-feature distortion: frame-averaged Euclidean norm of the
-    (wrapped) difference over all dimensions."""
+    wrapped difference over all dimensions."""
     a = np.atleast_2d(np.asarray(phase_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(phase_b, dtype=np.float64))
     if a.shape != b.shape:
         raise ValidationError(f"phase shapes differ: {a.shape} vs {b.shape}")
     if a.size == 0:
         return 0.0
-    d = wrap_phase(a - b) if wrap else a - b
+    d = wrap_phase(a - b)
     return float(np.mean(np.sqrt(np.sum(d ** 2, axis=1))))
 
 

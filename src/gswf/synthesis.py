@@ -20,7 +20,7 @@ import logging
 
 import numpy as np
 
-from .analysis import (FeatureStream, fit_wings, segment_log_mags, segment_spans,
+from .analysis import (BLOCK, FeatureStream, fit_wings, segment_log_mags, segment_spans,
                        window_rows)
 from .dsp import inverse_spectrum, wrap_phase
 from .errors import ConfigError, ValidationError
@@ -29,7 +29,6 @@ from .signal_io import Waveform
 log = logging.getLogger(__name__)
 
 EPS_OLA = 1e-3  # window envelope clamp
-BLOCK = 64      # segments per array pass
 
 
 def decode_phase(phase_feature: np.ndarray) -> np.ndarray:
@@ -81,23 +80,12 @@ def _add_wings(acc: np.ndarray, rows: np.ndarray, positions, spans) -> None:
             acc[a:b] += row[start:start + b - a]
 
 
-def window_envelope(spans, positions, total_len: int, fft_size: int) -> np.ndarray:
-    """Sum of the windows of (left, right) spans over the wings an fft_size
-    row holds (window_rows), added BLOCK spans at a time."""
-    env = np.zeros(total_len)
-    for lo in range(0, len(spans), BLOCK):
-        _add_wings(env, window_rows(spans[lo:lo + BLOCK], fft_size),
-                   positions[lo:lo + BLOCK], spans[lo:lo + BLOCK])
-    return env
-
-
 def overlap_add(blocks, positions, spans, total_len: int) -> np.ndarray:
     """Add the wings of each row at its position, block by block, and
     normalize by the window envelope of the same spans.  blocks yields
     (rows, windows) pairs: a block's rows (build_segments) and the
-    window_rows of their spans, whose wings make the envelope
-    (window_envelope).  Samples where the envelope is below EPS_OLA are set
-    to zero."""
+    window_rows of their spans, whose wings make the envelope.  Samples
+    where the envelope is below EPS_OLA are set to zero."""
     if len(spans) != len(positions):
         raise ValidationError("one position and one span per row required")
     acc, env = np.zeros(total_len), np.zeros(total_len)

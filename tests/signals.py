@@ -9,6 +9,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from gswf import F0Contour, ValidationError, Waveform
+from gswf.analysis import window_rows
+from gswf.synthesis import _add_wings
 
 FRAME_SHIFT = 0.005
 
@@ -25,6 +27,15 @@ def asymmetric_hann(left, right):
     i = np.arange(1, right + 1)
     fall = 0.5 - 0.5 * np.cos(np.pi * (right - i) / right)
     return np.concatenate([rise, fall])
+
+
+def window_envelope(spans, positions, total_len, fft_size):
+    """Sum of the analysis windows of (left, right) spans at their
+    positions, over the wings an fft_size row holds: the envelope that
+    synthesis divides by, built from the same window_rows and _add_wings."""
+    env = np.zeros(total_len)
+    _add_wings(env, window_rows(spans, fft_size), positions, spans)
+    return env
 
 
 def contour_from_f0(f0_per_sample, fs, frame_shift_s=FRAME_SHIFT):

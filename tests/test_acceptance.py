@@ -17,9 +17,9 @@ from gswf.cli import run
 from gswf.dsp import lsp_to_lpc_batch, reflection_to_lsp_batch, wrap_phase
 from gswf.gci import detect_gci, viterbi_select
 from gswf.metrics import align_gci, dpd, lsd, mcd, rmse_waveform, voicing_mask
-from gswf.synthesis import decode_phase, window_envelope
+from gswf.synthesis import decode_phase
 from signals import (harmonic_tone, pulse_train, random_stable_lpc, reflection_from_lpc,
-                     speech_like)
+                     speech_like, window_envelope)
 
 
 class _criterion:

@@ -11,7 +11,7 @@ from gswf.analysis import (GAIN_FLOOR, LSP_ORDER, cut_segments, encode_phase,
                            extract_segments, fit_wings, segments_to_features, window_rows)
 from gswf.dsp import autocorr, lpc_predictors, reflection_to_lsp_batch, wrap_phase
 from gswf.gci import GciTrack, detect_gci
-from gswf.synthesis import decode_phase
+from gswf.synthesis import decode_phase, synthesize
 from gswf.gci import UNVOICED_SHIFT_S
 from signals import asymmetric_hann, harmonic_tone, speech_like
 
@@ -151,8 +151,9 @@ def test_phase_feature_compacts_linear_phase():
 # ----------------------------------------------------------------- features
 
 def _features(x, center, left, right, cfg, voiced=True):
-    rows = cut_segments(Waveform(x, 16000), [center], [(left, right)], cfg.fft_size,
-                        cfg.oversize_segment)
+    # the one segment of the instants center - left, center, center + right
+    rows = extract_segments(Waveform(x, 16000), _track([center - left, center, center + right]),
+                            cfg)
     return rows, segments_to_features(rows, [center], [(left, right)], [voiced], 16000,
                                       cfg.mode)
 
@@ -309,10 +310,39 @@ def test_analyze_converts_all_segments_in_one_lsp_call(monkeypatch):
     assert calls == [(len(stream), LSP_ORDER)]
 
 
+def _stream_bytes(stream):
+    return [None if c is None else c.tobytes() for c in
+            (stream.positions, stream.voiced, stream.log_f0, stream.gain, stream.lsp,
+             stream.phase, stream.log_mag)]
+
+
+def test_analysis_block_size_changes_no_bit(monkeypatch):
+    # cut_segments and row_spectra work BLOCK rows at a time; analysis in
+    # both modes and a roundtrip's re-measurement of its resynthesis must
+    # not depend on it
+    from gswf.cli import _measure_at_instants
+
+    w, contour = speech_like()
+
+    def outputs():
+        got = []
+        for mode in ("full", "parametric"):
+            stream = analyze(w, contour, PipelineConfig(mode=mode))
+            got.append(_stream_bytes(stream))
+            got.append(_stream_bytes(_measure_at_instants(synthesize(stream), stream)))
+        return got
+
+    expected = outputs()
+    assert len(analyze(w, contour)) > gswf.analysis.BLOCK
+    for block in (1, 7, 10**6):
+        monkeypatch.setattr(gswf.analysis, "BLOCK", block)
+        assert outputs() == expected
+
+
 def test_analyze_error_names_the_failing_segment(monkeypatch):
     w, contour = speech_like()
     cfg = PipelineConfig()
-    centers = detect_gci(w, contour, cfg).instants[1:-1]
+    centers = detect_gci(w, contour).instants[1:-1]
     bad = 37
 
     def spoiled(r, order):
@@ -340,11 +370,12 @@ def test_full_mode_stream_requires_log_mag():
         return {**cols, **change}
 
     # full mode without log_mag, parametric mode with it, phase rows whose
-    # length disagrees with the header's fft_size, a column a row short and
-    # positions that do not increase
+    # length disagrees with the header's fft_size, LSP rows of another
+    # order, a column a row short and positions that do not increase
     for mode, cols in (("full", columns()),
                        ("parametric", columns(log_mag=np.zeros((1, 257)))),
                        ("parametric", columns(k=513)),
+                       ("parametric", columns(lsp=np.linspace(0.1, 3.0, 30)[None])),
                        ("full", columns(k=129, log_mag=np.zeros((1, 129)))),
                        ("parametric", columns(n=3, gain=np.zeros(2))),
                        ("parametric", columns(n=2, positions=[100, 100]))):

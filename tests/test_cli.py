@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import gswf.cli
-from gswf import read_features, read_wav, write_wav
+from gswf import analyze, read_features, read_wav, write_wav
 from gswf.cli import run
 from gswf.gci import read_gci_track
 from gswf.signal_io import write_f0_ref
@@ -328,6 +329,24 @@ def test_roundtrip_list_collects_failures(inputs, tmp_path, capsys):
     assert os.path.exists(str(tmp_path / "y" / "tone.report.txt"))
 
 
+def test_roundtrip_list_rejects_jobs_that_write_the_same_files(inputs, tmp_path, capsys,
+                                                             monkeypatch):
+    # two wavs of one stem and one out dir, once absolute and once relative,
+    # would write the same four files; the manifest is refused before any job
+    wav, f0 = inputs
+    other = tmp_path / "b"
+    other.mkdir()
+    (other / "tone.wav").write_bytes(_read(wav))
+    monkeypatch.chdir(tmp_path)
+    manifest = str(tmp_path / "jobs.txt")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(f"{wav} {f0} {tmp_path / 'out'}\n\nb/tone.wav {f0} out\n")
+    assert run(["roundtrip", "--list", manifest, "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "lines 1 and 3" in err and str(tmp_path / "out" / "tone") in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_roundtrip_list_reports_failures_in_manifest_order(inputs, tmp_path, capsys):
     wav, f0 = inputs
     # job 1 fails late, writing its feature file over a directory; job 2 fails
@@ -462,14 +481,20 @@ def test_truncated_stream_synthesizes_and_roundtrips(tmp_path):
         fh.write("oversize_segment = truncate\n")
     feats = str(tmp_path / "s.gswf")
     flags = ["--fft-size", "256", "--config", cfg_path]
-    with pytest.warns(UserWarning, match="truncat"):
+    with pytest.warns(UserWarning, match="truncat") as from_analyze:
         assert run(["analyze", wav, f0, feats, *flags]) == 0
     assert run(["synthesize", feats, str(tmp_path / "s.out.wav")]) == 0
     assert run(["synthesize", feats, str(tmp_path / "s.mp.wav"), "--min-phase"]) == 0
     out_dir = str(tmp_path / "rt")
-    with pytest.warns(UserWarning, match="truncat"):
+    with pytest.warns(UserWarning, match="truncat") as from_roundtrip:
         assert run(["roundtrip", wav, f0, out_dir, *flags]) == 0
     assert _report_rows(os.path.join(out_dir, "s.report.txt"))["full.rmse"] < 1e-9
+    # the roundtrip's warnings are those of its one analysis, each pointing
+    # at analyze; scoring cuts the resyntheses quietly
+    lines, first = inspect.getsourcelines(analyze)
+    assert [str(r.message) for r in from_roundtrip] == [str(r.message) for r in from_analyze]
+    assert all(r.filename == inspect.getsourcefile(analyze)
+               and first <= r.lineno < first + len(lines) for r in from_roundtrip)
 
 
 def test_roundtrip_fft_size_below_the_mel_bands_exits_4_before_work(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gswf.dsp import (_inverse_filter_span, _mel_operator, _nudge_rows, _poly_fr
                       lpc_predictors, lpc_residual, lsp_to_lpc_batch, mel_cepstrum,
                       mel_filterbank, mel_support, reflection_to_lsp_batch, wrap_phase)
 from gswf.errors import RowError
-from gswf.gci import detect_gci
+from gswf.gci import GciTrack, detect_gci
 from gswf.synthesis import decode_phase
 from signals import (asymmetric_hann, harmonic_tone, random_stable_lpc, reflection_from_lpc,
                      speech_like)
@@ -111,12 +112,22 @@ def test_asymmetric_hann_partitions_unity_at_constant_period():
 
 # ---------------------------------------------------------------- spectrum
 
-def _layout_spectra(x, center, span, fft_size, oversize=None):
+def _layout_spectra(x, center, span, fft_size):
     # the row cut_segments lays out, its log magnitude and its decoded phase
     rows = cut_segments(Waveform(np.asarray(x, dtype=np.float64), 16000), [center], [span],
-                        fft_size, oversize)
+                        fft_size)
     (log_mag,), (feature,) = row_spectra(rows)
     return rows[0], log_mag, decode_phase(feature)
+
+
+def _extract_one(x, center, span, fft_size):
+    # the one segment extract_segments cuts at center between the instants
+    # span[0] before and span[1] after it, under the oversize policy "error";
+    # fft_size is below what PipelineConfig accepts, so a namespace stands in
+    left, right = span
+    track = GciTrack([center - left, center, center + right], [True] * 3, 16000)
+    return extract_segments(Waveform(np.asarray(x, dtype=np.float64), 16000), track,
+                            SimpleNamespace(fft_size=fft_size, oversize_segment="error"))
 
 
 def test_spectrum_centered_impulse_is_pure_delay():
@@ -185,11 +196,11 @@ def test_spectrum_pivot_keeps_instant_at_buffer_center():
 def test_spectrum_rejects_oversize_and_bad_pivot():
     x = np.ones(40)
     with pytest.raises(ValidationError, match="more than fft_size 16"):
-        _layout_spectra(x, 20, (9, 5), 16, "error")
+        _extract_one(x, 20, (9, 5), 16)
     with pytest.raises(ValidationError, match="more than fft_size 16"):
         # a right wing of fft/2 cannot keep the instant centered
-        _layout_spectra(x, 20, (5, 8), 16, "error")
-    _layout_spectra(x, 20, (8, 7), 16, "error")
+        _extract_one(x, 20, (5, 8), 16)
+    _extract_one(x, 20, (8, 7), 16)
     for center in (-1, 40):
         with pytest.raises(ValidationError, match="outside waveform"):
             _layout_spectra(x, center, (5, 5), 16)
@@ -284,10 +295,12 @@ def test_lpc_residual_recovers_ar_excitation():
 
 
 def test_lpc_residual_rejects_bad_geometry():
-    w = Waveform(np.ones(1000), 16000)
-    for kwargs in ({"order": 399}, {"order": 18, "shift_s": 1e-5}):
-        with pytest.raises(ValidationError):
-            lpc_residual(w, **kwargs)
+    with pytest.raises(ValidationError, match="too short for order 399"):
+        lpc_residual(Waveform(np.ones(1000), 16000), 399)
+    # at 60 Hz the 5 ms frame shift rounds to no sample, while the 2-sample
+    # frame holds order 0
+    with pytest.raises(ValidationError, match="under one sample at 60 Hz"):
+        lpc_residual(Waveform(np.ones(1000), 60), 0)
     with pytest.raises(ValidationError):
         lpc_residual(Waveform(np.ones(399), 16000), order=18)
 
@@ -479,7 +492,7 @@ def _speech_autocorrs():
     # the segments of speech_like() and a unit impulse, whose recursion gives
     # the flat predictor
     w, f0 = speech_like()
-    segments = extract_segments(w, detect_gci(w, f0, PipelineConfig()), PipelineConfig())
+    segments = extract_segments(w, detect_gci(w, f0), PipelineConfig())
     rows = [autocorr(row, LSP_ORDER) for row in segments]
     return np.array(rows + [np.eye(1, LSP_ORDER + 1)[0]])
 
@@ -742,7 +755,7 @@ def test_lpc_envelope_single_pole_pointwise():
 # ------------------------------------------------------------ mel cepstrum
 
 def test_mel_filterbank_shape_and_normalization():
-    fb = mel_filterbank(257, 16000, 40)
+    fb = mel_filterbank(257, 16000)
     assert fb.shape == (40, 257)
     assert np.allclose(fb.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(fb >= 0)
@@ -750,26 +763,25 @@ def test_mel_filterbank_shape_and_normalization():
 
 def test_mel_filterbank_rejects_empty_bands():
     with pytest.raises(ValidationError):
-        mel_filterbank(17, 16000, 40)
+        mel_filterbank(17, 16000)
 
 
 def test_mel_support_predicts_the_filterbank():
     for fs in (8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000, 96000):
         for fft_size in (32, 64, 128, 256, 512, 1024):
-            for n_mels in (10, 40):
-                try:
-                    mel_filterbank(fft_size // 2 + 1, fs, n_mels)
-                    built = True
-                except ValidationError:
-                    built = False
-                assert mel_support(fft_size // 2 + 1, fs, n_mels) == built
+            try:
+                mel_filterbank(fft_size // 2 + 1, fs)
+                built = True
+            except ValidationError:
+                built = False
+            assert mel_support(fft_size // 2 + 1, fs) == built
     assert not mel_support(65, 16000) and mel_support(129, 16000)
     assert not mel_support(129, 44100) and mel_support(257, 48000)
 
 
 def test_mel_cepstrum_flat_spectrum_is_dc_only():
     c = 0.3
-    out = mel_cepstrum(np.full(257, c), 16000, 40, 24)
+    out = mel_cepstrum(np.full(257, c), 16000)
     assert len(out) == 25
     assert out[0] == pytest.approx(2 * c * np.sqrt(40))
     assert np.max(np.abs(out[1:])) < 1e-12
@@ -778,12 +790,12 @@ def test_mel_cepstrum_flat_spectrum_is_dc_only():
 def test_mel_cepstrum_level_shift_moves_only_c0():
     rng = np.random.default_rng(16)
     log_mag = rng.normal(0.0, 0.5, 257)
-    a = mel_cepstrum(log_mag, 16000, 40, 24)
-    b = mel_cepstrum(log_mag + 1.0, 16000, 40, 24)
+    a = mel_cepstrum(log_mag, 16000)
+    b = mel_cepstrum(log_mag + 1.0, 16000)
     assert b[0] != pytest.approx(a[0])
     assert np.allclose(a[1:], b[1:], atol=1e-9)
     # a (frames, bins) array gives the 1-d result row by row
-    both = mel_cepstrum(np.stack([log_mag, log_mag + 1.0]), 16000, 40, 24)
+    both = mel_cepstrum(np.stack([log_mag, log_mag + 1.0]), 16000)
     assert both.shape == (2, 25)
     assert np.max(np.abs(both - np.stack([a, b]))) <= 1e-12
 
@@ -792,7 +804,7 @@ def test_mel_cepstrum_matches_independent_oracle():
     # one-formant envelope through a hand-rolled filterbank + DCT-II
     w = np.pi * np.arange(257) / 256
     log_mag = -np.log(np.abs(1.0 - 0.92 * np.exp(-1j * (w - 0.6))))
-    got = mel_cepstrum(log_mag, 16000, 40, 24)
+    got = mel_cepstrum(log_mag, 16000)
 
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
@@ -815,18 +827,18 @@ def test_mel_cepstrum_matches_independent_oracle():
     assert np.allclose(got, expect, atol=1e-9)
 
 
-def _filterbank_product_cepstrum(log_mag, fs, n_mels=40, order=24):
+def _filterbank_product_cepstrum(log_mag, fs):
     # the formula mel_cepstrum replaced, kept as the reference: the dense
-    # filterbank as a matrix product, then scipy's orthonormal DCT-II
-    bank = mel_filterbank(log_mag.shape[-1], fs, n_mels)
+    # filterbank as a matrix product, then scipy's orthonormal DCT-II of the
+    # 40 bands, coefficients 0..24
+    bank = mel_filterbank(log_mag.shape[-1], fs)
     band = np.log(np.maximum(np.exp(2.0 * log_mag) @ bank.T, 1e-10))
-    return dct(band, type=2, norm="ortho", axis=-1)[..., :order + 1]
+    return dct(band, type=2, norm="ortho", axis=-1)[..., :25]
 
 
 def test_mel_cepstrum_matches_the_filterbank_product_and_scipy_dct():
     w, f0 = speech_like()
-    speech = row_spectra(extract_segments(w, detect_gci(w, f0, PipelineConfig()),
-                                          PipelineConfig()))[0]
+    speech = row_spectra(extract_segments(w, detect_gci(w, f0), PipelineConfig()))[0]
     rng = np.random.default_rng(40)
     cases = [(speech, 16000)]
     for fs, fft_size in ((8000, 256), (16000, 512), (22050, 1024), (48000, 2048)):
@@ -838,8 +850,8 @@ def test_mel_cepstrum_matches_the_filterbank_product_and_scipy_dct():
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12
     # the weights and the DCT basis are built once and shared read-only
-    ops = _mel_operator(257, 16000.0, 40, 24)
-    assert _mel_operator(257, 16000.0, 40, 24) is ops
+    ops = _mel_operator(257, 16000.0)
+    assert _mel_operator(257, 16000.0) is ops
     assert not any(a.flags.writeable for a in ops)
 
 

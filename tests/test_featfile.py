@@ -92,13 +92,6 @@ def test_trailing_bytes_rejected(tmp_path):
         read_features(str(tmp_path / "pad.gswf"))
 
 
-def test_wrong_lsp_width_rejected_at_write(tmp_path):
-    stream = dataclasses.replace(_stream("parametric", n=1),
-                                 lsp=np.linspace(0.1, 3.0, 30)[None])
-    with pytest.raises(FormatError):
-        write_features(str(tmp_path / "w.gswf"), stream)
-
-
 def test_analyzed_stream_survives_file_roundtrip(tmp_path):
     w, contour = harmonic_tone(dur=0.3)
     stream = analyze(w, contour, PipelineConfig(mode="full"))

@@ -51,7 +51,6 @@ def test_dpd_wraps_near_two_pi():
     a = np.zeros((1, 8))
     b = np.full((1, 8), 2 * np.pi - 0.01)
     assert dpd(a, b) == pytest.approx(0.01 * np.sqrt(8), abs=1e-9)
-    assert dpd(a, b, wrap=False) == pytest.approx((2 * np.pi - 0.01) * np.sqrt(8))
 
 
 # ------------------------------------------------------- pseudo-metric suite

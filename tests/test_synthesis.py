@@ -10,9 +10,9 @@ from gswf import (ConfigError, FeatureStream, PipelineConfig, ValidationError, a
 from gswf.analysis import encode_phase, fit_wings, segment_spans, window_rows
 from gswf.cli import run
 from gswf.dsp import wrap_phase
-from gswf.synthesis import (_generation_positions, build_segments, decode_phase,
-                            overlap_add, window_envelope)
-from signals import asymmetric_hann, harmonic_tone, low_pitch_onsets, speech_like
+from gswf.synthesis import _generation_positions, build_segments, decode_phase, overlap_add
+from signals import (asymmetric_hann, harmonic_tone, low_pitch_onsets, speech_like,
+                     window_envelope)
 
 
 def _interior_rmse(y, x, positions):
