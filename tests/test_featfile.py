@@ -92,6 +92,16 @@ def test_trailing_bytes_rejected(tmp_path):
         read_features(str(tmp_path / "pad.gswf"))
 
 
+def test_wrong_lsp_width_rejected_at_write(tmp_path):
+    # a stream of another LSP width cannot be built, so it never reaches
+    # the file: the shape check at construction refuses it
+    path = tmp_path / "w.gswf"
+    with pytest.raises(ValidationError, match=r"stream lsp has shape \(1, 30\)"):
+        write_features(str(path), dataclasses.replace(_stream("parametric", n=1),
+                                                      lsp=np.linspace(0.1, 3.0, 30)[None]))
+    assert not path.exists()
+
+
 def test_analyzed_stream_survives_file_roundtrip(tmp_path):
     w, contour = harmonic_tone(dur=0.3)
     stream = analyze(w, contour, PipelineConfig(mode="full"))
