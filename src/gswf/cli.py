@@ -2,7 +2,8 @@
 
 Subcommands: gci, analyze, synthesize, roundtrip, metrics.  Exit codes:
 0 success, 2 I/O or file-format problem, 3 input validation failure,
-4 configuration problem.  A config file can be passed with --config or the
+4 configuration problem.  Each subcommand takes the flags of only the
+settings it reads.  A config file can be passed with --config or the
 GSWF_CONFIG environment variable; individual flags override file values.
 synthesize and metrics take the FFT size and mode from the feature files.
 """
@@ -32,14 +33,23 @@ from .synthesis import synthesize, synthesize_min_phase
 DURATION_TOLERANCE = 0.10
 
 
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
+def _add_input_args(parser: argparse.ArgumentParser) -> None:
+    # --config and the settings that reading a wav and its F0 contour uses
     parser.add_argument("--config", help="config file (key = value lines)")
-    parser.add_argument("--fft-size", type=int, dest="fft_size")
-    parser.add_argument("--mode", choices=MODES, dest="mode")
     parser.add_argument("--f0-min", type=float, dest="f0_min")
     parser.add_argument("--f0-max", type=float, dest="f0_max")
     parser.add_argument("--frame-shift", type=float, dest="frame_shift_s",
                         help="reference F0 frame shift in seconds")
+
+
+def _add_analysis_args(parser: argparse.ArgumentParser) -> None:
+    # the input flags plus the geometry analysis writes into a stream's header
+    _add_input_args(parser)
+    parser.add_argument("--fft-size", type=int, dest="fft_size")
+    parser.add_argument("--mode", choices=MODES, dest="mode")
+
+
+def _add_envelope_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--min-phase-from-envelope", action="store_true", default=None,
                         dest="min_phase_from_envelope")
 
@@ -52,15 +62,6 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     if path:
         return load_config(path, overrides)
     return PipelineConfig(**overrides)
-
-
-def _check_geometry(args: argparse.Namespace, path: str, stream) -> None:
-    """A feature file fixes its FFT size and mode; flags may only repeat them."""
-    for name in ("fft_size", "mode"):
-        flag, stored = getattr(args, name), getattr(stream, name)
-        if flag is not None and flag != stored:
-            raise ConfigError(f"--{name.replace('_', '-')} {flag} conflicts with "
-                              f"{path}, which has {name} {stored}")
 
 
 def _check_mel_support(fft_size: int, fs: int) -> None:
@@ -103,7 +104,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     stream = read_features(args.in_features)
-    _check_geometry(args, args.in_features, stream)
     if args.min_phase:
         out = synthesize_min_phase(stream, from_envelope=cfg.min_phase_from_envelope)
     else:
@@ -169,6 +169,9 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
+    positionals = (args.in_wav, args.f0_ref, args.out_dir)
+    if (any(positionals) if args.list else not all(positionals)):
+        raise ValidationError("roundtrip needs in_wav f0_ref out_dir or --list, and not both")
     cfg = _config_from_args(args)
     if cfg.mode == "parametric" and not cfg.min_phase_from_envelope:
         raise ConfigError("a parametric roundtrip needs --min-phase-from-envelope "
@@ -211,18 +214,14 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
             codes = [getattr(exc, "exit_code", 2) for _, exc in failures]
             return max(codes)
         return 0
-    if not (args.in_wav and args.f0_ref and args.out_dir):
-        raise ValidationError("roundtrip needs in_wav f0_ref out_dir (or --list)")
     _roundtrip_one(args.in_wav, args.f0_ref, args.out_dir, cfg)
     return 0
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    _config_from_args(args)  # no setting applies, but a bad config file still exits 4
     pred_stream = read_features(args.pred_features)
     ref_stream = read_features(args.ref_features)
-    for path, stream in ((args.pred_features, pred_stream), (args.ref_features, ref_stream)):
-        _check_geometry(args, path, stream)
+    for stream in (pred_stream, ref_stream):
         _check_mel_support(stream.fft_size, stream.fs)
     pred_wav = read_wav(args.pred_wav)
     ref_wav = read_wav(args.ref_wav)
@@ -246,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("in_wav")
     p.add_argument("f0_ref")
     p.add_argument("out_track")
-    _add_config_args(p)
+    _add_input_args(p)
     p.set_defaults(func=cmd_gci)
 
     p = sub.add_parser("analyze", help="extract a feature stream")
     p.add_argument("in_wav")
     p.add_argument("f0_ref")
     p.add_argument("out_features")
-    _add_config_args(p)
+    _add_analysis_args(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synthesize", help="resynthesize a waveform")
@@ -261,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_wav")
     p.add_argument("--min-phase", action="store_true",
                    help="replace transmitted phase with minimum phase")
-    _add_config_args(p)
+    p.add_argument("--config", help="config file (key = value lines)")
+    _add_envelope_arg(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("roundtrip",
@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_dir", nargs="?")
     p.add_argument("--list", help="batch manifest: one 'wav f0 outdir' per line")
     p.add_argument("--jobs", type=int, default=1, help="worker threads for --list")
-    _add_config_args(p)
+    _add_analysis_args(p)
+    _add_envelope_arg(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("metrics", help="evaluate a prediction against a reference")
@@ -281,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ref_features")
     p.add_argument("out_report")
     p.add_argument("--json", action="store_true", help="write the report as JSON")
-    _add_config_args(p)
     p.set_defaults(func=cmd_metrics)
     return parser
 

@@ -30,7 +30,6 @@ UNVOICED_SHIFT_S = 0.005      # spacing of constant-rate marks outside voicing
 class GciTrack:
     instants: np.ndarray  # sample indices, strictly increasing
     voiced: np.ndarray    # bool, same length
-    fs: int
 
     def __post_init__(self) -> None:
         self.instants = np.asarray(self.instants, dtype=np.int64)
@@ -41,8 +40,6 @@ class GciTrack:
             raise ValidationError("instants must be non-negative")
         if np.any(np.diff(self.instants) <= 0):
             raise ValidationError("instants must be strictly increasing")
-        if self.fs <= 0:
-            raise ValidationError(f"sample rate must be positive, got {self.fs}")
 
 
 def mean_based_signal(w: Waveform, mean_period_samples: float) -> np.ndarray:
@@ -223,7 +220,7 @@ def detect_gci(w: Waveform, f0_ref: F0Contour) -> GciTrack:
     pos = np.array([p for p, _ in marks], dtype=np.int64)
     flags = np.array([v for _, v in marks], dtype=bool)
     pos, flags = merge_marks(pos, flags, max(1, int(round(0.001 * fs))))
-    return GciTrack(pos, flags, fs)
+    return GciTrack(pos, flags)
 
 
 def merge_marks(positions: np.ndarray, voiced: np.ndarray, min_gap: int) -> tuple:
@@ -250,7 +247,7 @@ def write_gci_track(path: str, track: GciTrack) -> None:
             fh.write(f"{int(pos)} {int(flag)}\n")
 
 
-def read_gci_track(path: str, fs: int) -> GciTrack:
+def read_gci_track(path: str) -> GciTrack:
     instants = []
     flags = []
     with open(path, encoding="utf-8") as fh:
@@ -269,4 +266,4 @@ def read_gci_track(path: str, fs: int) -> GciTrack:
                 raise FormatError(f"{path}:{lineno}: voiced flag must be 0 or 1")
             instants.append(pos)
             flags.append(bool(flag))
-    return GciTrack(np.array(instants, dtype=np.int64), np.array(flags, dtype=bool), fs)
+    return GciTrack(np.array(instants, dtype=np.int64), np.array(flags, dtype=bool))

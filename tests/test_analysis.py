@@ -16,11 +16,11 @@ from gswf.gci import UNVOICED_SHIFT_S
 from signals import asymmetric_hann, harmonic_tone, speech_like
 
 
-def _track(instants, fs=16000, voiced=None):
+def _track(instants, voiced=None):
     instants = np.asarray(instants, dtype=np.int64)
     if voiced is None:
         voiced = np.ones(len(instants), dtype=bool)
-    return GciTrack(instants, np.asarray(voiced, dtype=bool), fs)
+    return GciTrack(instants, np.asarray(voiced, dtype=bool))
 
 
 # ---------------------------------------------------------------- segments

@@ -125,7 +125,7 @@ def _extract_one(x, center, span, fft_size):
     # span[0] before and span[1] after it, under the oversize policy "error";
     # fft_size is below what PipelineConfig accepts, so a namespace stands in
     left, right = span
-    track = GciTrack([center - left, center, center + right], [True] * 3, 16000)
+    track = GciTrack([center - left, center, center + right], [True] * 3)
     return extract_segments(Waveform(np.asarray(x, dtype=np.float64), 16000), track,
                             SimpleNamespace(fft_size=fft_size, oversize_segment="error"))
 

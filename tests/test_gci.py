@@ -15,20 +15,20 @@ from signals import pulse_train, speech_like
 # ------------------------------------------------------------------- track
 
 def test_track_validates_ordering_and_shape():
-    GciTrack(np.array([10, 20, 30]), np.array([True, True, False]), 16000)
+    GciTrack(np.array([10, 20, 30]), np.array([True, True, False]))
     with pytest.raises(ValidationError):
-        GciTrack(np.array([10, 10]), np.array([True, True]), 16000)
+        GciTrack(np.array([10, 10]), np.array([True, True]))
     with pytest.raises(ValidationError):
-        GciTrack(np.array([-1, 5]), np.array([True, True]), 16000)
+        GciTrack(np.array([-1, 5]), np.array([True, True]))
     with pytest.raises(ValidationError):
-        GciTrack(np.array([1, 5]), np.array([True]), 16000)
+        GciTrack(np.array([1, 5]), np.array([True]))
 
 
 def test_track_file_roundtrip(tmp_path):
-    t = GciTrack(np.array([5, 100, 450]), np.array([False, True, True]), 16000)
+    t = GciTrack(np.array([5, 100, 450]), np.array([False, True, True]))
     path = str(tmp_path / "t.gci")
     write_gci_track(path, t)
-    back = read_gci_track(path, 16000)
+    back = read_gci_track(path)
     assert np.array_equal(back.instants, t.instants)
     assert np.array_equal(back.voiced, t.voiced)
 
@@ -36,11 +36,11 @@ def test_track_file_roundtrip(tmp_path):
 def test_track_file_rejects_garbage(tmp_path):
     (tmp_path / "bad.gci").write_text("100 1\nten 0\n")
     with pytest.raises(FormatError) as err:
-        read_gci_track(str(tmp_path / "bad.gci"), 16000)
+        read_gci_track(str(tmp_path / "bad.gci"))
     assert "2" in str(err.value)
     (tmp_path / "flag.gci").write_text("100 2\n")
     with pytest.raises(FormatError):
-        read_gci_track(str(tmp_path / "flag.gci"), 16000)
+        read_gci_track(str(tmp_path / "flag.gci"))
 
 
 # --------------------------------------------------------- mean-based signal

@@ -6,6 +6,7 @@ change that alters outputs on purpose rewrites the manifest with
 ``python3 tools/same_outputs.py --write-manifest``.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,16 @@ def test_outputs_match_the_manifest(tmp_path):
                  if expected[rel] != got[rel]]
     assert not problems, ("output files changed against "
                           f"{MANIFEST.name}:\n" + "\n".join(problems))
+
+
+def test_same_outputs_counts_lines_as_wc_does(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "same_outputs", Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py")
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    (tmp_path / "gswf").mkdir()
+    # wc -l counts newlines: an unterminated last line and a .pyc add none
+    (tmp_path / "gswf" / "a.py").write_bytes(b"x = 1\n\ny = 2")
+    (tmp_path / "gswf" / "b.py").write_bytes(b"\r\n\n")
+    (tmp_path / "gswf" / "c.pyc").write_bytes(b"\n\n\n")
+    assert same_outputs.line_count(tmp_path) == 4

@@ -279,7 +279,7 @@ def test_overlap_add_reconstructs_windowed_grains():
     from gswf.analysis import extract_segments
     from gswf.gci import GciTrack
     instants = np.arange(100, 1500, 137)
-    track = GciTrack(instants, np.ones(len(instants), dtype=bool), 16000)
+    track = GciTrack(instants, np.ones(len(instants), dtype=bool))
     rows = extract_segments(Waveform(x, 16000), track, PipelineConfig())
     pos, spans = instants[1:-1], segment_spans(instants)[1:-1]
     windows = window_rows(spans, rows.shape[1])

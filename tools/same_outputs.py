@@ -13,8 +13,9 @@ file that differs (or exists on one side only) and each command that fails
 on either side, and exits 1 if there is any, else 0.  A differing PCM16 wav
 is quantified by the number of samples that differ and the largest
 difference in LSB; a differing text file (reports, tracks) by the lines
-that differ.  This mode uses only the standard library; the commands need
-numpy.
+that differ.  It also prints the line count of ``gswf/*.py`` in each tree,
+counted as ``wc -l`` counts them, and the difference.  This mode uses only
+the standard library; the commands need numpy.
 
 ``--write-manifest`` runs the commands in-process with this tree's ``src``
 and rewrites ``tests/data/outputs.sha256``, the digests that
@@ -119,6 +120,11 @@ def differing(a: Path, b: Path) -> list:
     return out
 
 
+def line_count(src: Path) -> int:
+    """The newlines in src/gswf/*.py, the total `wc -l` prints for them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "gswf").glob("*.py"))
+
+
 def write_manifest() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -169,6 +175,8 @@ def main(argv=None) -> int:
         n_files = sum(1 for p in (work / "here").rglob("*") if p.is_file())
     for line in problems:
         print(line)
+    here, there = line_count(ROOT / "src"), line_count(base)
+    print(f"gswf/*.py: {here} lines here, {there} in BASE_SRC ({here - there:+d})")
     print(f"{n_files} output files from {len(codes_here)} commands: "
           f"{'identical' if not problems else f'{len(problems)} differences'}")
     return 1 if problems else 0
