@@ -57,10 +57,10 @@ class SegmentFeatures:
 @dataclass(init=False)
 class FeatureStream:
     """The features of n segments, one array per field: positions (n,)
-    int64, strictly increasing; voiced (n,) bool; log_f0 and gain (n,);
-    lsp (n, LSP_ORDER); phase (n, K) phase features (encode_phase) and, in full
-    mode, log_mag (n, K) natural-log magnitudes, with K = fft_size//2 + 1.
-    log_mag is None in parametric mode.
+    int64, non-negative and strictly increasing; voiced (n,) bool; log_f0
+    and gain (n,); lsp (n, LSP_ORDER); phase (n, K) phase features
+    (encode_phase) and, in full mode, log_mag (n, K) natural-log magnitudes,
+    with K = fft_size//2 + 1.  log_mag is None in parametric mode.
 
     FeatureStream(fs, fft_size, mode, segments=records) takes the columns
     from a list of SegmentFeatures records instead, and .segments builds
@@ -110,6 +110,9 @@ class FeatureStream:
                                       f"{shape} for {n} segments at fft_size {self.fft_size}")
         if np.any(np.diff(self.positions) <= 0):
             raise ValidationError("segment positions must be strictly increasing")
+        if n and self.positions[0] < 0:
+            raise ValidationError(f"segment positions must be non-negative, the first "
+                                  f"is {self.positions[0]}")
 
     def __len__(self) -> int:
         return len(self.positions)

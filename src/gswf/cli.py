@@ -3,9 +3,10 @@
 Subcommands: gci, analyze, synthesize, roundtrip, metrics.  Exit codes:
 0 success, 2 I/O or file-format problem, 3 input validation failure,
 4 configuration problem.  Each subcommand takes the flags of only the
-settings it reads.  A config file can be passed with --config or the
-GSWF_CONFIG environment variable; individual flags override file values.
-synthesize and metrics take the FFT size and mode from the feature files.
+settings it reads.  gci, analyze and roundtrip read a config file of
+analysis settings, passed with --config or the GSWF_CONFIG environment
+variable; individual flags override file values.  synthesize and metrics
+read no config: they take the FFT size and mode from the feature files.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ def _add_analysis_args(parser: argparse.ArgumentParser) -> None:
     _add_input_args(parser)
     parser.add_argument("--fft-size", type=int, dest="fft_size")
     parser.add_argument("--mode", choices=MODES, dest="mode")
-
-
-def _add_envelope_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--min-phase-from-envelope", action="store_true", default=None,
-                        dest="min_phase_from_envelope")
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
@@ -102,10 +98,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
     stream = read_features(args.in_features)
     if args.min_phase:
-        out = synthesize_min_phase(stream, from_envelope=cfg.min_phase_from_envelope)
+        out = synthesize_min_phase(stream, from_envelope=args.min_phase_from_envelope)
     else:
         out = synthesize(stream)
     write_wav(args.out_wav, out)
@@ -155,8 +150,8 @@ def _roundtrip_one(wav_path: str, f0_path: str, out_dir: str,
     # centred on its ends, whose windows reach the unreconstructed edges
     span = (int(stream.positions[0]), int(stream.positions[-1]))
     reports = []
-    min_phase = functools.partial(synthesize_min_phase,
-                                  from_envelope=cfg.min_phase_from_envelope)
+    # a parametric stream's only magnitude is its envelope
+    min_phase = functools.partial(synthesize_min_phase, from_envelope=True)
     for label, synth in (("full", synthesize), ("minphase", min_phase)):
         out = _fit_length(synth(stream), len(w.samples))
         write_wav(f"{base}.{label}.wav", out)
@@ -173,9 +168,6 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     if (any(positionals) if args.list else not all(positionals)):
         raise ValidationError("roundtrip needs in_wav f0_ref out_dir or --list, and not both")
     cfg = _config_from_args(args)
-    if cfg.mode == "parametric" and not cfg.min_phase_from_envelope:
-        raise ConfigError("a parametric roundtrip needs --min-phase-from-envelope "
-                          "for its minimum-phase resynthesis")
     if args.list:
         jobs = []
         first_line = {}  # output base -> the manifest line that writes it
@@ -260,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out_wav")
     p.add_argument("--min-phase", action="store_true",
                    help="replace transmitted phase with minimum phase")
-    p.add_argument("--config", help="config file (key = value lines)")
-    _add_envelope_arg(p)
+    p.add_argument("--min-phase-from-envelope", action="store_true",
+                   help="let --min-phase take a parametric stream's magnitude "
+                        "from its LSP envelope")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("roundtrip",
@@ -272,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", help="batch manifest: one 'wav f0 outdir' per line")
     p.add_argument("--jobs", type=int, default=1, help="worker threads for --list")
     _add_analysis_args(p)
-    _add_envelope_arg(p)
     p.set_defaults(func=cmd_roundtrip)
 
     p = sub.add_parser("metrics", help="evaluate a prediction against a reference")

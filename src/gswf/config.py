@@ -1,4 +1,5 @@
-"""Pipeline configuration shared by analysis, synthesis and the CLI."""
+"""Analysis settings: what analyze reads, plus the frame shift and F0 range
+the CLI reads and checks a reference contour with."""
 
 from __future__ import annotations
 
@@ -21,8 +22,6 @@ class PipelineConfig:
     f0_min: float = 50.0
     f0_max: float = 500.0
     frame_shift_s: float = 0.005
-    # synthesis
-    min_phase_from_envelope: bool = False
 
     def __post_init__(self) -> None:
         self.validate()
@@ -47,12 +46,6 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 def _parse_value(name: str, text: str):
     kind = _FIELD_TYPES[name]
     text = text.strip()
-    if kind == "bool":
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {name}: expected a boolean, got {text!r}")
     try:
         if kind == "int":
             return int(text)

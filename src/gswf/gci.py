@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import lpc_residual
-from .errors import DetectionError, FormatError, ValidationError
+from .errors import DetectionError, ValidationError
 from .signal_io import F0Contour, Waveform
 
 MEAN_WINDOW_PERIODS = 0.875   # half-window as a fraction of the mean period
@@ -56,25 +56,22 @@ def mean_based_signal(w: Waveform, mean_period_samples: float) -> np.ndarray:
     return np.convolve(w.samples, np.blackman(win_len), mode="same") / win_len
 
 
-def find_intervals(mean_signal: np.ndarray, voiced_regions) -> list:
-    """[local minimum, next local maximum] pairs of the mean-based signal,
-    one list over all voiced regions.  Intervals are inclusive, ordered and
-    non-overlapping: of the strict extrema of each region in order, every
-    maximum whose predecessor is a minimum closes one."""
-    out = []
+def find_intervals(mean_signal: np.ndarray, lo: int, hi: int) -> list:
+    """[local minimum, next local maximum] pairs of the mean-based signal in
+    the voiced region [lo, hi), clipped to the signal.  Intervals are
+    inclusive, ordered and non-overlapping: of the region's strict extrema in
+    order, every maximum whose predecessor is a minimum closes one."""
     y = np.asarray(mean_signal, dtype=np.float64)
-    for a, b in voiced_regions:
-        a, b = max(0, int(a)), min(len(y), int(b))
-        if b - a < 3:
-            continue
-        seg = y[a:b]
-        mid = seg[1:-1]
-        is_max = (mid > seg[:-2]) & (mid > seg[2:])
-        ext = np.flatnonzero(is_max | ((mid < seg[:-2]) & (mid < seg[2:])))
-        ext_max = is_max[ext]
-        close = ext_max[1:] & ~ext_max[:-1]
-        out.extend(zip((ext[:-1][close] + a + 1).tolist(), (ext[1:][close] + a + 1).tolist()))
-    return out
+    a, b = max(0, int(lo)), min(len(y), int(hi))
+    if b - a < 3:
+        return []
+    seg = y[a:b]
+    mid = seg[1:-1]
+    is_max = (mid > seg[:-2]) & (mid > seg[2:])
+    ext = np.flatnonzero(is_max | ((mid < seg[:-2]) & (mid < seg[2:])))
+    ext_max = is_max[ext]
+    close = ext_max[1:] & ~ext_max[:-1]
+    return list(zip((ext[:-1][close] + a + 1).tolist(), (ext[1:][close] + a + 1).tolist()))
 
 
 def select_candidates(residual: np.ndarray, intervals, m: int,
@@ -204,7 +201,7 @@ def detect_gci(w: Waveform, f0_ref: F0Contour) -> GciTrack:
             residual = -residual
         min_sep = max(1, int(round(CANDIDATE_MIN_SEP_S * fs)))
         for lo, hi in voiced_regions:
-            intervals = find_intervals(smooth, [(lo, hi)])
+            intervals = find_intervals(smooth, lo, hi)
             if not intervals:
                 # region shorter than one cycle: no glottal evidence, fall
                 # back to constant-rate marks so coverage has no hole
@@ -245,25 +242,3 @@ def write_gci_track(path: str, track: GciTrack) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for pos, flag in zip(track.instants, track.voiced):
             fh.write(f"{int(pos)} {int(flag)}\n")
-
-
-def read_gci_track(path: str) -> GciTrack:
-    instants = []
-    flags = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                pos, flag = int(parts[0]), int(parts[1])
-            except (IndexError, ValueError):
-                raise FormatError(
-                    f"{path}:{lineno}: expected 'sample_index voiced_flag', got {line!r}"
-                ) from None
-            if flag not in (0, 1):
-                raise FormatError(f"{path}:{lineno}: voiced flag must be 0 or 1")
-            instants.append(pos)
-            flags.append(bool(flag))
-    return GciTrack(np.array(instants, dtype=np.int64), np.array(flags, dtype=bool))

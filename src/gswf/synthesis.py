@@ -157,7 +157,7 @@ def synthesize_min_phase(stream: FeatureStream, *, from_envelope: bool = False,
     that magnitude from, which from_envelope must allow."""
     if stream.mode == "parametric" and not from_envelope:
         raise ConfigError(
-            "minimum-phase synthesis from a parametric stream requires "
-            "min_phase_from_envelope"
+            "minimum-phase synthesis from a parametric stream requires from_envelope "
+            "(gswf synthesize --min-phase-from-envelope)"
         )
     return _synthesize(stream, positions, True)

@@ -12,7 +12,7 @@ import pytest
 import gswf.cli
 from gswf import PipelineConfig, analyze, read_features, read_wav, write_wav
 from gswf.cli import run
-from gswf.gci import read_gci_track
+from gswf.config import load_config
 from gswf.signal_io import write_f0_ref
 from signals import harmonic_tone, low_pitch_onsets, speech_like
 
@@ -44,13 +44,11 @@ def test_gci_writes_track(inputs, tmp_path):
     wav, f0 = inputs
     out = str(tmp_path / "tone.gci")
     assert run(["gci", wav, f0, out]) == 0
-    track = read_gci_track(out)
-    with open(out, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    assert len(lines) == len(track.instants)
-    idx, flag = lines[0].split()
-    assert int(idx) == track.instants[0]
-    assert flag in ("0", "1")
+    # one `sample_index voiced_flag` line per instant
+    track = np.loadtxt(out, dtype=np.int64, ndmin=2)
+    assert track.shape[1] == 2 and len(track) > 0
+    assert track[0, 0] >= 0 and np.all(np.diff(track[:, 0]) > 0)
+    assert set(track[:, 1].tolist()) <= {0, 1}
 
 
 def test_gci_missing_f0_names_path(inputs, tmp_path, capsys):
@@ -193,6 +191,8 @@ def test_synthesize_min_phase_needs_magnitude(inputs, tmp_path, capsys):
     assert run(["analyze", wav, f0, feat, "--mode", "parametric"]) == 0
     out = str(tmp_path / "out.wav")
     assert run(["synthesize", feat, out, "--min-phase"]) == 4
+    # the message names the flag that grants the envelope
+    assert "--min-phase-from-envelope" in capsys.readouterr().err
     assert run(["synthesize", feat, out, "--min-phase",
                 "--min-phase-from-envelope"]) == 0
 
@@ -221,7 +221,7 @@ def wide(inputs, tmp_path_factory):
     return full, par
 
 
-def test_synthesize_takes_fft_size_from_file(inputs, wide, tmp_path):
+def test_synthesize_takes_fft_size_from_file(inputs, wide, tmp_path, monkeypatch):
     full, _ = wide
     # config-file geometry does not apply to synthesize
     cfg_path = str(tmp_path / "gswf.cfg")
@@ -229,8 +229,10 @@ def test_synthesize_takes_fft_size_from_file(inputs, wide, tmp_path):
         fh.write("fft_size = 512\nmode = parametric\n")
     for flags in ([], ["--min-phase"]):
         plain, other = str(tmp_path / "plain.wav"), str(tmp_path / "other.wav")
+        monkeypatch.delenv("GSWF_CONFIG", raising=False)
         assert run(["synthesize", full, plain, *flags]) == 0
-        assert run(["synthesize", full, other, *flags, "--config", cfg_path]) == 0
+        monkeypatch.setenv("GSWF_CONFIG", cfg_path)
+        assert run(["synthesize", full, other, *flags]) == 0
         assert _read(plain) == _read(other)
     # full-mode resynthesis at the stored geometry reconstructs the input
     assert run(["synthesize", full, plain]) == 0
@@ -241,11 +243,13 @@ def test_synthesize_takes_fft_size_from_file(inputs, wide, tmp_path):
 
 def test_synthesize_and_metrics_refuse_geometry_flags(inputs, wide, tmp_path, capsys):
     # a feature file's header is its geometry, so the commands that read one
-    # take no --fft-size or --mode and refuse them as any unknown flag
+    # take no --fft-size or --mode and refuse them as any unknown flag;
+    # synthesize refuses --config too, as it reads no config file
     wav, _ = inputs
     full, par = wide
     out, report = str(tmp_path / "out.wav"), str(tmp_path / "report.txt")
     for argv in (["synthesize", full, out, "--fft-size", "512"],
+                 ["synthesize", full, out, "--config", "gswf.cfg"],
                  ["synthesize", full, out, "--mode", "parametric"],
                  ["synthesize", par, out, "--min-phase", "--min-phase-from-envelope",
                   "--mode", "full"],
@@ -389,12 +393,15 @@ def test_roundtrip_list_reports_failures_in_manifest_order(inputs, tmp_path, cap
 def test_roundtrip_honours_parametric_mode(inputs, tmp_path, capsys):
     wav, f0 = inputs
     out_dir = str(tmp_path / "rt")
-    # the minimum-phase half needs the envelope flag; refused before any work
-    assert run(["roundtrip", wav, f0, out_dir, "--mode", "parametric"]) == 4
-    assert "--min-phase-from-envelope" in capsys.readouterr().err
+    # the mode alone decides: the minimum-phase half of a parametric
+    # roundtrip takes its magnitude from the envelope, with no flag to grant it
+    with pytest.raises(SystemExit) as exc:
+        run(["roundtrip", wav, f0, out_dir, "--mode", "parametric",
+             "--min-phase-from-envelope"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --min-phase-from-envelope" in capsys.readouterr().err
     assert not os.path.exists(out_dir)
-    assert run(["roundtrip", wav, f0, out_dir, "--mode", "parametric",
-                "--min-phase-from-envelope"]) == 0
+    assert run(["roundtrip", wav, f0, out_dir, "--mode", "parametric"]) == 0
     assert read_features(os.path.join(out_dir, "tone.gswf")).mode == "parametric"
     with open(os.path.join(out_dir, "tone.report.txt"), encoding="utf-8") as fh:
         rows = [line.split() for line in fh.read().strip().splitlines()]
@@ -444,8 +451,7 @@ def test_roundtrip_analyzes_once_per_job(inputs, tmp_path, monkeypatch):
     monkeypatch.setattr(gswf.cli, "analyze", counting)
     assert run(["roundtrip", wav, f0, str(tmp_path / "one")]) == 0
     assert len(calls) == 1
-    assert run(["roundtrip", wav, f0, str(tmp_path / "par"), "--mode", "parametric",
-                "--min-phase-from-envelope"]) == 0
+    assert run(["roundtrip", wav, f0, str(tmp_path / "par"), "--mode", "parametric"]) == 0
     assert len(calls) == 2
     manifest = str(tmp_path / "jobs.txt")
     with open(manifest, "w", encoding="utf-8") as fh:
@@ -473,8 +479,7 @@ def test_no_command_builds_per_segment_records(inputs, tmp_path, monkeypatch):
                  ["synthesize", par, out],
                  ["synthesize", "--min-phase", "--min-phase-from-envelope", par, out],
                  ["roundtrip", wav, f0, rt],
-                 ["roundtrip", "--mode", "parametric", "--min-phase-from-envelope", wav, f0,
-                  str(tmp_path / "rt_par")],
+                 ["roundtrip", "--mode", "parametric", wav, f0, str(tmp_path / "rt_par")],
                  ["metrics", os.path.join(rt, "tone.minphase.wav"), wav, full, full,
                   str(tmp_path / "full.txt")],
                  ["metrics", wav, wav, par, par, str(tmp_path / "par.txt")]):
@@ -642,12 +647,12 @@ def test_config_file_env_and_flag_precedence(inputs, tmp_path, monkeypatch):
 
 
 def test_one_config_file_serves_every_command(inputs, tmp_path, monkeypatch):
-    # a file that sets every PipelineConfig key: each command reads the keys
-    # it needs and passes over the rest, and metrics reads no config at all
+    # a file that sets every PipelineConfig key: each analysis command reads
+    # the keys it needs and passes over the rest, and synthesize and metrics
+    # read no config at all
     wav, f0 = inputs
     body = {"fft_size": "1024", "mode": "parametric", "oversize_segment": "truncate",
-            "f0_min": "60", "f0_max": "400", "frame_shift_s": "0.005",
-            "min_phase_from_envelope": "true"}
+            "f0_min": "60", "f0_max": "400", "frame_shift_s": "0.005"}
     assert set(body) == {f.name for f in fields(PipelineConfig)}
     cfg_path = tmp_path / "all.cfg"
     cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in body.items()), encoding="utf-8")
@@ -657,14 +662,18 @@ def test_one_config_file_serves_every_command(inputs, tmp_path, monkeypatch):
     assert run(["analyze", wav, f0, feat, *flags]) == 0
     stream = read_features(feat)
     assert (stream.fft_size, stream.mode) == (1024, "parametric")
-    # the file's min_phase_from_envelope is what lets this stream synthesize
+    # only the command's own flag lets a parametric stream synthesize at
+    # minimum phase
+    monkeypatch.setenv("GSWF_CONFIG", str(cfg_path))
     assert run(["synthesize", feat, out, "--min-phase"]) == 4
-    assert run(["synthesize", feat, out, "--min-phase", *flags]) == 0
+    assert run(["synthesize", feat, out, "--min-phase", "--min-phase-from-envelope"]) == 0
+    monkeypatch.delenv("GSWF_CONFIG")
     assert run(["roundtrip", wav, f0, str(tmp_path / "rt"), *flags]) == 0
     bad = tmp_path / "bad.cfg"
     bad.write_text("no equals sign\n", encoding="utf-8")
     monkeypatch.setenv("GSWF_CONFIG", str(bad))
     assert run(["gci", wav, f0, str(tmp_path / "t.gci")]) == 4
+    assert run(["synthesize", feat, out]) == 0
     assert run(["metrics", wav, wav, feat, feat, str(tmp_path / "r.txt")]) == 0
 
 
@@ -677,14 +686,15 @@ def test_each_command_takes_only_the_flags_it_reads():
     inputs = {"--config", "--f0-min", "--f0-max", "--frame-shift"}
     analysis = inputs | {"--fft-size", "--mode"}
     assert got == {"gci": inputs, "analyze": analysis,
-                   "synthesize": {"--min-phase", "--config", "--min-phase-from-envelope"},
-                   "roundtrip": analysis | {"--min-phase-from-envelope", "--list", "--jobs"},
+                   "synthesize": {"--min-phase", "--min-phase-from-envelope"},
+                   "roundtrip": analysis | {"--list", "--jobs"},
                    "metrics": {"--json"}}
-    assert sum(map(len, got.values())) == 23
+    assert sum(map(len, got.values())) == 21
     assert not hasattr(gswf.cli, "_check_geometry")
+    assert not hasattr(gswf.cli, "_add_envelope_arg")
 
 
-def test_the_benchmark_command_shapes_parse():
+def test_the_benchmark_command_shapes_parse(tmp_path):
     # bench/run.py drives the CLI with these shapes; a cut to the command
     # line that would break the benchmark fails here first
     parse = gswf.cli.build_parser().parse_args
@@ -696,6 +706,10 @@ def test_the_benchmark_command_shapes_parse():
         (gswf.cli.cmd_roundtrip, "c.cfg", "m.txt", 2)
     args = parse(["analyze", "a.wav", "a.f0", "a.gswf"])
     assert args.func is gswf.cli.cmd_analyze
+    # and the roundtrip batch's config file, RoundtripBatch.CONFIG, still loads
+    cfg_path = tmp_path / "bench.cfg"
+    cfg_path.write_text("oversize_segment = truncate\n", encoding="utf-8")
+    assert load_config(str(cfg_path)).oversize_segment == "truncate"
 
 
 def test_bad_config_values_exit_4(inputs, tmp_path, capsys):

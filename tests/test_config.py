@@ -8,8 +8,7 @@ from gswf.config import load_config
 from gswf.cli import run
 from signals import harmonic_tone
 
-KEPT = {"fft_size", "mode", "oversize_segment", "f0_min", "f0_max",
-        "frame_shift_s", "min_phase_from_envelope"}
+KEPT = {"fft_size", "mode", "oversize_segment", "f0_min", "f0_max", "frame_shift_s"}
 
 # fixed by the representation, duplicated by a library default, or removed
 # with the option it set (cost_norm's squared Viterbi norm); a config file
@@ -64,7 +63,6 @@ def test_validate_rejects(kwargs, match):
 
 @pytest.mark.parametrize("body, match", [
     ("fft_size 1024\n", "expected 'key = value'"),
-    ("min_phase_from_envelope = maybe\n", "expected a boolean"),
     ("f0_min = low\n", "expected a number"),
     ("banana = 1\n", "unknown config key 'banana'"),
 ])
@@ -75,9 +73,9 @@ def test_load_config_errors(tmp_path, body, match):
 
 def test_load_config_reads_values_and_applies_overrides(tmp_path):
     path = _config_file(tmp_path, "# setup\nfft_size = 1024  # wide\n\n"
-                                  "min_phase_from_envelope = yes\nf0_min = 60\n")
+                                  "mode = parametric\nf0_min = 60\n")
     cfg = load_config(path, {"f0_min": 70.0})
-    assert (cfg.fft_size, cfg.min_phase_from_envelope, cfg.f0_min) == (1024, True, 70.0)
+    assert (cfg.fft_size, cfg.mode, cfg.f0_min) == (1024, "parametric", 70.0)
 
 
 def test_missing_config_file(tmp_path):
@@ -93,3 +91,16 @@ def test_deleted_key_exits_4_before_work(inputs, tmp_path, capsys, key):
     assert run(["analyze", wav, f0, out, "--config", cfg_path]) == 4
     assert f"unknown config key {key!r}" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_envelope_key_is_unknown_to_every_config_reader(inputs, tmp_path, capsys):
+    # the envelope is a synthesis choice, which synthesize takes as its own
+    # flag: gci, analyze and roundtrip refuse a config file that sets it
+    wav, f0 = inputs
+    cfg_path = _config_file(tmp_path, "min_phase_from_envelope = true\n")
+    outs = [str(tmp_path / name) for name in ("t.gci", "t.gswf", "rt")]
+    for argv in (["gci", wav, f0, outs[0]], ["analyze", wav, f0, outs[1]],
+                 ["roundtrip", wav, f0, outs[2]]):
+        assert run([*argv, "--config", cfg_path]) == 4, argv
+        assert "unknown config key 'min_phase_from_envelope'" in capsys.readouterr().err
+    assert not any(map(os.path.exists, outs))

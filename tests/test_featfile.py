@@ -8,7 +8,7 @@ from gswf import (FeatureStream, FormatError, PipelineConfig, ValidationError, a
                   read_features, synthesize, write_features)
 from gswf.analysis import LSP_ORDER
 from gswf.cli import run
-from gswf.featfile import MAGIC
+from gswf.featfile import _HEADER, MAGIC, _record
 from gswf.signal_io import write_f0_ref, write_wav
 from signals import harmonic_tone, speech_like
 
@@ -100,6 +100,27 @@ def test_wrong_lsp_width_rejected_at_write(tmp_path):
         write_features(str(path), dataclasses.replace(_stream("parametric", n=1),
                                                       lsp=np.linspace(0.1, 3.0, 30)[None]))
     assert not path.exists()
+
+
+def test_negative_positions_refused(tmp_path, capsys):
+    columns = dataclasses.asdict(_stream("parametric", n=2))
+    columns["positions"] = [-1, 5]
+    with pytest.raises(ValidationError, match="non-negative"):
+        FeatureStream(**columns)
+    # u8 positions of 2**63 and over read back as negative int64 values: the
+    # reader refuses them, so synthesize writes no one-frame wav
+    path = tmp_path / "neg.gswf"
+    write_features(str(path), _stream("full", n=3))
+    blob = bytearray(path.read_bytes())
+    rec = np.frombuffer(blob, dtype=_record("full", 512), offset=_HEADER.size)
+    rec["positions"] = [2 ** 64 - 300, 2 ** 64 - 200, 2 ** 64 - 100]
+    path.write_bytes(blob)
+    with pytest.raises(ValidationError, match="non-negative, the first is -300"):
+        read_features(str(path))
+    out = tmp_path / "out.wav"
+    assert run(["synthesize", str(path), str(out)]) == 3
+    assert "non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyzed_stream_survives_file_roundtrip(tmp_path):

@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from gswf import DetectionError, F0Contour, FormatError, ValidationError, Waveform
+from gswf import DetectionError, F0Contour, ValidationError, Waveform
 from gswf.gci import (GciTrack, _skewness, detect_gci, find_intervals, mean_based_signal,
-                      merge_marks, read_gci_track, select_candidates, viterbi_select,
-                      write_gci_track)
+                      merge_marks, select_candidates, viterbi_select, write_gci_track)
 from gswf.metrics import align_gci
 from signals import pulse_train, speech_like
 
@@ -28,19 +27,8 @@ def test_track_file_roundtrip(tmp_path):
     t = GciTrack(np.array([5, 100, 450]), np.array([False, True, True]))
     path = str(tmp_path / "t.gci")
     write_gci_track(path, t)
-    back = read_gci_track(path)
-    assert np.array_equal(back.instants, t.instants)
-    assert np.array_equal(back.voiced, t.voiced)
-
-
-def test_track_file_rejects_garbage(tmp_path):
-    (tmp_path / "bad.gci").write_text("100 1\nten 0\n")
-    with pytest.raises(FormatError) as err:
-        read_gci_track(str(tmp_path / "bad.gci"))
-    assert "2" in str(err.value)
-    (tmp_path / "flag.gci").write_text("100 2\n")
-    with pytest.raises(FormatError):
-        read_gci_track(str(tmp_path / "flag.gci"))
+    back = np.loadtxt(path, dtype=np.int64, ndmin=2)
+    assert back.tolist() == [[5, 0], [100, 1], [450, 1]]
 
 
 # --------------------------------------------------------- mean-based signal
@@ -68,7 +56,7 @@ def test_mean_based_signal_rejects_degenerate_windows():
 
 def test_find_intervals_min_to_next_max():
     y = np.sin(2 * np.pi * np.arange(480) / 160)  # maxima 40+160k, minima 120+160k
-    out = find_intervals(y, [(0, 480)])
+    out = find_intervals(y, 0, 480)
     # two complete min->max half-cycles fit; the third minimum at 440 has no
     # following maximum inside the region
     assert out == [(120, 200), (280, 360)]
@@ -77,30 +65,29 @@ def test_find_intervals_min_to_next_max():
 
 
 def test_find_intervals_empty_for_monotone_and_constant():
-    assert find_intervals(np.arange(50, dtype=float), [(0, 50)]) == []
-    assert find_intervals(np.zeros(50), [(0, 50)]) == []
+    assert find_intervals(np.arange(50, dtype=float), 0, 50) == []
+    assert find_intervals(np.zeros(50), 0, 50) == []
 
 
 def test_find_intervals_respects_region_bounds():
     y = np.sin(2 * np.pi * np.arange(400) / 100)
-    inside = find_intervals(y, [(100, 300)])
+    inside = find_intervals(y, 100, 300)
     for a, b in inside:
         assert 100 <= a < b < 300
 
 
-def _intervals_by_scan(y, regions):
+def _intervals_by_scan(y, lo, hi):
     # reference: a per-sample scan that remembers the latest strict minimum
     # and pairs it with the next strict maximum
     out = []
-    for a, b in regions:
-        a, b = max(0, int(a)), min(len(y), int(b))
-        pending = None
-        for i in range(a + 1, b - 1):
-            if y[i] < y[i - 1] and y[i] < y[i + 1]:
-                pending = i
-            elif y[i] > y[i - 1] and y[i] > y[i + 1] and pending is not None:
-                out.append((pending, i))
-                pending = None
+    a, b = max(0, int(lo)), min(len(y), int(hi))
+    pending = None
+    for i in range(a + 1, b - 1):
+        if y[i] < y[i - 1] and y[i] < y[i + 1]:
+            pending = i
+        elif y[i] > y[i - 1] and y[i] > y[i + 1] and pending is not None:
+            out.append((pending, i))
+            pending = None
     return out
 
 
@@ -109,13 +96,14 @@ def test_find_intervals_equals_the_per_sample_scan():
     for _ in range(300):
         n = int(rng.integers(0, 120))
         y = np.round(rng.normal(size=n), 1)  # rounding leaves plateaus
-        # regions clipped at both ends, shorter than 3 samples, several per call
+        # regions clipped at both ends, empty, or shorter than 3 samples
         regions = [(int(rng.integers(-10, n + 3)), int(rng.integers(-3, n + 10)))
                    for _ in range(int(rng.integers(0, 4)))]
         regions += [(n // 2, n // 2 + 2), (-5, n + 5)]
-        got = find_intervals(y, regions)
-        assert got == _intervals_by_scan(y, regions)
-        assert all(type(v) is int for pair in got for v in pair)
+        for lo, hi in regions:
+            got = find_intervals(y, lo, hi)
+            assert got == _intervals_by_scan(y, lo, hi)
+            assert all(type(v) is int for pair in got for v in pair)
 
 
 # ---------------------------------------------------------------- candidates

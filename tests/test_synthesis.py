@@ -162,7 +162,7 @@ def test_min_phase_config_error_comes_before_any_segment(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(gswf.synthesis, "build_segments", counted)
-    with pytest.raises(ConfigError, match="min_phase_from_envelope"):
+    with pytest.raises(ConfigError, match="requires from_envelope"):
         synthesize_min_phase(_stream((1000, 1133)))
     assert calls == []
     synthesize_min_phase(_stream((1000, 1133)), from_envelope=True)
