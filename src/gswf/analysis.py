@@ -60,7 +60,8 @@ class FeatureStream:
     int64, non-negative and strictly increasing; voiced (n,) bool; log_f0
     and gain (n,); lsp (n, LSP_ORDER); phase (n, K) phase features
     (encode_phase) and, in full mode, log_mag (n, K) natural-log magnitudes,
-    with K = fft_size//2 + 1.  log_mag is None in parametric mode.
+    with K = fft_size//2 + 1.  log_mag is None in parametric mode.  The
+    float columns hold finite values only.
 
     FeatureStream(fs, fft_size, mode, segments=records) takes the columns
     from a list of SegmentFeatures records instead, and .segments builds
@@ -108,6 +109,11 @@ class FeatureStream:
             if got is not None and got.shape != shape:
                 raise ValidationError(f"stream {name} has shape {got.shape}, expected "
                                       f"{shape} for {n} segments at fft_size {self.fft_size}")
+        for name in ("log_f0", "gain", "lsp", "phase", "log_mag"):
+            got = getattr(self, name)
+            if got is not None and not np.isfinite(got).all():
+                row = np.argwhere(~np.isfinite(got))[0][0]
+                raise ValidationError(f"stream {name} is not finite in row {row}")
         if np.any(np.diff(self.positions) <= 0):
             raise ValidationError("segment positions must be strictly increasing")
         if n and self.positions[0] < 0:

@@ -168,6 +168,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     if (any(positionals) if args.list else not all(positionals)):
         raise ValidationError("roundtrip needs in_wav f0_ref out_dir or --list, and not both")
     cfg = _config_from_args(args)
+    jobs = [positionals]
     if args.list:
         jobs = []
         first_line = {}  # output base -> the manifest line that writes it
@@ -188,26 +189,23 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
                         f"{base}.*; give them different out dirs or wav names")
                 first_line[base] = lineno
                 jobs.append(tuple(parts))
+        if not jobs:
+            raise ValidationError(f"{args.list}: no jobs")
 
-        def run_one(job):
-            try:
-                _roundtrip_one(*job, cfg)
-            except (GswfError, OSError) as exc:
-                return exc
-            return None
+    def run_one(job):
+        try:
+            _roundtrip_one(*job, cfg)
+        except (GswfError, OSError) as exc:
+            return exc
+        return None
 
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            results = list(pool.map(run_one, jobs))
-        # manifest order, whatever order the workers finished in
-        failures = [(job[0], exc) for job, exc in zip(jobs, results) if exc is not None]
-        for path, exc in failures:
-            print(f"gswf: {path}: {exc}", file=sys.stderr)
-        if failures:
-            codes = [getattr(exc, "exit_code", 2) for _, exc in failures]
-            return max(codes)
-        return 0
-    _roundtrip_one(args.in_wav, args.f0_ref, args.out_dir, cfg)
-    return 0
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        results = list(pool.map(run_one, jobs))
+    # manifest order, whatever order the workers finished in
+    failures = [(job[0], exc) for job, exc in zip(jobs, results) if exc is not None]
+    for path, exc in failures:
+        print(f"gswf: {path}: {exc}", file=sys.stderr)
+    return max((getattr(exc, "exit_code", 2) for _, exc in failures), default=0)
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:

@@ -24,9 +24,6 @@ class PipelineConfig:
     frame_shift_s: float = 0.005
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         # 128 is the smallest power of two above twice analysis.LSP_ORDER
         if self.fft_size < 128 or self.fft_size & (self.fft_size - 1):
             raise ConfigError(f"fft_size must be a power of two >= 128, got {self.fft_size}")

@@ -90,7 +90,7 @@ def _check_rows(bad: np.ndarray, reason: str) -> None:
 
 
 def _levinson(r: np.ndarray, order: int) -> tuple:
-    # the recursion over the stack: (a, k, err, clamped, collapsed)
+    # the recursion over the stack: (a, k, clamped, collapsed)
     n = len(r)
     # lags r[order..1] stored contiguously, so each row's inner product is
     # the same ddot call np.dot makes on a reversed slice (which it copies)
@@ -113,50 +113,37 @@ def _levinson(r: np.ndarray, order: int) -> tuple:
             a[:, m] = refl[:, m - 1] = k
             err *= 1.0 - k * k
             collapsed |= err <= 0.0
-    return a, refl, err, clamped, collapsed
-
-
-def lpc_from_autocorr_batch(r: np.ndarray, order: int) -> tuple:
-    """Levinson-Durbin recursion on the autocorrelation values r[:, 0..order]
-    of every row, as one recursion over the stack.
-
-    A row whose recursion meets a reflection coefficient of magnitude >= 1
-    (a singular autocorrelation, or one float64 rounding made indefinite)
-    runs again alone with white-noise correction, r[0] * (1 + WHITE_NOISE)
-    (Kabal, ICASSP 2003); rows that do not clamp keep their bits.  A
-    coefficient that reaches magnitude 1 even then is clamped to +/-0.999.
-    Every returned k has magnitude < 1, but the rounded polynomial of a row
-    that clamps twice need not be minimum phase.  Returns (a, k, gain,
-    clamped) with shapes (rows, order + 1), (rows, order), (rows,) and
-    (rows,), clamped flagging the rows the first pass clamped; a RowError
-    names failing rows."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.ndim != 2 or order < 1 or r.shape[1] < order + 1:
-        raise ValidationError(f"need r[0..{order}] autocorrelation values, got "
-                              f"shape {r.shape}")
-    _check_rows(r[:, 0] <= 0, "r[0] must be positive")
-    a, k, err, clamped, collapsed = _levinson(r, order)
-    if np.any(clamped):
-        redo = np.flatnonzero(clamped)
-        lifted = r[redo]
-        lifted[:, 0] *= 1.0 + WHITE_NOISE
-        a[redo], k[redo], err[redo], _, collapsed[redo] = _levinson(lifted, order)
-    _check_rows(collapsed, "Levinson recursion collapsed: r is not positive definite")
-    return a, k, np.sqrt(err), clamped
+    return a, refl, clamped, collapsed
 
 
 def lpc_predictors(r: np.ndarray, order: int) -> tuple:
     """Prediction error polynomials (rows, order + 1) and reflection
-    coefficients (rows, order) of autocorrelation rows; a row with
-    r[0] <= SILENT_R0 (silence) gets the flat predictor 1 and k = 0."""
+    coefficients (rows, order) of the autocorrelation rows r[:, 0..order],
+    by one Levinson-Durbin recursion over the stack.
+
+    A row with r[0] <= SILENT_R0 (silence) gets the flat predictor 1 and
+    k = 0.  A row whose recursion meets a reflection coefficient of
+    magnitude >= 1 (a singular autocorrelation, or one float64 rounding
+    made indefinite) runs again alone with white-noise correction,
+    r[0] * (1 + WHITE_NOISE) (Kabal, ICASSP 2003); rows that do not clamp
+    keep their bits.  A coefficient that reaches magnitude 1 even then is
+    clamped to +/-0.999.  Every returned k has magnitude < 1, but the
+    rounded polynomial of a row that clamps twice need not be minimum
+    phase.  A RowError names the rows whose recursion collapsed."""
     silent = r[:, 0] <= SILENT_R0
     flat = np.zeros(order + 1)
     flat[0] = 1.0
     # a unit impulse's autocorrelation stands in for silent rows in the
     # recursion, which gives k = 0; their polynomial, whose coefficients come
     # out as -0.0, is replaced by the exact flat predictor
-    a, k, _, _ = lpc_from_autocorr_batch(
-        np.where(silent[:, None], flat, r[:, :order + 1]), order)
+    r = np.where(silent[:, None], flat, r[:, :order + 1])
+    a, k, clamped, collapsed = _levinson(r, order)
+    if np.any(clamped):
+        redo = np.flatnonzero(clamped)
+        lifted = r[redo]
+        lifted[:, 0] *= 1.0 + WHITE_NOISE
+        a[redo], k[redo], _, collapsed[redo] = _levinson(lifted, order)
+    _check_rows(collapsed, "Levinson recursion collapsed: r is not positive definite")
     a[silent] = flat
     return a, k
 
@@ -247,34 +234,28 @@ def lpc_residual(w: Waveform, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _nudge_increasing(freqs: np.ndarray, tol: float) -> np.ndarray:
-    """Repair neighbors glued together by rounding.  Interlacing of the true
-    roots is guaranteed for minimum-phase models, so order violations within
-    tol are numerical; anything larger is a genuine contract breach."""
-    out = np.asarray(freqs, dtype=np.float64).copy()
-    for i in range(1, len(out)):
-        if out[i] <= out[i - 1]:
-            if out[i - 1] - out[i] > tol:
-                raise ValidationError(
-                    f"line spectral frequencies out of order by "
-                    f"{out[i - 1] - out[i]:.3e} at index {i}"
-                )
-            out[i] = np.nextafter(out[i - 1], np.inf)
-    if len(out) and not 0.0 < out[0] <= out[-1] < np.pi:
-        raise ValidationError("line spectral frequencies must stay inside (0, pi)")
-    return out
-
-
 def _nudge_rows(freqs: np.ndarray, tol: float) -> np.ndarray:
-    # _nudge_increasing, in place, on the rows out of order or out of (0, pi)
+    """Repair, in place, neighbors glued together by rounding in the rows
+    out of order or out of (0, pi).  Interlacing of the true roots is
+    guaranteed for minimum-phase models, so order violations within tol are
+    numerical; anything larger is a genuine contract breach, and a RowError
+    names the rows."""
     bad, reason = [], ""
     inside = np.diff(freqs, axis=1, prepend=0.0, append=np.pi) > 0
     for i in np.flatnonzero(~np.all(inside, axis=1)):
-        try:
-            freqs[i] = _nudge_increasing(freqs[i], tol)
-        except ValidationError as e:
-            bad.append(i)
-            reason = reason or str(e)
+        row = freqs[i]
+        for j in range(1, len(row)):
+            if row[j] <= row[j - 1]:
+                if row[j - 1] - row[j] > tol:
+                    bad.append(i)
+                    reason = reason or (f"line spectral frequencies out of order by "
+                                        f"{row[j - 1] - row[j]:.3e} at index {j}")
+                    break
+                row[j] = np.nextafter(row[j - 1], np.inf)
+        else:
+            if not 0.0 < row[0] <= row[-1] < np.pi:
+                bad.append(i)
+                reason = reason or "line spectral frequencies must stay inside (0, pi)"
     if bad:
         raise RowError(reason, bad, len(freqs))
     return freqs
@@ -290,8 +271,8 @@ def _eigvalsh_fails(a: np.ndarray) -> bool:
 
 def reflection_to_lsp_batch(k: np.ndarray) -> np.ndarray:
     """Line spectral frequencies of the models with reflection coefficients
-    k (rows, p), |k| < 1: (rows, p), strictly increasing in (0, pi), the
-    sum polynomial's in the even slots.
+    k (rows, p), |k| < 1 and p even: (rows, p), strictly increasing in
+    (0, pi), the sum polynomial's in the even slots.
 
     With k_{p+1} = +1 (sum polynomial) or -1 (difference polynomial), the
     zeros e^{+-i theta} of the polynomial are the eigenvalues of the CMV
@@ -304,15 +285,13 @@ def reflection_to_lsp_batch(k: np.ndarray) -> np.ndarray:
     sqrt((1 + k_j) / 2) the eigenvectors form a chain whose links are g_j =
     c_j s_{j+1} (j = 1..p, s_{p+1} = 1 for the sum and 0 for the
     difference polynomial), and B is the bidiagonal of those links.  So
-    cos^2(theta / 2) are the eigenvalues of the ceil(p/2)-sized tridiagonal
-    B^T B: diagonal g_{2l-1}^2 + g_{2l}^2, off-diagonal g_{2l} g_{2l+1},
-    links past g_p zero.  One eigvalsh call takes both polynomials of
-    every row as a (rows, 2, ceil(p/2), ceil(p/2)) stack of dense blocks;
-    LAPACK's dsyevd leaves an already tridiagonal matrix as it is and calls
-    dsterf on it, so the eigenvalues are those of a per-block dsterf, bit
-    for bit.  Sorted, a row's 2 ceil(p/2) angles are the p frequencies,
-    and for odd p one exact zero of the difference block (theta = pi, the
-    trivial root at z = -1), which is dropped.  Pairs glued by rounding are
+    cos^2(theta / 2) are the eigenvalues of the p/2-sized tridiagonal
+    B^T B: diagonal g_{2l-1}^2 + g_{2l}^2 and off-diagonal g_{2l} g_{2l+1}.
+    One eigvalsh call takes both polynomials of every row as a
+    (rows, 2, p/2, p/2) stack of dense blocks; LAPACK's dsyevd leaves an
+    already tridiagonal matrix as it is and calls dsterf on it, so the
+    eigenvalues are those of a per-block dsterf, bit for bit.  Sorted, a
+    row's p angles are its p frequencies.  Pairs glued by rounding are
     split by one ulp; a RowError names the rows that fail."""
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[1] < 1:
@@ -320,11 +299,13 @@ def reflection_to_lsp_batch(k: np.ndarray) -> np.ndarray:
     _check_rows(~np.all(np.abs(k) < 1.0, axis=1),
                 "reflection coefficient of magnitude >= 1: model is not minimum phase")
     rows, p = k.shape
-    half = (p + 1) // 2
-    # links g_1..g_{2 half} of the sum and the difference polynomial of each
-    # row; the difference polynomial's last link and any past g_p are zero
+    if p % 2:
+        raise ValidationError(f"reflection_to_lsp_batch: need an even order, got {p}")
+    half = p // 2
+    # links g_1..g_p of the sum and the difference polynomial of each row;
+    # the difference polynomial's last link is zero
     c = np.sqrt((1.0 - k) / 2.0)
-    g = np.zeros((rows, 2, 2 * half))
+    g = np.zeros((rows, 2, p))
     g[:, :, :p - 1] = (c[:, :-1] * np.sqrt((1.0 + k[:, 1:]) / 2.0))[:, None, :]
     g[:, 0, p - 1] = c[:, -1]
     blocks = np.zeros((rows, 2, half, half))
@@ -340,7 +321,7 @@ def reflection_to_lsp_batch(k: np.ndarray) -> np.ndarray:
                     "tridiagonal eigenvalue iteration did not converge")
         raise
     theta = np.sort(2.0 * np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0))), axis=1)
-    return _nudge_rows(np.clip(theta[:, :p], 1e-12, np.pi - 1e-12), 1e-9)
+    return _nudge_rows(np.clip(theta, 1e-12, np.pi - 1e-12), 1e-9)
 
 
 def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:
@@ -371,23 +352,20 @@ def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:
 
 
 def lsp_to_lpc_batch(lsp: np.ndarray) -> np.ndarray:
-    """lsp_to_lpc of every row of (rows, p) frequencies in one pass: one
-    product of quadratics per half for the whole stack.  Neighbours glued
-    by float32 rounding (out of order by at most 1e-4) are split by one ulp
-    first.  Returns (rows, p + 1); a RowError names the rows that fail."""
-    f = _nudge_rows(np.array(lsp, dtype=np.float64), 1e-4)
-    p = f.shape[1]
-    if p % 2 == 0:
-        # equal halves: both products in one call, then times 1 + z^-1 and
-        # 1 - z^-1, the sums np.convolve makes; the last term is not needed
-        psum, qdif = _poly_from_circle_roots(np.stack([f[:, 0::2], f[:, 1::2]]))
-        psum[:, 1:] += psum[:, :-1]
-        qdif[:, 1:] -= qdif[:, :-1]
-    else:
-        psum = _poly_from_circle_roots(f[:, 0::2])[:, :p + 1]
-        qdif = np.zeros_like(psum)
-        qdif[:, :p] = _poly_from_circle_roots(f[:, 1::2])
-        qdif[:, 2:] -= qdif[:, :-2]  # times 1 - z^-2
+    """Prediction error polynomials (rows, p + 1) of (rows, p) line
+    spectral frequencies, p even, in one pass: one product of quadratics
+    per half for the whole stack.  Neighbours glued by float32 rounding
+    (out of order by at most 1e-4) are split by one ulp first; a RowError
+    names the rows that fail."""
+    f = np.array(lsp, dtype=np.float64)
+    if f.shape[1] % 2:
+        raise ValidationError(f"lsp_to_lpc_batch: need an even order, got {f.shape[1]}")
+    _nudge_rows(f, 1e-4)
+    # both products in one call, then times 1 + z^-1 and 1 - z^-1, the sums
+    # np.convolve makes; the last term is not needed
+    psum, qdif = _poly_from_circle_roots(np.stack([f[:, 0::2], f[:, 1::2]]))
+    psum[:, 1:] += psum[:, :-1]
+    qdif[:, 1:] -= qdif[:, :-1]
     return (0.5 * (psum + qdif)).astype(np.float64)
 
 

@@ -8,7 +8,8 @@ Little-endian layout, version 1:
              | lsp L x f32 | phase_feature K x f32
              | log_mag K x f32          (full mode only)
 
-with K = fft_size/2 + 1 and L = analysis.LSP_ORDER.
+with K = fft_size/2 + 1 and L = analysis.LSP_ORDER.  fs is positive, a
+voiced byte is 0 or 1, and every float is finite.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ def read_features(path: str) -> FeatureStream:
         raise FormatError(f"{path}: unknown mode byte {mode_byte}")
     if fft_size < 2 or fft_size % 2:
         raise FormatError(f"{path}: invalid fft_size {fft_size}")
+    if fs == 0:
+        raise FormatError(f"{path}: sample rate is 0")
     mode = _MODE_NAMES[mode_byte]
     record = _record(mode, fft_size)
     end = _HEADER.size + count * record.itemsize
@@ -76,4 +79,8 @@ def read_features(path: str) -> FeatureStream:
             f"offset {end}, the file has {len(data)} bytes"
         )
     rec = np.frombuffer(data, dtype=record, count=count, offset=_HEADER.size)
+    flags = rec["voiced"]
+    if np.any(flags > 1):
+        row = int(np.argmax(flags > 1))
+        raise FormatError(f"{path}: segment {row} has voiced byte {flags[row]}, not 0 or 1")
     return FeatureStream(int(fs), int(fft_size), mode, *(rec[name] for name in record.names))

@@ -43,7 +43,7 @@ class MetricsReport:
     def to_json(self) -> str:
         payload = {key: getattr(self, key) for key in REPORT_KEYS}
         payload["counts"] = {k: int(v) for k, v in self.counts.items()}
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def voicing_mask(instants: np.ndarray, voiced: np.ndarray, total_len: int) -> np.ndarray:
@@ -86,42 +86,34 @@ def rmse_waveform(a: np.ndarray, b: np.ndarray, mask: np.ndarray):
     return rv, ru, ra, n_v, n_u
 
 
+def _score_frames(frames_a, frames_b, what: str, formula) -> float:
+    # formula of the aligned frame pairs as 2-d float64 arrays; no frames
+    # score 0.0
+    a = np.atleast_2d(np.asarray(frames_a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(frames_b, dtype=np.float64))
+    if a.shape != b.shape:
+        raise ValidationError(f"{what} shapes differ: {a.shape} vs {b.shape}")
+    return float(formula(a, b)) if a.size else 0.0
+
+
 def lsd(log_mag_a: np.ndarray, log_mag_b: np.ndarray) -> float:
     """Log-spectral distance in dB over aligned natural-log magnitude frames:
     sqrt of the frame-averaged sum over bins of squared dB differences."""
-    a = np.atleast_2d(np.asarray(log_mag_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(log_mag_b, dtype=np.float64))
-    if a.shape != b.shape:
-        raise ValidationError(f"frame shapes differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    diff_db = DB * (a - b)
-    return float(np.sqrt(np.mean(np.sum(diff_db ** 2, axis=1))))
+    return _score_frames(log_mag_a, log_mag_b, "frame", lambda a, b: np.sqrt(
+        np.mean(np.sum((DB * (a - b)) ** 2, axis=1))))
 
 
 def mcd(cep_a: np.ndarray, cep_b: np.ndarray) -> float:
     """Mel-cepstral distortion in dB, c[0] excluded, averaged over frames."""
-    a = np.atleast_2d(np.asarray(cep_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(cep_b, dtype=np.float64))
-    if a.shape != b.shape:
-        raise ValidationError(f"cepstra shapes differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    d = a[:, 1:] - b[:, 1:]
-    return float(np.mean(DB * np.sqrt(2.0 * np.sum(d ** 2, axis=1))))
+    return _score_frames(cep_a, cep_b, "cepstra", lambda a, b: np.mean(
+        DB * np.sqrt(2.0 * np.sum((a[:, 1:] - b[:, 1:]) ** 2, axis=1))))
 
 
 def dpd(phase_a: np.ndarray, phase_b: np.ndarray) -> float:
     """Phase-feature distortion: frame-averaged Euclidean norm of the
     wrapped difference over all dimensions."""
-    a = np.atleast_2d(np.asarray(phase_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(phase_b, dtype=np.float64))
-    if a.shape != b.shape:
-        raise ValidationError(f"phase shapes differ: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    d = wrap_phase(a - b)
-    return float(np.mean(np.sqrt(np.sum(d ** 2, axis=1))))
+    return _score_frames(phase_a, phase_b, "phase", lambda a, b: np.mean(
+        np.sqrt(np.sum(wrap_phase(a - b) ** 2, axis=1))))
 
 
 def align_gci(pred_instants: np.ndarray, ref_instants: np.ndarray) -> tuple:

@@ -37,15 +37,14 @@ def decode_phase(phase_feature: np.ndarray) -> np.ndarray:
     return wrap_phase(np.cumsum(np.asarray(phase_feature, dtype=np.float64), axis=-1))
 
 
-def build_segments(stream: FeatureStream, index, spans, min_phase: bool = False,
-                   windows=None) -> np.ndarray:
+def build_segments(stream: FeatureStream, index, spans, windows,
+                   min_phase: bool = False) -> np.ndarray:
     """The rows (rows, fft_size) of the stream's rows at index, a slice or
     an array of row indices, with their (left, right) spans, in one array
     pass, each with its instant at index fft_size//2; overlap_add reads
-    each row's wings (fit_wings).  min_phase keeps the magnitude and
-    replaces the transmitted phase by the minimum phase.  windows, if
-    given, is window_rows(spans, fft_size), which the caller has already
-    built."""
+    each row's wings (fit_wings).  windows is window_rows(spans, fft_size),
+    which overlap_add needs too.  min_phase keeps the magnitude and
+    replaces the transmitted phase by the minimum phase."""
     fft_size = stream.fft_size
     log_mag = segment_log_mags(stream, index, spans)
     half = fft_size // 2
@@ -63,7 +62,7 @@ def build_segments(stream: FeatureStream, index, spans, min_phase: bool = False,
     # carry, and the minimum-phase response is unwindowed and rings past the
     # segment span; both are re-windowed so the OLA normalization holds
     if min_phase or stream.mode == "parametric":
-        rows *= window_rows(spans, fft_size) if windows is None else windows
+        rows *= windows
     return rows
 
 
@@ -117,8 +116,6 @@ def _generation_positions(stream: FeatureStream) -> np.ndarray:
 
 
 def _synthesize(stream: FeatureStream, positions: str, min_phase: bool) -> Waveform:
-    if not len(stream):
-        raise ValidationError("cannot synthesize from an empty stream")
     if positions == "stream":
         pos = stream.positions
     elif positions == "f0":
@@ -130,8 +127,8 @@ def _synthesize(stream: FeatureStream, positions: str, min_phase: bool) -> Wavef
     spans = segment_spans(pos)
     starts = range(0, len(pos), BLOCK)
     windows = (window_rows(spans[lo:lo + BLOCK], stream.fft_size) for lo in starts)
-    blocks = ((build_segments(stream, slice(lo, lo + BLOCK), spans[lo:lo + BLOCK],
-                              min_phase, w), w)
+    blocks = ((build_segments(stream, slice(lo, lo + BLOCK), spans[lo:lo + BLOCK], w,
+                              min_phase), w)
               for lo, w in zip(starts, windows))
     total_len = int(pos[-1] + spans[-1][1] + 1)
     out = overlap_add(blocks, pos, spans, total_len)

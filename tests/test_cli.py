@@ -1,9 +1,11 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -12,8 +14,11 @@ import pytest
 import gswf.cli
 from gswf import PipelineConfig, analyze, read_features, read_wav, write_wav
 from gswf.cli import run
+from gswf.analysis import FeatureStream, extract_segments
 from gswf.config import load_config
-from gswf.signal_io import write_f0_ref
+from gswf.featfile import _HEADER, _record
+from gswf.gci import detect_gci
+from gswf.signal_io import read_f0_ref, write_f0_ref
 from signals import harmonic_tone, low_pitch_onsets, speech_like
 
 FS = 16000
@@ -344,6 +349,15 @@ def test_roundtrip_list_bad_line(inputs, tmp_path, capsys):
     assert "jobs.txt:1" in capsys.readouterr().err
 
 
+def test_roundtrip_list_of_no_jobs_exits_3(tmp_path, capsys):
+    # a manifest of blank lines names no work; it used to exit 0 silently
+    manifest = str(tmp_path / "jobs.txt")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write("\n  \n\n")
+    assert run(["roundtrip", "--list", manifest]) == 3
+    assert capsys.readouterr().err == f"gswf: {manifest}: no jobs\n"
+
+
 def test_roundtrip_list_collects_failures(inputs, tmp_path, capsys):
     wav, f0 = inputs
     manifest = str(tmp_path / "jobs.txt")
@@ -532,7 +546,8 @@ def test_roundtrip_fft_size_below_the_mel_bands_exits_4_before_work(tmp_path, ca
     out_dir = str(tmp_path / "rt")
     assert run(["roundtrip", wav, f0, out_dir, "--fft-size", "128"]) == 4
     err = capsys.readouterr().err
-    assert "fft_size 128 at fs 16000 Hz" in err
+    # the one job's failure is reported as a --list job's is
+    assert err.startswith(f"gswf: {wav}: ") and "fft_size 128 at fs 16000 Hz" in err
     assert not os.path.exists(out_dir)
     assert run(["roundtrip", wav, f0, out_dir, "--fft-size", "256"]) == 0
     assert os.path.exists(os.path.join(out_dir, "hi.gswf"))
@@ -712,6 +727,28 @@ def test_the_benchmark_command_shapes_parse(tmp_path):
     assert load_config(str(cfg_path)).oversize_segment == "truncate"
 
 
+def test_the_library_surface_the_benchmark_reads(inputs, tmp_path):
+    # bench/run.py, bench/checks.py and bench/tracing.py call these names; a
+    # cut that would break the benchmark fails here first
+    assert all(callable(f) for f in (gswf.featfile.read_features, gswf.signal_io.read_wav,
+                                     gswf.synthesis.synthesize, gswf.cli._roundtrip_one))
+    wav, f0 = inputs
+    path = str(tmp_path / "tone.gswf")
+    assert run(["analyze", wav, f0, path]) == 0
+    full = read_features(path)
+    # the synth_mix set-up: the parametric stream built from the records
+    par = FeatureStream(segments=[dataclasses.replace(s, log_mag=None) for s in full.segments],
+                        mode="parametric", fs=full.fs, fft_size=full.fft_size)
+    assert (par.mode, par.log_mag, len(par)) == ("parametric", None, len(full))
+    # the GCI score reads each record's position and voicing
+    assert [s.position for s in full.segments if s.voiced] == \
+        full.positions[full.voiced].tolist()
+    # the tracer counts segments as the length of what extract_segments returns
+    w = read_wav(wav)
+    rows = extract_segments(w, detect_gci(w, read_f0_ref(f0, 0.005)), PipelineConfig())
+    assert len(rows) == len(full)
+
+
 def test_bad_config_values_exit_4(inputs, tmp_path, capsys):
     wav, f0 = inputs
     cases = ["fft_size = 100\n", "banana = 1\n", "fft_size = many\n",
@@ -725,6 +762,63 @@ def test_bad_config_values_exit_4(inputs, tmp_path, capsys):
         assert code == 4, body
     assert run(["analyze", wav, f0, str(tmp_path / "x.gswf"),
                 "--config", str(tmp_path / "missing.cfg")]) == 4
+
+
+# ------------------------------------------------------ crafted feature files
+
+def _feature_mutants(path):
+    """One-field changes of the feature file at path that no writer makes,
+    as (label, bytes, the exit code the readers answer with)."""
+    data = _read(path)
+    magic, version, fs, fft_size, mode_byte, count = _HEADER.unpack_from(data, 0)
+    mode = "full" if mode_byte else "parametric"
+    rec = np.frombuffer(data, dtype=_record(mode, fft_size), offset=_HEADER.size)
+
+    def mutant(name, value):
+        rows = rec.copy()
+        rows[name] = value
+        return data[:_HEADER.size] + rows.tobytes()
+
+    columns = ("log_f0", "gain", "lsp", "phase") + (("log_mag",) if mode == "full" else ())
+    for name in columns:
+        for value in (np.nan, np.inf, -np.inf):
+            yield f"{name} {value}", mutant(name, value), 3
+    yield "voiced byte 7", mutant("voiced", 7), 2
+    yield "fs 0", _HEADER.pack(magic, version, 0, fft_size, mode_byte, count) + \
+        data[_HEADER.size:], 2
+    yield "positions reversed", mutant("positions", rec["positions"][::-1]), 3
+    yield "position repeated", mutant("positions", np.r_[rec["positions"][:1],
+                                                         rec["positions"][:-1]]), 3
+
+
+@pytest.mark.parametrize("mode", ["full", "parametric"])
+def test_every_reader_refuses_what_no_writer_writes(mode, tmp_path, capsys):
+    # each mutant through synthesis, minimum-phase synthesis and scoring:
+    # a documented exit code, no traceback or warning, and strict JSON
+    def strict(token):
+        raise ValueError(f"{token} is not JSON")
+
+    wav, f0 = _write_inputs(tmp_path, "tone", *harmonic_tone(dur=0.3))
+    good, bad = str(tmp_path / "good.gswf"), str(tmp_path / "bad.gswf")
+    out, report = str(tmp_path / "out.wav"), str(tmp_path / "report.json")
+    assert run(["analyze", "--mode", mode, wav, f0, good]) == 0
+    for label, data, want in [("unchanged", _read(good), 0), *_feature_mutants(good)]:
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        for argv in (["synthesize", bad, out],
+                     ["synthesize", "--min-phase", "--min-phase-from-envelope", bad, out],
+                     ["metrics", "--json", wav, wav, bad, good, report]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = run(argv)
+                except Exception as exc:  # a traceback at the command line
+                    pytest.fail(f"{label}: {' '.join(argv[:2])} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code == want, (label, argv[:2], err)
+            if code == 0 and argv[0] == "metrics":
+                with open(report, encoding="utf-8") as fh:
+                    json.loads(fh.read(), parse_constant=strict)
 
 
 # -------------------------------------------------------------- determinism

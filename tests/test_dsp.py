@@ -9,8 +9,9 @@ from scipy.linalg import lapack, solve_toeplitz
 
 from gswf import PipelineConfig, ValidationError, Waveform
 from gswf.analysis import LSP_ORDER, cut_segments, extract_segments, row_spectra
-from gswf.dsp import (_inverse_filter_span, _mel_operator, _nudge_rows, _poly_from_circle_roots,
-                      autocorr, inverse_spectrum, lpc_envelope, lpc_from_autocorr_batch,
+import gswf.dsp
+from gswf.dsp import (_inverse_filter_span, _levinson, _mel_operator, _nudge_rows,
+                      _poly_from_circle_roots, autocorr, inverse_spectrum, lpc_envelope,
                       lpc_predictors, lpc_residual, lsp_to_lpc_batch, mel_cepstrum,
                       mel_filterbank, mel_support, reflection_to_lsp_batch, wrap_phase)
 from gswf.errors import RowError
@@ -224,13 +225,11 @@ def test_inverse_spectrum_projects_dc_and_nyquist():
 # --------------------------------------------------------------------- LPC
 
 def test_levinson_frozen_small_cases():
-    (a,), (k,), (gain,), _ = lpc_from_autocorr_batch(np.array([[1.0, 0.5, 0.25]]), 2)
+    (a,), (k,) = lpc_predictors(np.array([[1.0, 0.5, 0.25]]), 2)
     assert np.allclose(a, [1.0, -0.5, 0.0], atol=1e-15)
     assert np.allclose(k, [-0.5, 0.0], atol=1e-15)
-    assert gain == pytest.approx(np.sqrt(0.75))
-    (a1,), (k1,), (gain1,), _ = lpc_from_autocorr_batch(np.array([[1.0, 0.9]]), 1)
+    (a1,), (k1,) = lpc_predictors(np.array([[1.0, 0.9]]), 1)
     assert np.allclose(a1, [1.0, -0.9]) and np.allclose(k1, [-0.9])
-    assert gain1 == pytest.approx(np.sqrt(1.0 - 0.81))
 
 
 def test_levinson_matches_toeplitz_solve():
@@ -244,7 +243,7 @@ def test_levinson_matches_toeplitz_solve():
         from scipy.signal import lfilter
         h = lfilter([1.0], a_true, h)
         r = np.correlate(h, h, "full")[len(h) - 1:len(h) + order]
-        (a,), (k,), _, _ = lpc_from_autocorr_batch(r[None, :], order)
+        (a,), (k,) = lpc_predictors(r[None, :], order)
         solved = solve_toeplitz(r[:-1], -r[1:])
         assert np.allclose(a[1:], solved, atol=1e-6)
         assert np.allclose(k, reflection_from_lpc(a_true), atol=1e-6)
@@ -253,8 +252,9 @@ def test_levinson_matches_toeplitz_solve():
 
 def test_levinson_clamps_marginal_models():
     # perfectly periodic autocorrelation drives |k| to 1
-    (a,), (k,), _, (clamped,) = lpc_from_autocorr_batch(np.array([[1.0, 1.0, 1.0]]), 2)
-    assert clamped
+    r = np.array([[1.0, 1.0, 1.0]])
+    assert _levinson(r, 2)[2][0]
+    (a,), (k,) = lpc_predictors(r, 2)
     assert np.all(np.abs(k) < 1.0)
     assert np.max(np.abs(np.roots(a))) < 1.0
 
@@ -266,7 +266,7 @@ def test_white_noise_correction_recovers_a_clamped_row():
     rng = np.random.default_rng(30)
     models = [random_stable_lpc(LSP_ORDER, rng) for _ in range(6)]
     r = _ar_autocorr(models[5], LSP_ORDER)[None, :]
-    assert lpc_from_autocorr_batch(r, LSP_ORDER)[3][0]
+    assert _levinson(r, LSP_ORDER)[2][0]
     (a,), k = lpc_predictors(r, LSP_ORDER)
     assert np.max(np.abs(np.roots(a))) < 1.0
     lsp = reflection_to_lsp_batch(k)
@@ -274,10 +274,10 @@ def test_white_noise_correction_recovers_a_clamped_row():
     assert np.max(np.abs(lsp_to_lpc_batch(lsp)[0] - a)) < 1e-6 * np.max(np.abs(a))
     # rows that do not clamp keep the first pass's bits
     stack = np.concatenate([r, [_ar_autocorr(m, LSP_ORDER) for m in models[:5]]])
-    first = lpc_from_autocorr_batch(stack, LSP_ORDER)
-    assert list(first[3]) == [True] + [False] * 5
+    assert list(_levinson(stack, LSP_ORDER)[2]) == [True] + [False] * 5
+    first = lpc_predictors(stack, LSP_ORDER)
     for i in range(1, 6):
-        one = lpc_from_autocorr_batch(stack[i:i + 1], LSP_ORDER)
+        one = lpc_predictors(stack[i:i + 1], LSP_ORDER)
         assert all(_same_bits(x[i], y[0]) for x, y in zip(first, one))
 
 
@@ -390,14 +390,19 @@ def test_lsp_flat_models_give_uniform_grid():
     assert np.allclose(_lsp(np.zeros(4)), np.arange(1, 5) * np.pi / 5, atol=1e-9)
 
 
-def test_lsp_single_pole_frozen():
-    # a = [1, -0.9]: k_1 = -0.9
-    assert np.allclose(_lsp([-0.9]), [np.arccos(0.9)], atol=1e-12)
-
-
 def test_lsp_rejects_non_minimum_phase():
     with pytest.raises(ValidationError, match="magnitude >= 1"):
         _lsp([-1.5])
+
+
+def test_lsp_converters_refuse_odd_orders():
+    # the feature file stores an even number of frequencies; a magnitude
+    # error still comes first
+    for p in (1, 3, 7):
+        with pytest.raises(ValidationError, match=f"need an even order, got {p}"):
+            reflection_to_lsp_batch(np.zeros((2, p)))
+        with pytest.raises(ValidationError, match=f"need an even order, got {p}"):
+            lsp_to_lpc_batch(np.linspace(0.1, 3.0, p)[None, :])
 
 
 def test_lsp_roundtrip_and_interlacing():
@@ -462,7 +467,7 @@ def test_lsp_converts_every_model_with_coefficients_near_one():
 def test_lsp_alternates_p_and_q_roots():
     # P roots (even slots) and Q roots (odd slots) interleave by construction;
     # verify against the polynomial factorizations directly
-    for order in (7, 8):
+    for order in (6, 8):
         a = random_stable_lpc(order, np.random.default_rng(15))
         rev = a[::-1]
         P = np.concatenate([a, [0.0]]) + np.concatenate([[0.0], rev])
@@ -518,9 +523,9 @@ def test_levinson_rows_do_not_depend_on_the_batch():
     assert np.all(stack[:, 0] > 0) and len(stack) > 100
 
     def one_row(r):
-        return [x[0] for x in lpc_from_autocorr_batch(r[None, :], LSP_ORDER)]
+        return [x[0] for x in lpc_predictors(r[None, :], LSP_ORDER)]
 
-    _check_composition(lambda r: lpc_from_autocorr_batch(r, LSP_ORDER), one_row, stack)
+    _check_composition(lambda r: lpc_predictors(r, LSP_ORDER), one_row, stack)
 
 
 def test_lsp_rows_do_not_depend_on_the_batch():
@@ -562,7 +567,7 @@ def test_lsp_half_size_finder_matches_the_doubled_spectrum():
     # on speech_like() segments, the flat predictor and random stable models
     stacks = [lpc_predictors(_speech_autocorrs(), LSP_ORDER)[1]]
     rng = np.random.default_rng(35)
-    for order in (1, 2, 3, 7, 8, 10, 40):
+    for order in (2, 8, 10, 40):
         stacks.append(np.array([reflection_from_lpc(random_stable_lpc(order, rng))
                                 for _ in range(200)]))
     for k in stacks:
@@ -575,9 +580,9 @@ def _lsp_dsterf_reference(k):
     """The same half-size blocks, both of a row in one LAPACK dsterf call
     (the zero off-diagonal between them splits the matrix), row by row."""
     rows, p = k.shape
-    half = (p + 1) // 2
+    half = p // 2
     c = np.sqrt((1.0 - k) / 2.0)
-    g = np.zeros((rows, 2, 2 * half))
+    g = np.zeros((rows, 2, p))
     g[:, :, :p - 1] = (c[:, :-1] * np.sqrt((1.0 + k[:, 1:]) / 2.0))[:, None, :]
     g[:, 0, p - 1] = c[:, -1]
     diag = (g[:, :, 0::2] ** 2 + g[:, :, 1::2] ** 2).reshape(rows, -1)
@@ -589,17 +594,17 @@ def _lsp_dsterf_reference(k):
         lam[i], info = lapack.dsterf(diag[i], off[i])
         assert info == 0
     theta = np.sort(2.0 * np.arccos(np.sqrt(np.clip(lam, 0.0, 1.0))), axis=1)
-    return _nudge_rows(np.clip(theta[:, :p], 1e-12, np.pi - 1e-12), 1e-9)
+    return _nudge_rows(np.clip(theta, 1e-12, np.pi - 1e-12), 1e-9)
 
 
 def test_lsp_batched_eigvalsh_is_the_dsterf_finder_bit_for_bit():
     # speech_like() segments with the flat predictor last, random stable
-    # models at orders 1-40, and order-40 rows with |k| up to 0.9999
+    # models at even orders 2-40, and order-40 rows with |k| up to 0.9999
     speech = lpc_predictors(_speech_autocorrs(), LSP_ORDER)[1]
     assert not np.any(speech[-1])
     stacks = [speech]
     rng = np.random.default_rng(36)
-    for order in range(1, LSP_ORDER + 1):
+    for order in range(2, LSP_ORDER + 1, 2):
         stacks.append(np.array([reflection_from_lpc(random_stable_lpc(order, rng))
                                 for _ in range(40)]))
     stacks.append(rng.uniform(-0.9999, 0.9999, size=(500, LSP_ORDER)))
@@ -669,18 +674,14 @@ def test_circle_root_product_matches_the_row_loop():
 def _lsp_to_lpc_by_convolution(f):
     # the np.convolve chain whose sums lsp_to_lpc_batch makes as shifted adds
     one, p = np.longdouble(1.0), len(f)
-    if p % 2 == 0:
-        psum = np.convolve(_poly_from_circle_roots(f[0::2]), [one, one])
-        qdif = np.convolve(_poly_from_circle_roots(f[1::2]), [one, -one])
-    else:
-        psum = _poly_from_circle_roots(f[0::2])
-        qdif = np.convolve(_poly_from_circle_roots(f[1::2]), [one, 0.0 * one, -one])
+    psum = np.convolve(_poly_from_circle_roots(f[0::2]), [one, one])
+    qdif = np.convolve(_poly_from_circle_roots(f[1::2]), [one, -one])
     return (0.5 * (psum + qdif)[:p + 1]).astype(np.float64)
 
 
 def test_lsp_to_lpc_rows_match_the_convolution_chain():
     rng = np.random.default_rng(33)
-    for order in (1, 2, 3, 7, 10, 40):
+    for order in (2, 10, 40):
         lsp = reflection_to_lsp_batch(np.array([reflection_from_lpc(random_stable_lpc(order, rng))
                                                 for _ in range(6)]))
         for row, f in zip(lsp_to_lpc_batch(lsp), lsp):
@@ -723,13 +724,20 @@ def test_spectrum_rows_match_single_segment_calls():
         assert _same_bits(one_mag, log_mag[i]) and _same_bits(one_phase, phase[i])
 
 
-def test_batch_errors_name_the_first_failing_row():
-    good = np.tile(np.eye(1, 3)[0], (5, 1))
-    # collapsed recursion: the clamped step underflows the residual energy
-    r = good.copy()
-    r[3] = 1e-323
-    with pytest.raises(RowError, match=r"collapsed.*row 3; 1 of 5 rows") as err:
-        lpc_from_autocorr_batch(r, 2)
+def test_batch_errors_name_the_first_failing_row(monkeypatch):
+    # silent rows never reach the recursion and the white-noise rerun lifts
+    # a clamped row to positive definite, so no known autocorrelation
+    # collapses it; a stub marks row 3 collapsed
+    def collapse_row_3(r, order):
+        a, k, clamped, collapsed = levinson(r, order)
+        collapsed[3] = True
+        return a, k, clamped, collapsed
+
+    levinson = gswf.dsp._levinson
+    with monkeypatch.context() as m:
+        m.setattr(gswf.dsp, "_levinson", collapse_row_3)
+        with pytest.raises(RowError, match=r"collapsed.*row 3; 1 of 5 rows") as err:
+            lpc_predictors(np.tile(np.eye(1, 3)[0], (5, 1)), 2)
     assert err.value.rows == [3] and err.value.exit_code == 3
     # a reflection coefficient of magnitude >= 1 is no minimum-phase model
     k = lpc_predictors(_speech_autocorrs()[:6], LSP_ORDER)[1]

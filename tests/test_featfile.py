@@ -45,7 +45,7 @@ def test_roundtrip_preserves_float32_values(tmp_path, mode):
             assert np.array_equal(got, sent.astype(np.float32)), name
         assert back.lsp.shape == (n, LSP_ORDER) and back.phase.shape == (n, 257)
         assert (back.log_mag is None) == (mode == "parametric")
-    with pytest.raises(ValidationError, match="cannot synthesize from an empty stream"):
+    with pytest.raises(ValidationError, match="need at least 2 segments to synthesize"):
         synthesize(back)
     assert run(["synthesize", path, str(tmp_path / "out.wav")]) == 3
 

@@ -333,3 +333,6 @@ def test_report_text_and_json_formats():
         int(parts[2])
     payload = json.loads(report.to_json())
     assert set(payload) == set(REPORT_KEYS) | {"counts"}
+    # NaN and Infinity are not JSON: a non-finite score is never written
+    with pytest.raises(ValueError, match="JSON compliant"):
+        dataclasses.replace(report, f0_rmse=float("nan")).to_json()

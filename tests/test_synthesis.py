@@ -133,7 +133,8 @@ def _stream(positions=(1000,), gain=-2.0, k=257, full=False):
 
 def test_min_phase_flat_magnitude_is_windowed_impulse_at_pivot():
     stream = _stream(full=True)
-    (row,) = build_segments(stream, [0], [(100, 150)], min_phase=True)
+    (row,) = build_segments(stream, [0], [(100, 150)], window_rows([(100, 150)], 512),
+                            min_phase=True)
     assert row.shape == (512,)
     peak = int(np.argmax(np.abs(row)))
     assert peak == 256
@@ -149,7 +150,8 @@ def test_min_phase_on_parametric_stream_needs_config():
     assert len(y.samples) == 1133 + 133 + 1
     # the segment builder itself takes the envelope magnitude, windowed to
     # the span's wings
-    (row,) = build_segments(_stream(), [0], [(100, 100)], min_phase=True)
+    (row,) = build_segments(_stream(), [0], [(100, 100)], window_rows([(100, 100)], 512),
+                            min_phase=True)
     assert np.any(row[156:357]) and not np.any(row[:156]) and not np.any(row[357:])
 
 
@@ -176,8 +178,9 @@ def test_build_segments_clips_oversize_spans():
     for full in (True, False):
         stream = _stream((1000, 1200), full=full)
         for min_phase in (False, True):
-            rows = build_segments(stream, [0, 1], [(100, 100), (400, 400)], min_phase)
-            clipped = build_segments(stream, [0, 1], [(100, 100), (256, 255)], min_phase)
+            spans, kept = [(100, 100), (400, 400)], [(100, 100), (256, 255)]
+            rows = build_segments(stream, [0, 1], spans, window_rows(spans, 512), min_phase)
+            clipped = build_segments(stream, [0, 1], kept, window_rows(kept, 512), min_phase)
             assert rows.shape == (2, 512)
             assert rows[0].tobytes() == clipped[0].tobytes()
             if not full or min_phase:
@@ -196,7 +199,8 @@ def test_segment_geometry_comes_from_the_features():
         stream = _stream(k=513, full=full)
         assert stream.fft_size == 1024
         for min_phase in (False, True):
-            (row,) = build_segments(stream, [0], [(400, 400)], min_phase)
+            (row,) = build_segments(stream, [0], [(400, 400)],
+                                    window_rows([(400, 400)], 1024), min_phase)
             assert row.shape == (1024,)
             if not full or min_phase:
                 assert np.any(row[112:913])
@@ -206,7 +210,8 @@ def test_segment_geometry_comes_from_the_features():
 def test_parametric_segment_energy_tracks_gain():
     gains = (-3.0, -1.0, 0.5)
     stream = _stream(1000 + 240 * np.arange(3), gain=gains)
-    rows = build_segments(stream, [0, 1, 2], [(120, 120)] * 3)
+    rows = build_segments(stream, [0, 1, 2], [(120, 120)] * 3,
+                          window_rows([(120, 120)] * 3, 512))
     for gain, row in zip(gains, rows):
         # grain energy before windowing matches exp(gain); the Hann costs
         # a bounded factor
@@ -297,20 +302,19 @@ def _old_start(n, fft_size, pivot):
     return clamped
 
 
-def test_synthesis_rows_match_the_old_slice_extraction(speech_streams, monkeypatch):
+def test_synthesis_rows_match_the_old_slice_extraction(speech_streams):
     full, par = speech_streams
     for positions in (full.positions, _generation_positions(full)):
         spans = segment_spans(positions)[:gswf.synthesis.BLOCK]
         for stream in (full, par):
             index = range(gswf.synthesis.BLOCK)
             for min_phase in (False, True):
-                rows = build_segments(stream, index, spans, min_phase)
+                rows = build_segments(stream, index, spans, window_rows(spans, 512),
+                                      min_phase)
                 # the old builder sliced each unwindowed buffer at the span
                 # and windowed the slice
-                with monkeypatch.context() as m:
-                    m.setattr(gswf.synthesis, "window_rows",
-                              lambda spans, fft_size: np.ones((len(spans), fft_size)))
-                    bufs = build_segments(stream, index, spans, min_phase)
+                bufs = build_segments(stream, index, spans, np.ones((len(spans), 512)),
+                                      min_phase)
                 rewindow = min_phase or stream.mode == "parametric"
                 for row, buf, (left, right) in zip(rows, bufs, spans):
                     size = left + right + 1
