@@ -21,13 +21,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig
-from .dsp import (EPS_MAG, autocorr, lpc_envelope, lpc_predictors, lsp_to_lpc_batch,
-                  reflection_to_lsp_batch, wrap_phase)
+from .dsp import (EPS_MAG, autocorr, lpc_predictors, lsp_envelope, reflection_to_lsp_batch,
+                  wrap_phase)
 from .errors import RowError, ValidationError
 from .gci import UNVOICED_SHIFT_S, GciTrack, detect_gci
 from .signal_io import F0Contour, Waveform
 
 GAIN_FLOOR = 1e-10  # RMS floor so silent segments keep a finite log gain
+# bound on |gain| and |log_mag|, natural-log magnitudes: exp(2 x) stays
+# finite and nonzero with room for the log(fft_size) that an LSP envelope
+# adds to its gain, and the log of every magnitude below 1e130 is inside
+LOG_MAG_LIMIT = 300.0
 LSP_ORDER = 40      # LSP values per segment
 BLOCK = 64          # rows per array pass; rows never mix, so it changes no bit
 
@@ -61,7 +65,8 @@ class FeatureStream:
     and gain (n,); lsp (n, LSP_ORDER); phase (n, K) phase features
     (encode_phase) and, in full mode, log_mag (n, K) natural-log magnitudes,
     with K = fft_size//2 + 1.  log_mag is None in parametric mode.  The
-    float columns hold finite values only.
+    float columns hold finite values only, log_f0 at most log(fs), and gain
+    and log_mag at most LOG_MAG_LIMIT in magnitude.
 
     FeatureStream(fs, fft_size, mode, segments=records) takes the columns
     from a list of SegmentFeatures records instead, and .segments builds
@@ -96,6 +101,8 @@ class FeatureStream:
         self._check()
 
     def _check(self) -> None:
+        if self.fs <= 0:
+            raise ValidationError(f"sample rate must be positive, got {self.fs}")
         if self.mode not in ("parametric", "full"):
             raise ValidationError(f"unknown stream mode {self.mode!r}")
         if (self.log_mag is None) == (self.mode == "full"):
@@ -114,6 +121,21 @@ class FeatureStream:
             if got is not None and not np.isfinite(got).all():
                 row = np.argwhere(~np.isfinite(got))[0][0]
                 raise ValidationError(f"stream {name} is not finite in row {row}")
+        # F0 is at most fs, also once the file rounds log_f0 to float32
+        top = np.log(self.fs)
+        high = self.log_f0 > max(top, np.float32(top))
+        if np.any(high):
+            row = int(np.argmax(high))
+            raise ValidationError(f"stream log_f0 is {self.log_f0[row]:.9g} in row {row}, "
+                                  f"above log(fs) = {top:.9g}")
+        for name in ("gain", "log_mag"):
+            got = getattr(self, name)
+            # two reductions, not a temporary as large as the column
+            if got is not None and max(got.max(initial=0.0),
+                                       -got.min(initial=0.0)) > LOG_MAG_LIMIT:
+                at = tuple(np.argwhere(np.abs(got) > LOG_MAG_LIMIT)[0])
+                raise ValidationError(f"stream {name} is {got[at]:g} in row {at[0]}, "
+                                      f"outside +-{LOG_MAG_LIMIT:g}")
         if np.any(np.diff(self.positions) <= 0):
             raise ValidationError("segment positions must be strictly increasing")
         if n and self.positions[0] < 0:
@@ -177,7 +199,7 @@ def segment_log_mags(stream: FeatureStream, index, spans) -> np.ndarray:
     if stream.mode == "full":
         return stream.log_mag[index]
     try:
-        env = lpc_envelope(lsp_to_lpc_batch(stream.lsp[index]), stream.fft_size)
+        env = lsp_envelope(stream.lsp[index], stream.fft_size)
     except RowError as e:
         raise ValidationError(
             f"segment at {stream.positions[index][e.rows[0]]}: {e.reason}") from e
@@ -185,8 +207,8 @@ def segment_log_mags(stream: FeatureStream, index, spans) -> np.ndarray:
     # Parseval: time-domain energy of a spectrum frame
     energy = (mag2[:, 0] + 2.0 * np.sum(mag2[:, 1:-1], axis=1) + mag2[:, -1]) / stream.fft_size
     n_samples = fit_wings(spans, stream.fft_size).sum(axis=1) + 1
-    target = np.exp(2.0 * stream.gain[index]) * n_samples
-    return env + (0.5 * (np.log(target) - np.log(np.maximum(energy, 1e-300))))[:, None]
+    scale = stream.gain[index] + 0.5 * np.log(n_samples / np.maximum(energy, 1e-300))
+    return env + scale[:, None]
 
 
 @functools.lru_cache(maxsize=16)

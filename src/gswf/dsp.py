@@ -15,7 +15,7 @@ from .errors import RowError, ValidationError
 from .signal_io import Waveform
 
 EPS_MAG = 1e-10    # magnitude floor before taking logs
-ENV_GUARD = 1e-12  # |A(e^jw)| guard in the LPC envelope
+ENV_GUARD = 1e-12  # |A(e^jw)| guard in the LSP envelope
 TWO_PI = 2.0 * np.pi
 SILENT_R0 = 1e-20  # autocorrelation energy below which a frame is silence
 WHITE_NOISE = 1e-9  # r[0] lift of a Levinson rerun on a row that clamped
@@ -35,7 +35,7 @@ def wrap_phase(x):
     Inputs inside (-2 pi, 2 pi), such as angles and their differences, take
     one add: fmod is exact there, so x + 2 pi (x < 0) has np.mod's bits,
     -0.0 mapping to +0.0 as in numpy's divmod.  Larger inputs, such as the
-    cumulative phases of synthesis, go through np.mod."""
+    cumulative sums of decode_phase, go through np.mod."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 0:
         return float(wrap_phase(arr.reshape(1))[0])
@@ -346,9 +346,7 @@ def _poly_from_circle_roots(w: np.ndarray) -> np.ndarray:
         np.add(a[:n], t[:n], out=t[:n])
         np.add(t[:n], a[2:n + 2], out=b[2:n + 2])
         a, b = b, a
-    # row-major again: numpy sums a row of a transposed stack in another
-    # order, and segment_log_mags sums the envelopes' rows
-    return np.ascontiguousarray(a[2:2 * k + 3].T).reshape(w.shape[:-1] + (2 * k + 1,))
+    return a[2:2 * k + 3].T.reshape(w.shape[:-1] + (2 * k + 1,))
 
 
 def lsp_to_lpc_batch(lsp: np.ndarray) -> np.ndarray:
@@ -369,12 +367,39 @@ def lsp_to_lpc_batch(lsp: np.ndarray) -> np.ndarray:
     return (0.5 * (psum + qdif)).astype(np.float64)
 
 
-def lpc_envelope(a: np.ndarray, fft_size: int) -> np.ndarray:
-    """Log-magnitude envelope -log|A| of each prediction error polynomial
-    along the last axis, on the fft_size//2 + 1 rfft bins."""
-    if a.shape[-1] > fft_size:
-        raise ValidationError(f"fft_size {fft_size} too small for order {a.shape[-1] - 1}")
-    return -np.log(np.maximum(np.abs(np.fft.rfft(a, fft_size)), ENV_GUARD))
+def lsp_envelope(lsp: np.ndarray, fft_size: int) -> np.ndarray:
+    """Log-magnitude envelope -log|A| (rows, fft_size//2 + 1) on the rfft
+    bins of (rows, p) line spectral frequencies, p even, from the product
+    form of the prediction error polynomial on the unit circle (Soong &
+    Juang, ICASSP 1984), with the sum polynomial's frequencies in the even
+    slots:
+
+        |A|^2 = cos^2(w/2) prod (2 cos w - 2 cos f_sum)^2
+                + sin^2(w/2) prod (2 cos w - 2 cos f_dif)^2
+
+    Neighbours glued by float32 rounding (out of order by at most 1e-4)
+    are split by one ulp first, and a RowError names the rows that fail;
+    |A| is floored at ENV_GUARD."""
+    f = np.array(lsp, dtype=np.float64)
+    p = f.shape[1]
+    if p % 2:
+        raise ValidationError(f"lsp_envelope: need an even order, got {p}")
+    _nudge_rows(f, 1e-4)
+    if p + 1 > fft_size:
+        raise ValidationError(f"fft_size {fft_size} too small for order {p}")
+    w = np.pi * np.arange(fft_size // 2 + 1) / (fft_size // 2)
+    two_cos_w = 2.0 * np.cos(w)
+    # one subtract and one multiply per factor pair over (rows, 2, bins):
+    # the sum polynomial's factors, then the difference polynomial's
+    two_cos_f = (2.0 * np.cos(f)).reshape(len(f), p // 2, 2).transpose(0, 2, 1)[..., None]
+    prod = np.ones((len(f), 2, len(w)))
+    term = np.empty_like(prod)
+    for j in range(p // 2):
+        np.subtract(two_cos_w, two_cos_f[:, :, j], out=term)
+        prod *= term
+    prod *= prod
+    mag2 = np.cos(w / 2.0) ** 2 * prod[:, 0] + np.sin(w / 2.0) ** 2 * prod[:, 1]
+    return -0.5 * np.log(np.maximum(mag2, ENV_GUARD ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 baseline that keeps magnitudes but discards the transmitted phase.
 
 Segments are rebuilt BLOCK at a time, one array pass per block: a cumsum
-decodes the phases, parametric envelopes come from one LSP conversion and
-one rfft, and one irfft (or irfft, fft and ifft for minimum phase) makes
-the rows.  A row has analysis.cut_segments's layout: its instant at index
-fft_size//2 and the wings of its span around it.  Rows never mix, so the
-block size, which bounds the stacks' memory, changes no bit; overlap-add
-keeps the stream's summation order.
+decodes the phases, parametric envelopes come from the LSP product form
+(dsp.lsp_envelope), and one irfft (or irfft, rfft and irfft for minimum
+phase, whose spectrum is Hermitian) makes the rows.  A row has
+analysis.cut_segments's layout: its instant at index fft_size//2 and the
+wings of its span around it.  Rows never mix, so the block size, which
+bounds the stacks' memory, changes no bit; overlap-add keeps the stream's
+summation order.
 
 Overlap-add divides by the summed windows of the same wings, clamped from
 below, so slowly varying pitch tracks reconstruct near-exactly and
@@ -50,14 +51,16 @@ def build_segments(stream: FeatureStream, index, spans, windows,
     half = fft_size // 2
     if min_phase:
         # fold each real cepstrum onto its causal half; the minimum-phase
-        # response is rolled so its onset sits at the buffer center
+        # response is rolled so its onset sits at the buffer center; its
+        # spectrum is Hermitian, so real transforms make it from the half
         cep = np.fft.irfft(log_mag, n=fft_size)
         cep[:, 1:half] *= 2.0
         cep[:, half + 1:] = 0.0
-        rows = np.roll(np.fft.ifft(np.exp(np.fft.fft(cep))).real, half, axis=1)
+        rows = np.roll(np.fft.irfft(np.exp(np.fft.rfft(cep)), n=fft_size), half, axis=1)
     else:
-        phase = decode_phase(stream.phase[index])
-        rows = inverse_spectrum(log_mag, phase, fft_size)
+        # the cumulative phases go to exp(1j theta) and cos unwrapped:
+        # both are 2 pi periodic
+        rows = inverse_spectrum(log_mag, np.cumsum(stream.phase[index], axis=-1), fft_size)
     # envelope magnitude discards the window shaping that full-mode spectra
     # carry, and the minimum-phase response is unwindowed and rings past the
     # segment span; both are re-windowed so the OLA normalization holds

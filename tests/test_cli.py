@@ -783,6 +783,10 @@ def _feature_mutants(path):
     for name in columns:
         for value in (np.nan, np.inf, -np.inf):
             yield f"{name} {value}", mutant(name, value), 3
+    # finite, but F0 above fs, or a log magnitude whose exp(2 x) leaves float64
+    for name, value in (("log_f0", 1e30), ("gain", 1e30), ("gain", -1e30), ("log_mag", 1e30)):
+        if name in columns:
+            yield f"{name} {value:g}", mutant(name, value), 3
     yield "voiced byte 7", mutant("voiced", 7), 2
     yield "fs 0", _HEADER.pack(magic, version, 0, fft_size, mode_byte, count) + \
         data[_HEADER.size:], 2

@@ -7,12 +7,12 @@ import pytest
 from scipy.fft import dct
 from scipy.linalg import lapack, solve_toeplitz
 
-from gswf import PipelineConfig, ValidationError, Waveform
+from gswf import PipelineConfig, ValidationError, Waveform, analyze
 from gswf.analysis import LSP_ORDER, cut_segments, extract_segments, row_spectra
 import gswf.dsp
-from gswf.dsp import (_inverse_filter_span, _levinson, _mel_operator, _nudge_rows,
-                      _poly_from_circle_roots, autocorr, inverse_spectrum, lpc_envelope,
-                      lpc_predictors, lpc_residual, lsp_to_lpc_batch, mel_cepstrum,
+from gswf.dsp import (ENV_GUARD, _inverse_filter_span, _levinson, _mel_operator, _nudge_rows,
+                      _poly_from_circle_roots, autocorr, inverse_spectrum, lpc_predictors,
+                      lpc_residual, lsp_envelope, lsp_to_lpc_batch, mel_cepstrum,
                       mel_filterbank, mel_support, reflection_to_lsp_batch, wrap_phase)
 from gswf.errors import RowError
 from gswf.gci import GciTrack, detect_gci
@@ -403,6 +403,8 @@ def test_lsp_converters_refuse_odd_orders():
             reflection_to_lsp_batch(np.zeros((2, p)))
         with pytest.raises(ValidationError, match=f"need an even order, got {p}"):
             lsp_to_lpc_batch(np.linspace(0.1, 3.0, p)[None, :])
+        with pytest.raises(ValidationError, match=f"need an even order, got {p}"):
+            lsp_envelope(np.linspace(0.1, 3.0, p)[None, :], 512)
 
 
 def test_lsp_roundtrip_and_interlacing():
@@ -749,15 +751,73 @@ def test_batch_errors_name_the_first_failing_row(monkeypatch):
 
 # ---------------------------------------------------------------- envelope
 
-def test_lpc_envelope_single_pole_pointwise():
-    env = lpc_envelope(np.array([[1.0, -0.9], [1.0, 0.5]]), 512)
-    assert env.shape == (2, 257)
-    w = np.pi * np.arange(257) / 256
-    for row, pole in zip(env, (0.9, -0.5)):
-        expect = -np.log(np.abs(1.0 - pole * np.exp(-1j * w)))
-        assert np.allclose(row, expect, atol=1e-9)
-    with pytest.raises(ValidationError, match="too small for order 40"):
-        lpc_envelope(np.eye(1, 41), 32)
+def test_lsp_envelope_order_two_pointwise():
+    # (P + Q) / 2 of an order-2 model is 1 - (c1 + c2) z^-1 + (1 - c1 + c2) z^-2
+    # with c_i = cos f_i, so |A| is known in closed form on every bin
+    lsp = np.array([[0.3, 1.1], [1.9, 2.8], [0.05, 3.1]])
+    env = lsp_envelope(lsp, 512)
+    assert env.shape == (3, 257)
+    z = np.exp(-1j * np.pi * np.arange(257) / 256)
+    for row, (f1, f2) in zip(env, lsp):
+        c1, c2 = np.cos(f1), np.cos(f2)
+        expect = -np.log(np.abs(1.0 - (c1 + c2) * z + (1.0 - c1 + c2) * z * z))
+        assert np.max(np.abs(row - expect)) < 1e-13
+    # an FFT shorter than the polynomial is refused, as the rfft of the
+    # polynomial would alias
+    with pytest.raises(ValidationError, match="fft_size 40 too small for order 40"):
+        lsp_envelope(np.linspace(0.1, 3.0, 40)[None, :], 40)
+    assert lsp_envelope(np.linspace(0.1, 3.0, 40)[None, :], 42).shape == (1, 22)
+
+
+def _lsp_envelope_by_factors(lsp, fft_size):
+    # -log|A| with A = (P + Q) / 2 and P, Q the products of their factors
+    # 1 - 2 cos(f) z^-1 + z^-2 times 1 + z^-1 and 1 - z^-1, evaluated on the
+    # kernel's bins in extended precision; no identity and no guard
+    f = np.asarray(lsp, dtype=np.longdouble)[:, :, None]
+    w = (np.pi * np.arange(fft_size // 2 + 1) / (fft_size // 2)).astype(np.longdouble)
+    z = np.cos(w) - 1j * np.sin(w)
+    quad = 1.0 - 2.0 * np.cos(f) * z + z * z
+    p = (1.0 + z) * np.prod(quad[:, 0::2], axis=1)
+    q = (1.0 - z) * np.prod(quad[:, 1::2], axis=1)
+    return (-np.log(np.abs(0.5 * (p + q)))).astype(np.float64)
+
+
+def test_lsp_envelope_matches_the_extended_precision_factor_product():
+    rng = np.random.default_rng(27)
+    stacks = [reflection_to_lsp_batch(np.array(
+        [reflection_from_lpc(random_stable_lpc(LSP_ORDER, rng)) for _ in range(200)]))]
+    for make in (harmonic_tone, speech_like):
+        w, contour = make()
+        stacks.append(analyze(w, contour, PipelineConfig(mode="parametric")).lsp)
+    for lsp in stacks:
+        assert np.max(np.abs(lsp_envelope(lsp, 512) - _lsp_envelope_by_factors(lsp, 512))) \
+            < 1e-11
+
+
+def test_lsp_envelope_splits_glued_pairs_names_bad_rows_and_guards_zeros():
+    rng = np.random.default_rng(34)
+    lsp = reflection_to_lsp_batch(np.array([reflection_from_lpc(random_stable_lpc(10, rng))
+                                            for _ in range(4)]))
+    glued = lsp.copy()
+    glued[1, 4] = glued[1, 3] - 5e-5  # within float32 rounding of a tight pair
+    split = glued[1].copy()
+    split[4] = np.nextafter(split[3], np.inf)
+    env = lsp_envelope(glued, 256)
+    assert _same_bits(env[1], lsp_envelope(split[None, :], 256)[0])
+    assert _same_bits(env[[0, 2, 3]], lsp_envelope(lsp[[0, 2, 3]], 256))
+    bad = lsp.copy()
+    bad[2, 4] = bad[2, 3] - 1e-3
+    bad[3, -1] = np.pi
+    with pytest.raises(RowError, match=r"out of order by 1\.000e-03 at index 4 "
+                                       r"\(row 2; 2 of 4 rows fail\)") as err:
+        lsp_envelope(bad, 256)
+    assert err.value.rows == [2, 3]
+    # a pair glued on bin 40 puts a zero of |A| there: the envelope stops at
+    # -log(ENV_GUARD) and every other bin stays below it
+    on_bin = np.pi * 40 / 256
+    env = lsp_envelope(np.array([[on_bin, on_bin]]), 512)[0]
+    assert env[40] == pytest.approx(-np.log(ENV_GUARD), rel=1e-15)
+    assert np.all(np.delete(env, 40) < env[40])
 
 
 # ------------------------------------------------------------ mel cepstrum

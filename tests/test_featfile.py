@@ -6,7 +6,7 @@ import pytest
 
 from gswf import (FeatureStream, FormatError, PipelineConfig, ValidationError, analyze,
                   read_features, synthesize, write_features)
-from gswf.analysis import LSP_ORDER
+from gswf.analysis import LOG_MAG_LIMIT, LSP_ORDER
 from gswf.cli import run
 from gswf.featfile import _HEADER, MAGIC, _record
 from gswf.signal_io import write_f0_ref, write_wav
@@ -121,6 +121,31 @@ def test_negative_positions_refused(tmp_path, capsys):
     assert run(["synthesize", str(path), str(out)]) == 3
     assert "non-negative" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_log_f0_gain_and_log_mag_bounds_admit_what_writers_write(tmp_path):
+    # a one-sample span gives log_f0 = log(fs), which float32 rounds up at
+    # 8 kHz; the bound on gain and log_mag is exact in float32
+    path = str(tmp_path / "b.gswf")
+    stream = _stream("full", n=2, fs=8000)
+    edge = dataclasses.replace(stream, log_f0=np.full(2, np.log(8000)),
+                               gain=np.array([-LOG_MAG_LIMIT, LOG_MAG_LIMIT]),
+                               log_mag=np.full((2, 257), LOG_MAG_LIMIT))
+    assert np.float32(np.log(8000)) > np.log(8000)
+    write_features(path, edge)
+    assert read_features(path).log_f0[0] > np.log(8000)
+    above = np.nextafter(max(np.log(8000), np.float32(np.log(8000))), np.inf)
+    for name, value, message in (
+            ("log_f0", above, r"log_f0 is 8\.98719788 in row 1, above log\(fs\) = 8\.98719682"),
+            ("gain", 300.5, r"gain is 300\.5 in row 1, outside \+-300"),
+            ("gain", -300.5, r"gain is -300\.5 in row 1, outside \+-300"),
+            ("log_mag", -300.5, r"log_mag is -300\.5 in row 1, outside \+-300")):
+        column = getattr(stream, name).copy()
+        column[1, ...] = value
+        with pytest.raises(ValidationError, match=f"stream {message}"):
+            dataclasses.replace(stream, **{name: column})
+    with pytest.raises(ValidationError, match="sample rate must be positive, got 0"):
+        dataclasses.replace(stream, fs=0)
 
 
 def test_analyzed_stream_survives_file_roundtrip(tmp_path):

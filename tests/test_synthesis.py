@@ -7,9 +7,9 @@ import pytest
 import gswf.synthesis
 from gswf import (ConfigError, FeatureStream, PipelineConfig, ValidationError, analyze,
                   read_features, synthesize, synthesize_min_phase, write_features)
-from gswf.analysis import encode_phase, fit_wings, segment_spans, window_rows
+from gswf.analysis import encode_phase, fit_wings, segment_log_mags, segment_spans, window_rows
 from gswf.cli import run
-from gswf.dsp import wrap_phase
+from gswf.dsp import inverse_spectrum, wrap_phase
 from gswf.synthesis import _generation_positions, build_segments, decode_phase, overlap_add
 from signals import (asymmetric_hann, harmonic_tone, low_pitch_onsets, speech_like,
                      window_envelope)
@@ -264,6 +264,57 @@ def test_parametric_lsp_error_names_the_segment(speech_streams, tmp_path, capsys
     assert read_features(feat).positions[70] == bad
     assert run(["synthesize", feat, str(tmp_path / "out.wav")]) == 3
     assert f"segment at {bad}" in capsys.readouterr().err
+
+
+def _complex_min_phase_rows(log_mag, fft_size, dtype=np.float64):
+    # minimum-phase rows through complex transforms of the whole spectrum,
+    # the fold done on a real cepstrum of the given float type
+    half = fft_size // 2
+    cep = np.fft.irfft(log_mag, n=fft_size).astype(dtype)
+    cep[:, 1:half] *= 2.0
+    cep[:, half + 1:] = 0.0
+    return np.roll(np.fft.ifft(np.exp(np.fft.fft(cep))).real, half, axis=1)
+
+
+@pytest.mark.parametrize("make", [speech_like, harmonic_tone])
+def test_min_phase_rows_match_the_complex_transform_path(make):
+    # the real transforms of the Hermitian half agree with the complex ones
+    # as closely as the complex ones agree with an extended-precision run of
+    # themselves (up to 1.9e-15 of the row peak, on the tone)
+    w, contour = make()
+    full = analyze(w, contour, PipelineConfig(mode="full"))
+    par = dataclasses.replace(full, mode="parametric", log_mag=None)
+    spans = segment_spans(full.positions)
+    index, ones = np.arange(len(full)), np.ones((len(full), full.fft_size))
+    for stream in (full, par):
+        rows = build_segments(stream, index, spans, ones, min_phase=True)
+        log_mag = segment_log_mags(stream, index, spans)
+        complex_rows = _complex_min_phase_rows(log_mag, stream.fft_size)
+        extended = _complex_min_phase_rows(log_mag, stream.fft_size, np.longdouble)
+        peak = np.max(np.abs(extended), axis=1, keepdims=True)
+        assert np.all(np.abs(rows - complex_rows) <= 4e-15 * peak)
+        assert np.all(np.abs(rows - extended) <= 4e-15 * peak)
+
+
+@pytest.mark.parametrize("make", [speech_like, harmonic_tone])
+def test_unwrapped_phase_rows_match_the_decoded_rows(make):
+    # decode_phase reduces the cumulative phases by the float64 2 pi, which
+    # is 2.4e-16 short, so its phases drift by that much per turn (speech_like
+    # reaches 107 turns); the unwrapped rows agree with a reduction by an
+    # extended-precision 2 pi to rounding
+    w, contour = make()
+    full = analyze(w, contour, PipelineConfig(mode="full"))
+    spans = segment_spans(full.positions)
+    index = np.arange(len(full))
+    rows = build_segments(full, index, spans, window_rows(spans, full.fft_size))
+    decoded = inverse_spectrum(full.log_mag, decode_phase(full.phase), full.fft_size)
+    theta = np.cumsum(full.phase, axis=-1).astype(np.longdouble)
+    two_pi = 8.0 * np.arctan(np.longdouble(1.0))
+    reduced = (theta - np.round(theta / two_pi) * two_pi).astype(np.float64)
+    exact = inverse_spectrum(full.log_mag, reduced, full.fft_size)
+    peak = np.max(np.abs(exact), axis=1, keepdims=True)
+    assert np.all(np.abs(rows - exact) <= 1e-15 * peak)
+    assert np.all(np.abs(rows - decoded) <= 1e-14 * peak)
 
 
 # -------------------------------------------------------------- overlap-add
