@@ -281,12 +281,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GswfError as exc:
+    except (GswfError, OSError) as exc:
         print(f"gswf: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"gswf: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 def main() -> None:

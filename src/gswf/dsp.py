@@ -148,14 +148,6 @@ def lpc_predictors(r: np.ndarray, order: int) -> tuple:
     return a, k
 
 
-def _inverse_filter_span(x: np.ndarray, a: np.ndarray, start: int, stop: int) -> np.ndarray:
-    # FIR-filter x[start:stop] through A(z) using real left context; the
-    # truncated full convolution is what scipy.signal.lfilter(a, [1.0], .)
-    # runs, so the bits are lfilter's
-    ctx = max(0, start - (len(a) - 1))
-    return np.convolve(a, x[ctx:stop])[start - ctx:stop - ctx]
-
-
 def _kernel_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # dot products along the last axis of broadcast (..., k) stacks, with
     # the bits np.correlate's kernel loop (and so np.convolve) gives:
@@ -175,17 +167,18 @@ def lpc_residual(w: Waveform, order: int) -> np.ndarray:
     Models are fitted on Hann-windowed frames of RESIDUAL_FRAME_S, one every
     RESIDUAL_SHIFT_S; the unwindowed signal is then filtered, cross-fading
     linearly between the filters of adjacent frames.  Output has the same
-    length as the input.
+    length as the input.  The first frame center must lie more than `order`
+    samples into the signal.
 
-    The frame autocorrelations and the filtering between the first and last
-    frame centers are array passes over the frame stack and the sliding
-    windows of the signal, with the bits of one np.correlate per frame and
-    one FIR convolution per frame."""
+    The frame autocorrelations and the filtering are array passes over the
+    frame stack and the sliding windows of the signal, with the bits of one
+    np.correlate per frame and of one scipy.signal.lfilter call per filter
+    over the whole signal."""
     x = w.samples
     fs = w.fs
     frame_len = int(round(RESIDUAL_FRAME_S * fs))
     shift = int(round(RESIDUAL_SHIFT_S * fs))
-    if frame_len <= order + 1:
+    if frame_len // 2 <= order:
         raise ValidationError(f"frame of {frame_len} samples too short for order {order}")
     if shift < 1:
         raise ValidationError(f"residual frame shift is under one sample at {fs} Hz")
@@ -198,34 +191,22 @@ def lpc_residual(w: Waveform, order: int) -> np.ndarray:
     for lag in range(1, order + 1):
         r[:, lag] = (frames[:, None, lag:] @ frames[:, :frame_len - lag, None])[:, 0, 0]
     coefs = lpc_predictors(r, order)[0]
-    centers = np.arange(len(frames)) * shift + frame_len // 2
-    # span m = [c[m], c[m+1]) fades from frame m's filter (lo) to frame
-    # m+1's (hi); frame m's filter runs over [c[m-1], c[m+1]), the file
-    # edges standing in for the outer frames' missing neighbours.  Spans
-    # that start past sample `order` are one FIR pass over their windows;
-    # the edge spans and any span nearer the file start, where the
-    # convolution of a frame sums its first outputs differently, filter as
-    # that call does
-    bounds = np.concatenate([[0], centers, [len(x)]])
+    first, last = frame_len // 2, (len(frames) - 1) * shift + frame_len // 2
+    # sample n >= order filters window n - order: with frame 0's filter
+    # before the first center, the last frame's from the last center on,
+    # and between centers c[m] and c[m+1] fading from frame m's filter to
+    # frame m+1's.  The first `order` samples are np.convolve's partial
+    # sums, which are lfilter's
+    windows = sliding_window_view(x, order + 1)
+    rev = np.ascontiguousarray(coefs[:, None, ::-1])
     res = np.empty_like(x)
-    res[:centers[0]] = _inverse_filter_span(x, coefs[0], 0, bounds[2])[:centers[0]]
-    res[centers[-1]:] = _inverse_filter_span(x, coefs[-1], bounds[-3], len(x))[
-        centers[-1] - bounds[-3]:]
-    n_spans = len(centers) - 1
-    lo, hi = np.empty((n_spans, shift)), np.empty((n_spans, shift))
-    m0 = min(int(np.searchsorted(centers, order, side="right")), n_spans)
-    for m in range(m0):
-        lo[m] = _inverse_filter_span(x, coefs[m], bounds[m], bounds[m + 2])[
-            centers[m] - bounds[m]:]
-        hi[m] = _inverse_filter_span(x, coefs[m + 1], centers[m], bounds[m + 3])[:shift]
-    if m0 < n_spans:
-        windows = sliding_window_view(x[centers[m0] - order:centers[-1]], order + 1)
-        windows = windows.reshape(n_spans - m0, shift, order + 1)
-        rev = np.ascontiguousarray(coefs[:, None, ::-1])
-        lo[m0:] = _kernel_dots(windows, rev[m0:-1])
-        hi[m0:] = _kernel_dots(windows, rev[m0 + 1:])
+    res[:order] = np.convolve(coefs[0], x[:first + order])[:order]
+    res[order:first] = _kernel_dots(windows[:first - order], rev[0])
+    res[last:] = _kernel_dots(windows[last - order:], rev[-1])
+    spans = windows[first - order:last - order].reshape(len(frames) - 1, shift, order + 1)
     alpha = np.arange(shift) / shift
-    res[centers[0]:centers[-1]] = ((1.0 - alpha) * lo + alpha * hi).ravel()
+    res[first:last] = ((1.0 - alpha) * _kernel_dots(spans, rev[:-1])
+                       + alpha * _kernel_dots(spans, rev[1:])).ravel()
     return res
 
 

@@ -203,9 +203,9 @@ def detect_gci(w: Waveform, f0_ref: F0Contour) -> GciTrack:
         for lo, hi in voiced_regions:
             intervals = find_intervals(smooth, lo, hi)
             if not intervals:
-                # region shorter than one cycle: no glottal evidence, fall
-                # back to constant-rate marks so coverage has no hole
-                marks.extend((p, False) for p in range(lo, hi, step))
+                # region shorter than one cycle: no glottal evidence, so it
+                # takes constant-rate marks and coverage has no hole
+                unvoiced_regions.append((lo, hi))
                 continue
             cand = select_candidates(residual, intervals, CANDIDATES_PER_INTERVAL,
                                      min_sep)

@@ -56,11 +56,8 @@ def voicing_mask(instants: np.ndarray, voiced: np.ndarray, total_len: int) -> np
         raise ValidationError("need one voicing flag per instant, instants strictly increasing")
     if len(inst) < 2:
         return np.full(total_len, len(inst) == 1 and bool(voiced[0]))
-    gaps = np.diff(inst)
-    lo = np.clip(np.round(inst - np.concatenate([gaps[:1], gaps]) / 2).astype(np.int64),
-                 0, total_len)
-    hi = np.clip(np.round(inst + np.concatenate([gaps, gaps[-1:]]) / 2).astype(np.int64),
-                 0, total_len)
+    bounds = np.round(inst[:, None] + segment_spans(inst) * [-0.5, 0.5]).astype(np.int64)
+    lo, hi = np.clip(bounds, 0, total_len).T
     # lo and hi never decrease, so the last instant with lo <= t is the only
     # one whose [lo, hi) can still hold sample t
     t = np.arange(total_len)
@@ -132,11 +129,7 @@ def align_gci(pred_instants: np.ndarray, ref_instants: np.ndarray) -> tuple:
     hi = np.minimum(right, len(ref) - 1)
     nearest = np.where(np.abs(pred - ref[lo]) <= np.abs(pred - ref[hi]), lo, hi)
     dist = np.abs(pred - ref[nearest])
-    if len(ref) == 1:
-        local = np.array([np.inf])
-    else:
-        gaps = np.diff(ref).astype(np.float64)
-        local = (np.concatenate([[gaps[0]], gaps]) + np.concatenate([gaps, [gaps[-1]]])) / 2.0
+    local = segment_spans(ref).sum(axis=1) / 2.0 if len(ref) > 1 else np.array([np.inf])
     # whether a pair passes the gate depends on its distance alone, so the
     # greedy pass is the first gated pair per reference in (distance, index)
     # order

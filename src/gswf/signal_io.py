@@ -32,9 +32,6 @@ class Waveform:
         if self.fs <= 0:
             raise ValidationError(f"sample rate must be positive, got {self.fs}")
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.fs

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import gswf.cli
-from gswf import PipelineConfig, analyze, read_features, read_wav, write_wav
+from gswf import (F0Contour, PipelineConfig, Waveform, analyze, read_features, read_wav,
+                  write_wav)
 from gswf.cli import run
 from gswf.analysis import FeatureStream, extract_segments
 from gswf.config import load_config
@@ -159,6 +160,25 @@ def test_analyze_corrupt_wav(inputs, tmp_path, capsys):
         fh.write(b"RIFFgarbage that is not a wav at all")
     assert run(["analyze", bad, f0, str(tmp_path / "out.gswf")]) == 2
     assert capsys.readouterr().err.startswith("gswf:")
+
+
+def test_analyze_empty_wav_exits_3(inputs, tmp_path, capsys):
+    _, f0 = inputs
+    empty = str(tmp_path / "empty.wav")
+    write_wav(empty, Waveform(np.zeros(0), FS))
+    assert run(["analyze", empty, f0, str(tmp_path / "out.gswf")]) == 3
+    assert "empty waveform" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fs, code", [(219, 3), (220, 0)])
+def test_analyze_needs_residual_context_before_the_first_frame_center(fs, code, tmp_path,
+                                                                      capsys):
+    # GCI detection's LPC order at these rates is 2; the 25 ms residual
+    # frame is 5 samples at 219 Hz, so its center has only 2 samples before it
+    w, _ = harmonic_tone(fs=fs, f0=60.0, n_harm=1)
+    wav, f0 = _write_inputs(tmp_path, "low", w, F0Contour(np.full(200, 60.0), 0.005))
+    assert run(["analyze", wav, f0, str(tmp_path / "low.gswf")]) == code
+    assert ("too short for order 2" in capsys.readouterr().err) == (code == 3)
 
 
 # --------------------------------------------------------------- synthesize

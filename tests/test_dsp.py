@@ -10,7 +10,7 @@ from scipy.linalg import lapack, solve_toeplitz
 from gswf import PipelineConfig, ValidationError, Waveform, analyze
 from gswf.analysis import LSP_ORDER, cut_segments, extract_segments, row_spectra
 import gswf.dsp
-from gswf.dsp import (ENV_GUARD, _inverse_filter_span, _levinson, _mel_operator, _nudge_rows,
+from gswf.dsp import (ENV_GUARD, _levinson, _mel_operator, _nudge_rows,
                       _poly_from_circle_roots, autocorr, inverse_spectrum, lpc_predictors,
                       lpc_residual, lsp_envelope, lsp_to_lpc_batch, mel_cepstrum,
                       mel_filterbank, mel_support, reflection_to_lsp_batch, wrap_phase)
@@ -354,29 +354,18 @@ def test_lpc_residual_equals_two_filters_per_span_at_other_rates(fs):
     assert got.tobytes() == _residual_two_filters_per_span(w, order).tobytes()
 
 
-@pytest.mark.parametrize("order", [1, 10, 18, 40])
-def test_inverse_filter_span_is_lfilter_bit_for_bit(order):
-    # spans at the file start (less context than the order), in the
-    # interior and at the end, some shorter than the filter and some whose
-    # slice is as long as it (where np.convolve's argument order shows); at
-    # order 10 the 11-tap kernel takes numpy's small-kernel loop, above it ddot
-    rng = np.random.default_rng(order)
-    x = rng.normal(size=2000) * 0.3
-    a = np.concatenate([[1.0], rng.normal(size=order) * 0.2])
-    spans = [(0, 1), (0, 5), (0, order + 1), (0, 400), (3, 90), (order, order + 2),
-             (777, 1100), (1000, 1001), (1500, 1503), (1950, 2000), (1999, 2000), (0, 2000)]
-    for start, stop in spans:
-        got = _inverse_filter_span(x, a, start, stop)
-        assert got.tobytes() == _lfilter_span(x, a, start, stop).tobytes(), (start, stop)
-
-
 def test_lpc_residual_spans_near_the_file_start():
     # at 1 kHz the first frame center (12) lies within `order` samples of
-    # the file start, so its span filters with less context
-    x = np.random.default_rng(14).normal(size=600)
-    w = Waveform(x, 1000)
-    got = lpc_residual(w, order=16)
-    assert got.tobytes() == _residual_two_filters_per_span(w, 16).tobytes()
+    # the file start, where no frame's filter has its full context
+    w = Waveform(np.random.default_rng(14).normal(size=600), 1000)
+    with pytest.raises(ValidationError, match="frame of 25 samples too short for order 16"):
+        lpc_residual(w, order=16)
+    # the first center must lie past the first `order` samples: 12 samples
+    # hold order 11 and not order 12
+    assert lpc_residual(w, order=10).tobytes() == _residual_two_filters_per_span(w, 10).tobytes()
+    assert len(lpc_residual(w, order=11)) == 600
+    with pytest.raises(ValidationError, match="too short for order 12"):
+        lpc_residual(w, order=12)
 
 
 # --------------------------------------------------------------------- LSP

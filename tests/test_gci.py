@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from gswf import DetectionError, F0Contour, ValidationError, Waveform
-from gswf.gci import (GciTrack, _skewness, detect_gci, find_intervals, mean_based_signal,
-                      merge_marks, select_candidates, viterbi_select, write_gci_track)
+from gswf.gci import (UNVOICED_SHIFT_S, GciTrack, _skewness, detect_gci, find_intervals,
+                      mean_based_signal, merge_marks, select_candidates, viterbi_select,
+                      write_gci_track)
 from gswf.metrics import align_gci
 from signals import pulse_train, speech_like
 
@@ -420,6 +421,27 @@ def test_detect_gci_marks_unvoiced_regions_at_constant_rate():
     assert len(inside) >= 10
     gaps = np.diff(inside)
     assert np.all(gaps == int(0.005 * w.fs))
+
+
+def test_detect_gci_marks_voiced_runs_without_cycles_at_constant_rate():
+    # one- and two-frame voiced runs inside the fricative stretch hold no
+    # [minimum, maximum] interval of the mean-based signal, so they take
+    # unvoiced marks at the constant rate like the frames around them
+    w, contour = speech_like()
+    values = contour.values.copy()
+    runs = [(84, 85), (97, 98), (103, 105), (110, 111), (115, 117)]
+    for a, b in runs:
+        values[a:b] = 120.0
+    contour = F0Contour(values, contour.frame_shift_s)
+    smooth = mean_based_signal(w, w.fs / float(np.mean(values[contour.voiced])))
+    shift = int(round(contour.frame_shift_s * w.fs))
+    assert all(find_intervals(smooth, a * shift, b * shift) == [] for a, b in runs)
+    track = detect_gci(w, contour)
+    lo, hi = int(0.40 * w.fs), int(0.60 * w.fs)
+    stretch = (track.instants >= lo) & (track.instants < hi)
+    assert not np.any(track.voiced[stretch])
+    step = int(round(UNVOICED_SHIFT_S * w.fs))
+    assert np.array_equal(track.instants[stretch], np.arange(lo, hi, step))
 
 
 def test_detect_gci_keeps_unvoiced_marks_clear_of_voiced_instants():

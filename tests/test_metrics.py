@@ -261,6 +261,18 @@ def test_evaluate_f0_and_vuv_on_constructed_streams():
     assert report.counts["vuv_error_rate"] == 4
 
 
+def test_evaluate_with_no_voiced_pair_reports_zero_with_count_zero():
+    # every reference instant unvoiced: no spectral pair and no F0 pair
+    positions = [1000, 1160, 1320, 1480]
+    ref = _toy_stream(positions, [0, 0, 0, 0], [200.0] * 4)
+    pred = _toy_stream([p + 2 for p in positions], [1, 1, 1, 1], [110.0] * 4)
+    x = np.zeros(2000)
+    report = evaluate(Waveform(x, 16000), Waveform(x, 16000), pred, ref)
+    for key in ("lsd", "mcd", "dpd", "f0_rmse"):
+        assert getattr(report, key) == 0.0 and report.counts[key] == 0, key
+    assert report.vuv_error_rate == 1.0 and report.counts["vuv_error_rate"] == 4
+
+
 def test_evaluate_span_restricts_samples_and_pairs():
     positions = [1000, 1160, 1320, 1480]
     ref = _toy_stream(positions, [1, 1, 1, 0], [100.0, 100.0, 100.0, 200.0])
