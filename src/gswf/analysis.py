@@ -65,8 +65,9 @@ class FeatureStream:
     and gain (n,); lsp (n, LSP_ORDER); phase (n, K) phase features
     (encode_phase) and, in full mode, log_mag (n, K) natural-log magnitudes,
     with K = fft_size//2 + 1.  log_mag is None in parametric mode.  The
-    float columns hold finite values only, log_f0 at most log(fs), and gain
-    and log_mag at most LOG_MAG_LIMIT in magnitude.
+    float columns hold finite values only, log_f0 at most log(fs), gain
+    and log_mag at most LOG_MAG_LIMIT in magnitude, and phase at most
+    float32(pi).
 
     FeatureStream(fs, fft_size, mode, segments=records) takes the columns
     from a list of SegmentFeatures records instead, and .segments builds
@@ -128,14 +129,16 @@ class FeatureStream:
             row = int(np.argmax(high))
             raise ValidationError(f"stream log_f0 is {self.log_f0[row]:.9g} in row {row}, "
                                   f"above log(fs) = {top:.9g}")
-        for name in ("gain", "log_mag"):
+        # encode_phase writes phases in (-pi, pi]; float32(pi) admits their
+        # rounding in a feature file
+        for name, limit in (("gain", LOG_MAG_LIMIT), ("log_mag", LOG_MAG_LIMIT),
+                            ("phase", float(np.float32(np.pi)))):
             got = getattr(self, name)
             # two reductions, not a temporary as large as the column
-            if got is not None and max(got.max(initial=0.0),
-                                       -got.min(initial=0.0)) > LOG_MAG_LIMIT:
-                at = tuple(np.argwhere(np.abs(got) > LOG_MAG_LIMIT)[0])
-                raise ValidationError(f"stream {name} is {got[at]:g} in row {at[0]}, "
-                                      f"outside +-{LOG_MAG_LIMIT:g}")
+            if got is not None and max(got.max(initial=0.0), -got.min(initial=0.0)) > limit:
+                at = tuple(np.argwhere(np.abs(got) > limit)[0])
+                raise ValidationError(f"stream {name} is {got[at]:.9g} in row {at[0]}, "
+                                      f"outside +-{limit:.9g}")
         if np.any(np.diff(self.positions) <= 0):
             raise ValidationError("segment positions must be strictly increasing")
         if n and self.positions[0] < 0:

@@ -4,9 +4,10 @@ Subcommands: gci, analyze, synthesize, roundtrip, metrics.  Exit codes:
 0 success, 2 I/O or file-format problem, 3 input validation failure,
 4 configuration problem.  Each subcommand takes the flags of only the
 settings it reads.  gci, analyze and roundtrip read a config file of
-analysis settings, passed with --config or the GSWF_CONFIG environment
-variable; individual flags override file values.  synthesize and metrics
-read no config: they take the FFT size and mode from the feature files.
+analysis settings passed with --config; individual flags override file
+values, and a set GSWF_CONFIG environment variable exits 4 rather than
+being ignored.  synthesize and metrics read no config: they take the FFT
+size and mode from the feature files.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     # each config field whose flag was given; a flag left out reads None
     overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
                  if getattr(args, f.name, None) is not None}
-    path = args.config or os.environ.get("GSWF_CONFIG")
-    if path:
-        return load_config(path, overrides)
+    if "GSWF_CONFIG" in os.environ:
+        raise ConfigError("GSWF_CONFIG is not read; name the config file with --config")
+    if args.config:
+        return load_config(args.config, overrides)
     return PipelineConfig(**overrides)
 
 

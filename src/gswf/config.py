@@ -12,6 +12,12 @@ MODES = ("parametric", "full")
 OVERSIZE_POLICIES = ("error", "truncate")
 
 
+def fft_size_ok(fft_size: int) -> bool:
+    """The FFT sizes analysis and the feature file take: powers of two from
+    128, the smallest above twice analysis.LSP_ORDER."""
+    return fft_size >= 128 and not fft_size & (fft_size - 1)
+
+
 @dataclass
 class PipelineConfig:
     # spectral analysis
@@ -24,8 +30,7 @@ class PipelineConfig:
     frame_shift_s: float = 0.005
 
     def __post_init__(self) -> None:
-        # 128 is the smallest power of two above twice analysis.LSP_ORDER
-        if self.fft_size < 128 or self.fft_size & (self.fft_size - 1):
+        if not fft_size_ok(self.fft_size):
             raise ConfigError(f"fft_size must be a power of two >= 128, got {self.fft_size}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")

@@ -8,8 +8,9 @@ Little-endian layout, version 1:
              | lsp L x f32 | phase_feature K x f32
              | log_mag K x f32          (full mode only)
 
-with K = fft_size/2 + 1 and L = analysis.LSP_ORDER.  fs is positive, a
-voiced byte is 0 or 1, and every float is finite.
+with K = fft_size/2 + 1 and L = analysis.LSP_ORDER.  fs is positive,
+fft_size a power of two >= 128 (config.fft_size_ok), a voiced byte is 0
+or 1, and every float is finite.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import struct
 import numpy as np
 
 from .analysis import LSP_ORDER, FeatureStream
+from .config import fft_size_ok
 from .errors import FormatError
 
 MAGIC = b"GSWF"
@@ -40,6 +42,9 @@ def _record(mode: str, fft_size: int) -> np.dtype:
 
 
 def write_features(path: str, stream: FeatureStream) -> None:
+    if not fft_size_ok(stream.fft_size):
+        raise FormatError(f"{path}: a feature file holds fft_size a power of two >= 128, "
+                          f"not {stream.fft_size}")
     records = np.empty(len(stream), dtype=_record(stream.mode, stream.fft_size))
     for name in records.dtype.names:
         records[name] = getattr(stream, name)
@@ -64,8 +69,8 @@ def read_features(path: str) -> FeatureStream:
         raise FormatError(f"{path}: unsupported version {version}")
     if mode_byte not in _MODE_NAMES:
         raise FormatError(f"{path}: unknown mode byte {mode_byte}")
-    if fft_size < 2 or fft_size % 2:
-        raise FormatError(f"{path}: invalid fft_size {fft_size}")
+    if not fft_size_ok(fft_size):
+        raise FormatError(f"{path}: fft_size {fft_size} is not a power of two >= 128")
     if fs == 0:
         raise FormatError(f"{path}: sample rate is 0")
     mode = _MODE_NAMES[mode_byte]

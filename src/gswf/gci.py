@@ -148,25 +148,13 @@ def viterbi_select(positions: np.ndarray, fs: int, f0_ref: F0Contour) -> list:
     return path
 
 
-def _frame_regions_to_samples(voiced: np.ndarray, shift: float, fs: int,
-                              n_samples: int) -> tuple[list, list]:
-    """Maximal voiced frame runs as sample ranges, plus the complement."""
-    voiced_regions = []
+def _voiced_runs(voiced: np.ndarray, shift: float, fs: int, n_samples: int) -> np.ndarray:
+    """Maximal voiced frame runs as a (runs, 2) int64 array of sample
+    ranges [lo, hi): frame edges rounded to samples and clipped to the
+    signal, and runs that round to no sample dropped."""
     edges = np.flatnonzero(np.diff(np.concatenate([[0], voiced.astype(np.int8), [0]])))
-    for a, b in zip(edges[0::2], edges[1::2]):
-        lo = min(n_samples, int(round(a * shift * fs)))
-        hi = min(n_samples, int(round(b * shift * fs)))
-        if hi > lo:
-            voiced_regions.append((lo, hi))
-    unvoiced_regions = []
-    cursor = 0
-    for lo, hi in voiced_regions:
-        if lo > cursor:
-            unvoiced_regions.append((cursor, lo))
-        cursor = hi
-    if cursor < n_samples:
-        unvoiced_regions.append((cursor, n_samples))
-    return voiced_regions, unvoiced_regions
+    runs = np.minimum(np.round(edges * shift * fs), n_samples).astype(np.int64).reshape(-1, 2)
+    return runs[runs[:, 1] > runs[:, 0]]
 
 
 def _skewness(x: np.ndarray) -> float:
@@ -185,38 +173,34 @@ def detect_gci(w: Waveform, f0_ref: F0Contour) -> GciTrack:
     fs = w.fs
     n = len(w.samples)
     step = max(1, int(round(UNVOICED_SHIFT_S * fs)))
-    voiced_regions, unvoiced_regions = _frame_regions_to_samples(
-        f0_ref.voiced, f0_ref.frame_shift_s, fs, n)
-
-    marks: list[tuple[int, bool]] = []
-    if voiced_regions:
+    runs = _voiced_runs(f0_ref.voiced, f0_ref.frame_shift_s, fs, n)
+    # the stretches between runs, some empty, take constant-rate marks
+    stretches = np.concatenate([[0], runs.ravel(), [n]]).reshape(-1, 2).tolist()
+    voiced_marks = [np.zeros(0, dtype=np.int64)]
+    if len(runs):
         mean_period = fs / float(np.mean(f0_ref.values[f0_ref.voiced]))
         smooth = mean_based_signal(w, mean_period)
         order = int(fs / 1000) + 2
         residual = lpc_residual(w, order)
-        mask = np.zeros(n, dtype=bool)
-        for lo, hi in voiced_regions:
-            mask[lo:hi] = True
-        if _skewness(residual[mask]) < 0:
+        if _skewness(np.concatenate([residual[lo:hi] for lo, hi in runs.tolist()])) < 0:
             residual = -residual
         min_sep = max(1, int(round(CANDIDATE_MIN_SEP_S * fs)))
-        for lo, hi in voiced_regions:
+        for lo, hi in runs.tolist():
             intervals = find_intervals(smooth, lo, hi)
             if not intervals:
                 # region shorter than one cycle: no glottal evidence, so it
                 # takes constant-rate marks and coverage has no hole
-                unvoiced_regions.append((lo, hi))
+                stretches.append((lo, hi))
                 continue
             cand = select_candidates(residual, intervals, CANDIDATES_PER_INTERVAL,
                                      min_sep)
             path = viterbi_select(cand, fs, f0_ref)
-            marks.extend((int(p), True) for p in cand[np.arange(len(cand)), path])
-    for lo, hi in unvoiced_regions:
-        marks.extend((p, False) for p in range(lo, hi, step))
-
-    pos = np.array([p for p, _ in marks], dtype=np.int64)
-    flags = np.array([v for _, v in marks], dtype=bool)
-    pos, flags = merge_marks(pos, flags, max(1, int(round(0.001 * fs))))
+            voiced_marks.append(cand[np.arange(len(cand)), path])
+    voiced = np.concatenate(voiced_marks)
+    unvoiced = np.concatenate([np.arange(lo, hi, step) for lo, hi in stretches])
+    pos, flags = merge_marks(np.concatenate([voiced, unvoiced]),
+                             np.repeat([True, False], [len(voiced), len(unvoiced)]),
+                             max(1, int(round(0.001 * fs))))
     return GciTrack(pos, flags)
 
 

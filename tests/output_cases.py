@@ -10,8 +10,12 @@ The inputs are ``speech_like()``, ``harmonic_tone()``,
 ``low_pitch_onsets()``, ``speech_like(fs=8000)`` and
 ``speech_like(fs=22050)`` (other frame, shift and LPC order geometry in
 GCI detection) from ``signals.py``, written as PCM16 wavs with their F0
-contours.  Every input goes through ``gci``, ``analyze`` full and
-parametric, and ``roundtrip``.  Speech and tone at 16 kHz also go through
+contours.  Each of these goes through ``gci``, ``analyze`` full and
+parametric, and ``roundtrip``.  ``speech_like()`` with a 7.5 ms contour
+(``--frame-shift 0.0075``) goes through ``gci`` and ``analyze`` full
+only: its voicing runs start and end on 120-sample frame edges, off the
+80-sample grid of the constant-rate marks.  Speech and tone at 16 kHz
+also go through
 ``synthesize`` full, ``--min-phase``, parametric and parametric
 ``--min-phase --min-phase-from-envelope``; ``roundtrip`` full and
 ``--mode parametric`` (whose minimum-phase half always takes the LSP
@@ -40,6 +44,7 @@ from pathlib import Path
 
 NAMES = ("speech", "tone")
 ANALYSIS_ONLY = ("lowpitch", "speech8k", "speech22k")
+SHIFT_75 = "speech75"  # the speech input with a 7.5 ms contour
 F0_FEATURES = tuple(f"{name}.{mode}.gswf" for name in NAMES for mode in ("full", "par"))
 MANIFEST_HEAD = ("# gswf output digests; rewrite with: "
                  "python3 tools/same_outputs.py --write-manifest")
@@ -53,7 +58,8 @@ def write_inputs(inputs) -> None:
     for name, (w, f0) in (("speech", speech_like()), ("tone", harmonic_tone()),
                           ("lowpitch", low_pitch_onsets(seed=0)),
                           ("speech8k", speech_like(fs=8000)),
-                          ("speech22k", speech_like(fs=22050))):
+                          ("speech22k", speech_like(fs=22050)),
+                          (SHIFT_75, speech_like(frame_shift_s=0.0075))):
         write_wav(str(inputs / f"{name}.wav"), w)
         write_f0_ref(str(inputs / f"{name}.f0"), f0)
     # paths relative to the run directory, which sits next to `inputs`
@@ -73,6 +79,8 @@ def commands(inputs, name: str) -> list:
         ["analyze", wav, f0, out + "par.gswf", "--mode", "parametric"],
         ["roundtrip", wav, f0, out + "rt_full"],
     ]
+    if name == SHIFT_75:
+        return [argv + ["--frame-shift", "0.0075"] for argv in analysis[:2]]
     if name in ANALYSIS_ONLY:
         return analysis
     return analysis + [
@@ -101,7 +109,8 @@ def commands(inputs, name: str) -> list:
 
 def cli_argvs(inputs) -> list:
     """Every gswf argument list, in run order."""
-    argvs = [argv for name in NAMES + ANALYSIS_ONLY for argv in commands(inputs, name)]
+    argvs = [argv for name in NAMES + ANALYSIS_ONLY + (SHIFT_75,)
+             for argv in commands(inputs, name)]
     argvs.append(["roundtrip", "--list", str(Path(inputs) / "batch.list"), "--jobs", "2"])
     return argvs
 

@@ -81,9 +81,10 @@ def pulse_train(fs=16000, f0=120.0, dur=1.0,
     return Waveform(x, fs), instants, contour_from_f0(np.full(n, f0), fs)
 
 
-def speech_like(fs=16000, seed=7):
+def speech_like(fs=16000, seed=7, frame_shift_s=FRAME_SHIFT):
     """One-second voiced/unvoiced/voiced utterance: two vowel stretches with
-    gliding F0 around a noise burst.  Returns (waveform, contour)."""
+    gliding F0 around a noise burst.  Returns (waveform, contour), the
+    contour at frame_shift_s."""
     rng = np.random.default_rng(seed)
     n = fs
     v1 = slice(0, int(0.40 * fs))
@@ -108,7 +109,7 @@ def speech_like(fs=16000, seed=7):
     frica = lfilter([1.0], _tract(((4500, 900),), fs), noise)
     x += 0.15 * frica / max(np.max(np.abs(frica)), 1e-12)
     x *= 0.5 / np.max(np.abs(x))
-    return Waveform(x, fs), contour_from_f0(f0_inst, fs)
+    return Waveform(x, fs), contour_from_f0(f0_inst, fs, frame_shift_s)
 
 
 def random_stable_lpc(order, rng):

@@ -662,7 +662,7 @@ def test_parametric_metrics_take_fft_size_from_files(inputs, wide, tmp_path):
 
 # ------------------------------------------------------------------- config
 
-def test_config_file_env_and_flag_precedence(inputs, tmp_path, monkeypatch):
+def test_config_file_env_and_flag_precedence(inputs, tmp_path, monkeypatch, capsys):
     wav, f0 = inputs
     cfg_path = str(tmp_path / "gswf.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -671,17 +671,23 @@ def test_config_file_env_and_flag_precedence(inputs, tmp_path, monkeypatch):
     assert run(["analyze", wav, f0, by_flag, "--config", cfg_path]) == 0
     assert read_features(by_flag).fft_size == 1024
 
+    # --config is the one way to name the file: a set GSWF_CONFIG is
+    # refused, not ignored, with or without the flag
     by_env = str(tmp_path / "env.gswf")
     monkeypatch.setenv("GSWF_CONFIG", cfg_path)
-    assert run(["analyze", wav, f0, by_env]) == 0
-    assert read_features(by_env).fft_size == 1024
+    for flags in ([], ["--config", cfg_path]):
+        assert run(["analyze", wav, f0, by_env, *flags]) == 4
+        assert "--config" in capsys.readouterr().err
+    assert not os.path.exists(by_env)
+    monkeypatch.delenv("GSWF_CONFIG")
 
     overridden = str(tmp_path / "override.gswf")
-    assert run(["analyze", wav, f0, overridden, "--fft-size", "512"]) == 0
+    assert run(["analyze", wav, f0, overridden, "--config", cfg_path,
+                "--fft-size", "512"]) == 0
     assert read_features(overridden).fft_size == 512
 
 
-def test_one_config_file_serves_every_command(inputs, tmp_path, monkeypatch):
+def test_one_config_file_serves_every_command(inputs, tmp_path, monkeypatch, capsys):
     # a file that sets every PipelineConfig key: each analysis command reads
     # the keys it needs and passes over the rest, and synthesize and metrics
     # read no config at all
@@ -697,18 +703,21 @@ def test_one_config_file_serves_every_command(inputs, tmp_path, monkeypatch):
     assert run(["analyze", wav, f0, feat, *flags]) == 0
     stream = read_features(feat)
     assert (stream.fft_size, stream.mode) == (1024, "parametric")
+    assert run(["roundtrip", wav, f0, str(tmp_path / "rt"), *flags]) == 0
     # only the command's own flag lets a parametric stream synthesize at
     # minimum phase
-    monkeypatch.setenv("GSWF_CONFIG", str(cfg_path))
     assert run(["synthesize", feat, out, "--min-phase"]) == 4
     assert run(["synthesize", feat, out, "--min-phase", "--min-phase-from-envelope"]) == 0
-    monkeypatch.delenv("GSWF_CONFIG")
-    assert run(["roundtrip", wav, f0, str(tmp_path / "rt"), *flags]) == 0
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no equals sign\n", encoding="utf-8")
-    monkeypatch.setenv("GSWF_CONFIG", str(bad))
-    assert run(["gci", wav, f0, str(tmp_path / "t.gci")]) == 4
-    assert run(["synthesize", feat, out]) == 0
+    # a set GSWF_CONFIG stops the commands that read a config, which name
+    # --config, and the two that read none pass over it
+    monkeypatch.setenv("GSWF_CONFIG", str(cfg_path))
+    for argv in (["gci", wav, f0, str(tmp_path / "env.gci")],
+                 ["analyze", wav, f0, str(tmp_path / "env.gswf")],
+                 ["roundtrip", wav, f0, str(tmp_path / "env_rt")]):
+        assert run([*argv, *flags]) == 4, argv[0]
+        assert "--config" in capsys.readouterr().err
+        assert not os.path.exists(argv[-1])
+    assert run(["synthesize", feat, out, "--min-phase", "--min-phase-from-envelope"]) == 0
     assert run(["metrics", wav, wav, feat, feat, str(tmp_path / "r.txt")]) == 0
 
 
@@ -803,13 +812,23 @@ def _feature_mutants(path):
     for name in columns:
         for value in (np.nan, np.inf, -np.inf):
             yield f"{name} {value}", mutant(name, value), 3
-    # finite, but F0 above fs, or a log magnitude whose exp(2 x) leaves float64
-    for name, value in (("log_f0", 1e30), ("gain", 1e30), ("gain", -1e30), ("log_mag", 1e30)):
+    # finite, but F0 above fs, a log magnitude whose exp(2 x) leaves
+    # float64, or a phase feature outside the (-pi, pi] encode_phase writes
+    for name, value in (("log_f0", 1e30), ("gain", 1e30), ("gain", -1e30), ("log_mag", 1e30),
+                        ("phase", 4.0), ("phase", 3e38)):
         if name in columns:
             yield f"{name} {value:g}", mutant(name, value), 3
     yield "voiced byte 7", mutant("voiced", 7), 2
     yield "fs 0", _HEADER.pack(magic, version, 0, fft_size, mode_byte, count) + \
         data[_HEADER.size:], 2
+    yield "mode byte 2", _HEADER.pack(magic, version, fs, fft_size, 2, count) + \
+        data[_HEADER.size:], 2
+    # a consistent file at an fft_size that is no power of two: 66 bins
+    narrow = np.zeros(count, dtype=_record(mode, 130))
+    for name in narrow.dtype.names:
+        narrow[name] = rec[name][:, :66] if name in ("phase", "log_mag") else rec[name]
+    yield "fft_size 130", _HEADER.pack(magic, version, fs, 130, mode_byte, count) + \
+        narrow.tobytes(), 2
     yield "positions reversed", mutant("positions", rec["positions"][::-1]), 3
     yield "position repeated", mutant("positions", np.r_[rec["positions"][:1],
                                                          rec["positions"][:-1]]), 3

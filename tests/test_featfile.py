@@ -92,6 +92,24 @@ def test_trailing_bytes_rejected(tmp_path):
         read_features(str(tmp_path / "pad.gswf"))
 
 
+def test_fft_size_is_a_power_of_two_from_128_in_both_directions(tmp_path):
+    # a stream holds any geometry, but a feature file only those analysis
+    # writes: the writer refuses the rest, and so does the reader
+    path = tmp_path / "f.gswf"
+    write_features(str(path), _stream("full", n=2, k=65, fft_size=128))
+    assert read_features(str(path)).fft_size == 128
+    blob = path.read_bytes()
+    for fft_size in (4, 6, 8, 64, 96, 130):
+        stream = _stream("full", n=2, k=fft_size // 2 + 1, fft_size=fft_size)
+        with pytest.raises(FormatError, match=f"not {fft_size}"):
+            write_features(str(tmp_path / "w.gswf"), stream)
+        head = _HEADER.unpack_from(blob, 0)
+        (tmp_path / "r.gswf").write_bytes(_HEADER.pack(*head[:3], fft_size, *head[4:]))
+        with pytest.raises(FormatError, match=f"fft_size {fft_size} is not a power of two"):
+            read_features(str(tmp_path / "r.gswf"))
+    assert not (tmp_path / "w.gswf").exists()
+
+
 def test_wrong_lsp_width_rejected_at_write(tmp_path):
     # a stream of another LSP width cannot be built, so it never reaches
     # the file: the shape check at construction refuses it
@@ -125,21 +143,26 @@ def test_negative_positions_refused(tmp_path, capsys):
 
 def test_log_f0_gain_and_log_mag_bounds_admit_what_writers_write(tmp_path):
     # a one-sample span gives log_f0 = log(fs), which float32 rounds up at
-    # 8 kHz; the bound on gain and log_mag is exact in float32
+    # 8 kHz, as it rounds a phase of pi up; the bound on gain and log_mag is
+    # exact in float32
     path = str(tmp_path / "b.gswf")
     stream = _stream("full", n=2, fs=8000)
     edge = dataclasses.replace(stream, log_f0=np.full(2, np.log(8000)),
                                gain=np.array([-LOG_MAG_LIMIT, LOG_MAG_LIMIT]),
-                               log_mag=np.full((2, 257), LOG_MAG_LIMIT))
-    assert np.float32(np.log(8000)) > np.log(8000)
+                               log_mag=np.full((2, 257), LOG_MAG_LIMIT),
+                               phase=np.outer([-1.0, 1.0], np.full(257, np.pi)))
+    assert np.float32(np.log(8000)) > np.log(8000) and float(np.float32(np.pi)) > np.pi
     write_features(path, edge)
-    assert read_features(path).log_f0[0] > np.log(8000)
+    back = read_features(path)
+    assert back.log_f0[0] > np.log(8000) and back.phase[1, 0] > np.pi
     above = np.nextafter(max(np.log(8000), np.float32(np.log(8000))), np.inf)
     for name, value, message in (
             ("log_f0", above, r"log_f0 is 8\.98719788 in row 1, above log\(fs\) = 8\.98719682"),
             ("gain", 300.5, r"gain is 300\.5 in row 1, outside \+-300"),
             ("gain", -300.5, r"gain is -300\.5 in row 1, outside \+-300"),
-            ("log_mag", -300.5, r"log_mag is -300\.5 in row 1, outside \+-300")):
+            ("log_mag", -300.5, r"log_mag is -300\.5 in row 1, outside \+-300"),
+            ("phase", np.nextafter(np.float32(np.pi), np.float32(4)),
+             r"phase is 3\.14159298 in row 1, outside \+-3\.14159274")):
         column = getattr(stream, name).copy()
         column[1, ...] = value
         with pytest.raises(ValidationError, match=f"stream {message}"):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from gswf import DetectionError, F0Contour, ValidationError, Waveform
-from gswf.gci import (UNVOICED_SHIFT_S, GciTrack, _skewness, detect_gci, find_intervals,
-                      mean_based_signal, merge_marks, select_candidates, viterbi_select,
-                      write_gci_track)
+from gswf.gci import (UNVOICED_SHIFT_S, GciTrack, _skewness, _voiced_runs, detect_gci,
+                      find_intervals, mean_based_signal, merge_marks, select_candidates,
+                      viterbi_select, write_gci_track)
 from gswf.metrics import align_gci
 from signals import pulse_train, speech_like
 
@@ -461,6 +461,45 @@ def test_detect_gci_fully_unvoiced_contour():
     track = detect_gci(w, contour)
     assert not np.any(track.voiced)
     assert np.all(np.diff(track.instants) == 80)
+
+
+def _voiced_runs_loop(voiced, shift, fs, n_samples):
+    # reference: walk the frames, and round and clip each run's edges
+    runs, start = [], None
+    for k, v in enumerate(voiced.tolist() + [False]):
+        if v and start is None:
+            start = k
+        elif not v and start is not None:
+            lo = min(n_samples, int(round(start * shift * fs)))
+            hi = min(n_samples, int(round(k * shift * fs)))
+            if hi > lo:
+                runs.append((lo, hi))
+            start = None
+    return runs
+
+
+def test_voiced_runs_match_the_frame_walk():
+    rng = np.random.default_rng(29)
+    seen = dict.fromkeys(("first frame", "last frame", "clipped", "dropped"), 0)
+    for trial in range(400):
+        fs = int(rng.choice([8000, 11025, 16000, 22050, 44100, 48000]))
+        shift = float(rng.choice([0.0032, 0.005, 0.0075, 0.01]))
+        n_frames = int(rng.integers(0, 60))
+        # runs of random length, the contour up to 20% longer or shorter
+        # than the wav
+        voiced = np.repeat(rng.random(n_frames) < 0.5, rng.integers(1, 6, n_frames))
+        n_samples = int(len(voiced) * shift * fs * rng.uniform(0.8, 1.2))
+        got = _voiced_runs(voiced, shift, fs, n_samples)
+        want = _voiced_runs_loop(voiced, shift, fs, n_samples)
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert got.tolist() == [list(r) for r in want], (trial, fs, shift)
+        edges = np.round(np.flatnonzero(np.diff(np.r_[0, voiced.astype(np.int8), 0]))
+                         * shift * fs)
+        seen["first frame"] += bool(len(voiced) and voiced[0])
+        seen["last frame"] += bool(len(voiced) and voiced[-1])
+        seen["clipped"] += bool(np.any((edges[0::2] < n_samples) & (edges[1::2] > n_samples)))
+        seen["dropped"] += int(np.sum(edges[0::2] >= n_samples))
+    assert min(seen.values()) >= 20, seen
 
 
 def _merge_marks_loop(positions, voiced, min_gap):

@@ -76,6 +76,22 @@ def test_f0_file_bad_token_reports_line(tmp_path):
     assert "2" in str(err.value)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_f0_file_nonfinite_line_exits_3_naming_it(token, tmp_path):
+    path = str(tmp_path / "nonfinite.f0")
+    (tmp_path / "nonfinite.f0").write_text(f"120.0\n{token}\n")
+    with pytest.raises(ValidationError) as err:
+        read_f0_ref(path, 0.005)
+    assert err.value.exit_code == 3
+    assert f"{path}:2: non-finite F0 value {token!r}" in str(err.value)
+
+
+def test_f0_file_skips_blank_lines(tmp_path):
+    (tmp_path / "blank.f0").write_text("\n120.0\n  \n\n0\n130.5\n\n")
+    back = read_f0_ref(str(tmp_path / "blank.f0"), 0.005)
+    assert back.values.tolist() == [120.0, 0.0, 130.5]
+
+
 def test_f0_file_negative_is_invalid(tmp_path):
     (tmp_path / "neg.f0").write_text("120.0\n-5.0\n")
     with pytest.raises(ValidationError):
