@@ -215,14 +215,13 @@ def segment_log_mags(stream: FeatureStream, index, spans) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _falling_windows(fft_size: int) -> np.ndarray:
-    """Read-only (half + 1, half + 1) table, half = fft_size//2: row n holds
-    0.5 - 0.5 cos(pi k / n) at k = n - m for the distances m = 0..half from
-    the instant, zero past the span (k < 0); row 0 is unused."""
-    half = fft_size // 2
-    lengths = np.arange(1, half + 1)
-    k = lengths[:, None] - np.arange(half + 1)
-    table = np.zeros((half + 1, half + 1))
+def _falling_windows(size: int) -> np.ndarray:
+    """Read-only (size + 1, size + 1) table: row n holds 0.5 - 0.5 cos(pi k
+    / n) at k = n - m for the distances m = 0..size from the instant, zero
+    past the span (k < 0); row 0 is unused."""
+    lengths = np.arange(1, size + 1)
+    k = lengths[:, None] - np.arange(size + 1)
+    table = np.zeros((size + 1, size + 1))
     table[1:] = 0.5 - 0.5 * np.cos(np.pi * k / lengths[:, None])
     table[1:][k < 0] = 0.0
     table.flags.writeable = False
@@ -240,11 +239,21 @@ def window_rows(spans, fft_size: int) -> np.ndarray:
     if np.any(spans < 1):
         raise ValidationError(f"window half lengths must be >= 1, got {spans.min()}")
     # each side is a row of the falling half-windows, read outwards from the
-    # instant: by the left span to its left and by the right span to its right
+    # instant: by the left span to its left and by the right span to its
+    # right; the table covers the longest fitted side, rounded up to a power
+    # of two so that a few sizes serve every call, and no more than the row
     half = fft_size // 2
-    fall = _falling_windows(fft_size)
     fitted = np.minimum(spans, half)
-    rows = np.concatenate([fall[fitted[:, 0], ::-1], fall[fitted[:, 1], 1:half]], axis=1)
+    size = min(1 << (int(fitted.max(initial=1)) - 1).bit_length(), half)
+    fall = _falling_windows(size)
+    width = min(size, half - 1)
+    # only the pads outside the table are zeroed: a zeroed stack cost a
+    # fifth more per 64-row block at fft 512
+    rows = np.empty((len(spans), fft_size))
+    rows[:, :half - size] = 0.0
+    rows[:, half + 1 + width:] = 0.0
+    rows[:, half - size:half + 1] = fall[fitted[:, 0], ::-1]
+    rows[:, half + 1:half + 1 + width] = fall[fitted[:, 1], 1:width + 1]
     # a span longer than the row reaches past the table; its sides are built here
     row, side = np.nonzero(spans > half)
     if len(row):

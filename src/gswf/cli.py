@@ -169,6 +169,8 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     positionals = (args.in_wav, args.f0_ref, args.out_dir)
     if (any(positionals) if args.list else not all(positionals)):
         raise ValidationError("roundtrip needs in_wav f0_ref out_dir or --list, and not both")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _config_from_args(args)
     jobs = [positionals]
     if args.list:
@@ -201,7 +203,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
             return exc
         return None
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         results = list(pool.map(run_one, jobs))
     # manifest order, whatever order the workers finished in
     failures = [(job[0], exc) for job, exc in zip(jobs, results) if exc is not None]

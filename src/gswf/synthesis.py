@@ -7,8 +7,8 @@ decodes the phases, parametric envelopes come from the LSP product form
 phase, whose spectrum is Hermitian) makes the rows.  A row has
 analysis.cut_segments's layout: its instant at index fft_size//2 and the
 wings of its span around it.  Rows never mix, so the block size, which
-bounds the stacks' memory, changes no bit; overlap-add keeps the stream's
-summation order.
+bounds the stacks' memory, changes no bit; each block's rows and windows
+are added at their positions in the stream's order.
 
 Overlap-add divides by the summed windows of the same wings, clamped from
 below, so slowly varying pitch tracks reconstruct near-exactly and
@@ -42,10 +42,10 @@ def build_segments(stream: FeatureStream, index, spans, windows,
                    min_phase: bool = False) -> np.ndarray:
     """The rows (rows, fft_size) of the stream's rows at index, a slice or
     an array of row indices, with their (left, right) spans, in one array
-    pass, each with its instant at index fft_size//2; overlap_add reads
+    pass, each with its instant at index fft_size//2; overlap-add reads
     each row's wings (fit_wings).  windows is window_rows(spans, fft_size),
-    which overlap_add needs too.  min_phase keeps the magnitude and
-    replaces the transmitted phase by the minimum phase."""
+    which the overlap-add envelope sums too.  min_phase keeps the magnitude
+    and replaces the transmitted phase by the minimum phase."""
     fft_size = stream.fft_size
     log_mag = segment_log_mags(stream, index, spans)
     half = fft_size // 2
@@ -82,34 +82,6 @@ def _add_wings(acc: np.ndarray, rows: np.ndarray, positions, spans) -> None:
             acc[a:b] += row[start:start + b - a]
 
 
-def overlap_add(blocks, positions, spans, total_len: int) -> np.ndarray:
-    """Add the wings of each row at its position, block by block, and
-    normalize by the window envelope of the same spans.  blocks yields
-    (rows, windows) pairs: a block's rows (build_segments) and the
-    window_rows of their spans, whose wings make the envelope.  Samples
-    where the envelope is below EPS_OLA are set to zero."""
-    if len(spans) != len(positions):
-        raise ValidationError("one position and one span per row required")
-    acc, env = np.zeros(total_len), np.zeros(total_len)
-    done = 0
-    for rows, windows in blocks:
-        block = slice(done, done + len(rows))
-        _add_wings(acc, rows, positions[block], spans[block])
-        _add_wings(env, windows, positions[block], spans[block])
-        done += len(rows)
-        # free the block before the next one is built; holding it made
-        # full-mode synthesis ~5% slower (allocation of the next block)
-        del rows, windows
-    if not done or done != len(positions):
-        raise ValidationError("one position and one span per row required")
-    out = acc / np.maximum(env, EPS_OLA)
-    # the few outermost samples have no meaningful window support; there the
-    # clamped quotient is content/eps rather than a reconstruction, which can
-    # spike for unwindowed (minimum-phase) content
-    out[env < EPS_OLA] = 0.0
-    return out
-
-
 def _generation_positions(stream: FeatureStream) -> np.ndarray:
     # one period of lead-in, then each segment's period sets the gap to the
     # next instant: positions round the float running sums p0, 2 p0, 2 p0 +
@@ -128,13 +100,22 @@ def _synthesize(stream: FeatureStream, positions: str, min_phase: bool) -> Wavef
     if len(pos) < 2:
         raise ValidationError("need at least 2 segments to synthesize")
     spans = segment_spans(pos)
-    starts = range(0, len(pos), BLOCK)
-    windows = (window_rows(spans[lo:lo + BLOCK], stream.fft_size) for lo in starts)
-    blocks = ((build_segments(stream, slice(lo, lo + BLOCK), spans[lo:lo + BLOCK], w,
-                              min_phase), w)
-              for lo, w in zip(starts, windows))
     total_len = int(pos[-1] + spans[-1][1] + 1)
-    out = overlap_add(blocks, pos, spans, total_len)
+    acc, env = np.zeros(total_len), np.zeros(total_len)
+    for lo in range(0, len(pos), BLOCK):
+        block = slice(lo, lo + BLOCK)
+        windows = window_rows(spans[block], stream.fft_size)
+        rows = build_segments(stream, block, spans[block], windows, min_phase)
+        _add_wings(acc, rows, pos[block], spans[block])
+        _add_wings(env, windows, pos[block], spans[block])
+        # free the block before the next one is built; holding it made
+        # full-mode synthesis ~5% slower (allocation of the next block)
+        del rows, windows
+    out = acc / np.maximum(env, EPS_OLA)
+    # the few outermost samples have no meaningful window support; there the
+    # clamped quotient is content/eps rather than a reconstruction, which can
+    # spike for unwindowed (minimum-phase) content
+    out[env < EPS_OLA] = 0.0
     peak = float(np.max(np.abs(out))) if len(out) else 0.0
     if peak > 1.0:
         # saturate like the PCM writer would; rescaling the whole utterance

@@ -251,18 +251,38 @@ def test_window_rows_past_the_row_and_empty_at_every_fft_size():
 
 
 def test_window_table_is_read_only_and_built_once_per_fft_size():
+    # the table covers the longest fitted side, rounded up to a power of two
+    # and capped at fft_size//2: 256 rows here, 8 for the short spans alone
     spans = [(3, 7), (200, 255), (256, 12)]
-    first = window_rows(spans, 512)
-    table = gswf.analysis._falling_windows(512)
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[1, 0] = 2.0
+    first, short = window_rows(spans, 512), window_rows(spans[:1], 512)
+    for size in (256, 8):
+        table = gswf.analysis._falling_windows(size)
+        assert table.shape == (size + 1, size + 1) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1, 0] = 2.0
     with pytest.MonkeyPatch.context() as mp:
         def refuse(*args, **kwargs):
             raise AssertionError("window_rows rebuilt a window")
         mp.setattr(np, "cos", refuse)
         mp.setattr(np, "unique", refuse)
         assert window_rows(spans, 512).tobytes() == first.tobytes()
+        assert window_rows(spans[:1], 512).tobytes() == short.tobytes()
+
+
+def test_short_spans_at_a_large_fft_size_build_a_small_table():
+    # a table sized by fft_size alone was (32769, 32769) here, 8 GiB
+    rng = np.random.default_rng(28)
+    fft_size, half = 65536, 32768
+    spans = np.concatenate([rng.integers(1, 300, (30, 2)), [[257, 1], [1, 511]]])
+    gswf.analysis._falling_windows.cache_clear()
+    rows = window_rows(spans, fft_size)
+    assert gswf.analysis._falling_windows.cache_info().currsize == 1
+    assert gswf.analysis._falling_windows(512).shape == (513, 513)
+    assert gswf.analysis._falling_windows.cache_info().hits == 1
+    for row, (left, right) in zip(rows, spans):
+        assert row[half - left:half + right + 1].tobytes() == \
+            asymmetric_hann(int(left), int(right)).tobytes()
+        assert not row[:half - left].any() and not row[half + right + 1:].any()
 
 
 def test_importing_the_cli_builds_no_window_table():

@@ -361,6 +361,18 @@ def test_roundtrip_list_jobs(inputs, tmp_path):
         _read(str(tmp_path / "b" / "tone.full.wav"))
 
 
+def test_roundtrip_jobs_below_one_exits_4(inputs, tmp_path, capsys):
+    # --jobs 0 and negative counts used to run on one worker without a word
+    wav, f0 = inputs
+    manifest = str(tmp_path / "jobs.txt")
+    with open(manifest, "w", encoding="utf-8") as fh:
+        fh.write(f"{wav} {f0} {tmp_path / 'a'}\n")
+    for jobs in ("0", "-1"):
+        assert run(["roundtrip", "--list", manifest, "--jobs", jobs]) == 4
+        assert capsys.readouterr().err == f"gswf: --jobs must be at least 1, got {jobs}\n"
+    assert not (tmp_path / "a").exists()
+
+
 def test_roundtrip_list_bad_line(inputs, tmp_path, capsys):
     manifest = str(tmp_path / "jobs.txt")
     with open(manifest, "w", encoding="utf-8") as fh:
